@@ -22,9 +22,33 @@ def _int_list(text: str) -> List[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _checked_path(value: int) -> int:
+    # The emitted binaries read PATH as an unsigned 64-bit integer.
+    if not 0 <= value < 1 << astgen.PATH_BITS:
+        raise argparse.ArgumentTypeError(f"PATH must be in [0, 2^64), got {value}")
+    return value
+
+
+def _path_value(text: str) -> int:
+    try:
+        return _checked_path(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+
+
+def _path_list(text: str) -> List[int]:
+    return [_checked_path(value) for value in _int_list(text)]
+
+
 def _common_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    group = common.add_argument_group("generation parameters")
+    common.add_argument("--out", default="out", metavar="DIR",
+                        help="directory for sources, manifest, and reports (default ./out)")
+    return common
+
+
+def _add_generation_args(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_argument_group("generation parameters")
     group.add_argument("--seed", type=int, default=0,
                        help="operand planner seed (default 0)")
     group.add_argument("--generations", type=int, default=4,
@@ -39,9 +63,6 @@ def _common_parser() -> argparse.ArgumentParser:
                        help="iterations per LOOP (default 2)")
     group.add_argument("--value-range", type=int, default=1000,
                        help="operand values are drawn from [0, N) (default 1000)")
-    group.add_argument("--out", default="out", metavar="DIR",
-                       help="directory for sources, manifest, and reports (default ./out)")
-    return common
 
 
 def _plan_from_args(args: argparse.Namespace) -> astgen.OperandPlan:
@@ -65,16 +86,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", parents=[common],
                            help="derive a spec and emit compilable sources + manifest")
     p_gen.add_argument("spec", help="L-system spec file")
+    _add_generation_args(p_gen)
     p_gen.add_argument("--debug-trace", action="store_true",
                        help="bake the trace on by default in the emitted program")
 
-    p_check = sub.add_parser("check", parents=[common],
+    # No abbreviations: `--seed 5` would otherwise be read as `--seeds 5`.
+    p_check = sub.add_parser("check", parents=[common], allow_abbrev=False,
                              help="compile emitted sources and diff traces against the oracle")
     p_check.add_argument("spec", help="L-system spec file used for gen")
     p_check.add_argument("--cc", required=True, metavar="TEMPLATE",
                          help="compile command with {in} and {out} placeholders, "
                               "e.g. 'gcc -std=c99 -O0 {in} -o {out}'")
-    p_check.add_argument("--paths", type=_int_list, default=[0, 1], metavar="P1,P2,...",
+    p_check.add_argument("--paths", type=_path_list, default=[0, 1], metavar="P1,P2,...",
                          help="PATH values to run (default 0,1)")
     p_check.add_argument("--seeds", type=_int_list, default=None, metavar="S1,S2,...",
                          help="extra planner seeds to regenerate and check "
@@ -97,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="timed repetitions per flag set (default 10)")
     p_measure.add_argument("--warmups", type=int, default=3,
                            help="discarded warm-up runs (default 3)")
-    p_measure.add_argument("--path", type=int, default=1,
+    p_measure.add_argument("--path", type=_path_value, default=1,
                            help="PATH value for the timed runs (default 1)")
     p_measure.add_argument("--size-cmd", metavar="TEMPLATE",
                            help="command with {bin} whose first output line is a byte "
@@ -116,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="instrumented compile command ({in}/{out})")
     p_sweep.add_argument("--cc-opt", required=True, metavar="TEMPLATE",
                          help="profile-consuming compile command ({in}/{out})")
-    p_sweep.add_argument("--train-path", type=int, default=1,
+    p_sweep.add_argument("--train-path", type=_path_value, default=1,
                          help="PATH value for the training run (default 1)")
     p_sweep.add_argument("--bits", type=_int_list, default=None, metavar="I1,I2,...",
                          help="bit counts i; each runs PATH = 2^i - 1 "

@@ -5,15 +5,19 @@ method. Two full backends ship registered out of the box: "c" (C99) and "go".
 Third parties can register either a backend object or a plain dict of
 per-construct format strings, which gets wrapped in a TemplateBackend.
 
+All three walk statements with the one walker, ``base.render_block``; each
+language is only a small syntax object that renders single constructs. The
+syntax objects are built per ``emit`` call.
+
 ``emit`` is pure: it returns file contents and never touches the filesystem.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 from .. import astgen
-from .base import BackendError, EmitConfig, SourceFile
+from .base import BackendError, EmitConfig, SourceFile, render_block
 
 # Every backend has to say how these constructs are rendered.
 REQUIRED_TEMPLATE_KEYS = ("new", "insert", "remove", "contains", "if", "loop", "call")
@@ -44,47 +48,45 @@ class TemplateBackend:
         self.templates = dict(templates)
         self.extension = extension
 
-    def _render_block(self, stmts, trip_count: int) -> str:
-        return " ".join(self._render_stmt(st, trip_count) for st in stmts)
-
-    def _render_stmt(self, st, trip_count: int) -> str:
-        t = self.templates
-        if isinstance(st, astgen.New):
-            return t["new"].format(slot=st.slot)
-        if isinstance(st, astgen.Insert):
-            return t["insert"].format(slot=st.slot, value=st.value)
-        if isinstance(st, astgen.Remove):
-            return t["remove"].format(slot=st.slot, value=st.value)
-        if isinstance(st, astgen.Contains):
-            return t["contains"].format(slot=st.slot, value=st.value)
-        if isinstance(st, astgen.If):
-            return t["if"].format(
-                bit=st.bit_index,
-                cond=self._render_block(st.cond, trip_count),
-                then=self._render_block(st.then, trip_count),
-                orelse=self._render_block(st.orelse or [], trip_count),
-            )
-        if isinstance(st, astgen.Loop):
-            return t["loop"].format(
-                trips=trip_count,
-                cond=self._render_block(st.cond, trip_count),
-                body=self._render_block(st.body, trip_count),
-            )
-        if isinstance(st, astgen.Call):
-            return t["call"].format(
-                callee=st.callee_id,
-                args=",".join(str(s) for s in st.available_slots),
-            )
-        raise BackendError("unknown statement type: %r" % (st,))
-
     def emit(self, program: astgen.Program, cfg: EmitConfig) -> List[SourceFile]:
-        trip = program.plan.trip_count
+        syntax = _TemplateSyntax(self.templates, program.plan.trip_count)
         lines = [
-            "f%d: %s" % (fn.id, self._render_block(fn.body, trip))
+            "f%d: %s" % (fn.id, " ".join(render_block(fn.body, syntax)))
             for fn in program.functions
         ]
         name = "program.%s" % self.extension
         return [SourceFile(name, "\n".join(lines) + "\n")]
+
+
+class _TemplateSyntax:
+    """Walker syntax over a template table: one string per statement, and
+    blocks joined with spaces."""
+
+    indent = ""
+
+    def __init__(self, templates: Dict[str, str], trip_count: int):
+        self.t = templates
+        self.trip_count = trip_count
+
+    def new(self, slot):
+        return [self.t["new"].format(slot=slot)]
+
+    def free(self, slot):
+        return []
+
+    def op(self, name, slot, value):
+        return [self.t[name].format(slot=slot, value=value)]
+
+    def if_(self, bit, cond, then, orelse):
+        return [self.t["if"].format(
+            bit=bit, cond=" ".join(cond), then=" ".join(then), orelse=" ".join(orelse or [])
+        )]
+
+    def loop(self, k, cond, body):
+        return [self.t["loop"].format(trips=self.trip_count, cond=" ".join(cond), body=" ".join(body))]
+
+    def call(self, callee, slots, k):
+        return [self.t["call"].format(callee=callee, args=",".join(str(s) for s in slots))]
 
 
 _REGISTRY: Dict[str, object] = {}

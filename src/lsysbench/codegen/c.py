@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import List, Set
 
 from .. import astgen
-from .base import BackendError, EmitConfig, SourceFile, _Writer
+from .base import BraceSyntax, EmitConfig, SourceFile
 
 _BANNER = "/* Generated benchmark program: {n} function(s), {kind} container. */"
 
@@ -368,117 +368,49 @@ def _callees_passed_objects(program: astgen.Program) -> Set[int]:
     }
 
 
-def _emit_function(
-    fn: astgen.FunctionDef, kind: str, trip_count: int, borrows: bool
-) -> str:
-    """`borrows`: some call passes objects to `fn`, so a binding may alias a
-    parameter and is freed only if its `ls_new` allocated."""
-    scalar = kind == "scalar"
-    wr = _Writer("    ")
-    counters = {"loop": 0, "args": 0}
+class _CSyntax(BraceSyntax):
+    """`borrows`: some call passes objects to the function, so a binding may
+    alias a parameter and is freed only if its `ls_new` allocated."""
 
-    def emit_block(stmts: List[object]) -> None:
-        bound = []
-        for st in stmts:
-            if isinstance(st, astgen.New):
-                if scalar:
-                    wr.w("int64_t v%d = ls_new(&data, UINT64_C(%d));" % (st.slot, st.slot))
-                    wr.w("(void)v%d;" % st.slot)
-                elif borrows:
-                    wr.w("int o%d;" % st.slot)
-                    wr.w("ls_obj *v%d = ls_new(&data, &o%d);" % (st.slot, st.slot))
-                    bound.append(st.slot)
-                else:
-                    wr.w("ls_obj *v%d = ls_new(&data, NULL);" % st.slot)
-                    bound.append(st.slot)
-            elif isinstance(st, astgen.Insert):
-                if scalar:
-                    wr.w("ls_insert(&v%d, UINT64_C(%d), INT64_C(%d));"
-                         % (st.slot, st.slot, st.value))
-                else:
-                    wr.w("ls_insert(v%d, INT64_C(%d));" % (st.slot, st.value))
-            elif isinstance(st, astgen.Remove):
-                if scalar:
-                    wr.w("ls_remove(&v%d, UINT64_C(%d), INT64_C(%d));"
-                         % (st.slot, st.slot, st.value))
-                else:
-                    wr.w("ls_remove(v%d, INT64_C(%d));" % (st.slot, st.value))
-            elif isinstance(st, astgen.Contains):
-                if scalar:
-                    wr.w("ls_contains(v%d, UINT64_C(%d), INT64_C(%d));"
-                         % (st.slot, st.slot, st.value))
-                else:
-                    wr.w("ls_contains(v%d, INT64_C(%d));" % (st.slot, st.value))
-            elif isinstance(st, astgen.If):
-                if st.cond:
-                    wr.w("{")
-                    wr.level += 1
-                    emit_block(st.cond)
-                    wr.level -= 1
-                    wr.w("}")
-                wr.w("if ((path >> %d) & 1) {" % st.bit_index)
-                wr.level += 1
-                emit_block(st.then)
-                wr.level -= 1
-                if st.orelse is not None:
-                    wr.w("} else {")
-                    wr.level += 1
-                    emit_block(st.orelse)
-                    wr.level -= 1
-                wr.w("}")
-            elif isinstance(st, astgen.Loop):
-                k = counters["loop"]
-                counters["loop"] += 1
-                wr.w("for (uint64_t ls_i%d = 0; ls_i%d < UINT64_C(%d); ls_i%d++) {"
-                     % (k, k, trip_count, k))
-                wr.level += 1
-                for block in (st.cond, st.body):
-                    if block:
-                        wr.w("{")
-                        wr.level += 1
-                        emit_block(block)
-                        wr.level -= 1
-                        wr.w("}")
-                wr.level -= 1
-                wr.w("}")
-            elif isinstance(st, astgen.Call):
-                slots = st.available_slots
-                if slots:
-                    k = counters["args"]
-                    counters["args"] += 1
-                    elem = "int64_t" if scalar else "ls_obj *"
-                    wr.w("{")
-                    wr.level += 1
-                    wr.w("%sls_args%d[] = { %s };"
-                         % (elem + " " if scalar else elem, k,
-                            ", ".join("v%d" % s for s in slots)))
-                    wr.w("f%d(ls_make_params(ls_args%d, %d), path);"
-                         % (st.callee_id, k, len(slots)))
-                    wr.level -= 1
-                    wr.w("}")
-                else:
-                    wr.w("f%d(ls_make_params(NULL, 0), path);" % st.callee_id)
-            else:
-                raise BackendError("unknown statement type: %r" % (st,))
-        for slot in reversed(bound):
-            if borrows:
-                wr.w("if (o%d) {" % slot)
-                wr.level += 1
-                wr.w("ls_free(v%d);" % slot)
-                wr.level -= 1
-                wr.w("}")
-            else:
-                wr.w("ls_free(v%d);" % slot)
+    indent = "    "
+    fn_head = "void f%d(ls_params data, uint64_t path)\n{\n    (void)data;\n    (void)path;"
+    if_head = "if ((path >> %d) & 1) {"
+    loop_head = "for (uint64_t ls_i%d = 0; ls_i%d < UINT64_C(%d); ls_i%d++) {"
 
-    wr.w("void f%d(ls_params data, uint64_t path)" % fn.id)
-    wr.w("{")
-    wr.level += 1
-    wr.w("(void)data;")
-    wr.w("(void)path;")
-    emit_block(fn.body)
-    wr.level -= 1
-    wr.w("}")
-    return wr.text()
+    def __init__(self, kind: str, trip_count: int, borrows: bool):
+        super().__init__(kind, trip_count)
+        self.borrows = borrows
+
+    def new(self, slot):
+        if self.scalar:
+            return ["int64_t v%d = ls_new(&data, UINT64_C(%d));" % (slot, slot),
+                    "(void)v%d;" % slot]
+        if self.borrows:
+            return ["int o%d;" % slot, "ls_obj *v%d = ls_new(&data, &o%d);" % (slot, slot)]
+        return ["ls_obj *v%d = ls_new(&data, NULL);" % slot]
+
+    def free(self, slot):
+        if self.scalar:
+            return []
+        if self.borrows:
+            return ["if (o%d) {" % slot, self.indent + "ls_free(v%d);" % slot, "}"]
+        return ["ls_free(v%d);" % slot]
+
+    def op(self, name, slot, value):
+        if self.scalar:
+            var = ("v%d" if name == "contains" else "&v%d") % slot
+            return ["ls_%s(%s, UINT64_C(%d), INT64_C(%d));" % (name, var, slot, value)]
+        return ["ls_%s(v%d, INT64_C(%d));" % (name, slot, value)]
+
+    def call(self, callee, slots, k):
+        if not slots:
+            return ["f%d(ls_make_params(NULL, 0), path);" % callee]
+        elem = "int64_t " if self.scalar else "ls_obj *"
+        args = ", ".join("v%d" % s for s in slots)
+        return ["{",
+                self.indent + "%sls_args%d[] = { %s };" % (elem, k, args),
+                self.indent + "f%d(ls_make_params(ls_args%d, %d), path);" % (callee, k, len(slots)),
+                "}"]
 
 
 def _emit_main(entry_id: int) -> str:
@@ -526,7 +458,7 @@ class CBackend:
         borrowers = _callees_passed_objects(program)
 
         def function_text(fn: astgen.FunctionDef) -> str:
-            return _emit_function(fn, kind, trip, fn.id in borrowers)
+            return _CSyntax(kind, trip, fn.id in borrowers).function(fn)
 
         main_parts = [
             banner,

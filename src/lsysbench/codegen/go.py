@@ -4,10 +4,10 @@ Layout:
   single file mode -> main.go
   split file mode  -> main.go (runtime + entry + main), f<id>.go per callee
 
-All files belong to `package main`. Reference-count bookkeeping is emitted to
-keep traces aligned with the other backends, but freeing is left to the
-garbage collector. Scalar mode pins each slot with `_ = v<k>` because unused
-locals are compile errors in Go.
+All files belong to `package main`. As in the C runtime, callees borrow their
+parameters and no reference counts are kept; freeing is left to the garbage
+collector. Every binding is pinned with `_ = v<k>` because unused locals are
+compile errors in Go.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import List
 
 from .. import astgen
-from .base import BackendError, EmitConfig, SourceFile, _Writer
+from .base import BraceSyntax, EmitConfig, SourceFile
 
 _BANNER = "// Generated benchmark program: {n} function(s), {kind} container."
 
@@ -23,7 +23,6 @@ _STRUCTS = {
     "array": """\
 type lsObj struct {
 	id   uint64
-	refc uint64
 	vals []int64
 }
 
@@ -40,7 +39,6 @@ type lsNode struct {
 
 type lsObj struct {
 	id   uint64
-	refc uint64
 	head *lsNode
 	size int
 }
@@ -75,18 +73,7 @@ func lsLog(opcode uint64, kind string, varID uint64, val int64, res int64) {
 
 _IMPL_PARAMS_HEAP = """\
 func lsMakeParams(items []*lsObj) lsParams {
-	for _, obj := range items {
-		lsRetain(obj)
-	}
 	return lsParams{items: items}
-}
-
-func lsRetain(obj *lsObj) {
-	obj.refc++
-}
-
-func lsRelease(obj *lsObj) {
-	obj.refc--
 }
 
 func lsNew(data *lsParams) *lsObj {
@@ -96,7 +83,7 @@ func lsNew(data *lsParams) *lsObj {
 		lsLog(1, "new", obj.id, 0, 0)
 		return obj
 	}
-	obj := &lsObj{id: lsNextID, refc: 1}
+	obj := &lsObj{id: lsNextID}
 	lsNextID++
 	lsLog(1, "new", obj.id, 0, 1)
 	return obj
@@ -225,93 +212,33 @@ def _runtime_impl(kind: str) -> str:
     return "\n".join([_IMPL_COMMON, _IMPL_PARAMS_HEAP, body])
 
 
-def _emit_function(fn: astgen.FunctionDef, kind: str, trip_count: int) -> str:
-    scalar = kind == "scalar"
-    wr = _Writer("\t")
-    counters = {"loop": 0}
+_GO_OPS = {"insert": "lsInsert", "remove": "lsRemove", "contains": "lsContains"}
 
-    def emit_block(stmts: List[object]) -> None:
-        bound = []
-        for st in stmts:
-            if isinstance(st, astgen.New):
-                if scalar:
-                    wr.w("v%d := lsNew(&data, %d)" % (st.slot, st.slot))
-                    wr.w("_ = v%d" % st.slot)
-                else:
-                    wr.w("v%d := lsNew(&data)" % st.slot)
-                    bound.append(st.slot)
-            elif isinstance(st, astgen.Insert):
-                if scalar:
-                    wr.w("lsInsert(&v%d, %d, %d)" % (st.slot, st.slot, st.value))
-                else:
-                    wr.w("lsInsert(v%d, %d)" % (st.slot, st.value))
-            elif isinstance(st, astgen.Remove):
-                if scalar:
-                    wr.w("lsRemove(&v%d, %d, %d)" % (st.slot, st.slot, st.value))
-                else:
-                    wr.w("lsRemove(v%d, %d)" % (st.slot, st.value))
-            elif isinstance(st, astgen.Contains):
-                if scalar:
-                    wr.w("lsContains(v%d, %d, %d)" % (st.slot, st.slot, st.value))
-                else:
-                    wr.w("lsContains(v%d, %d)" % (st.slot, st.value))
-            elif isinstance(st, astgen.If):
-                if st.cond:
-                    wr.w("{")
-                    wr.level += 1
-                    emit_block(st.cond)
-                    wr.level -= 1
-                    wr.w("}")
-                wr.w("if (path>>%d)&1 == 1 {" % st.bit_index)
-                wr.level += 1
-                emit_block(st.then)
-                wr.level -= 1
-                if st.orelse is not None:
-                    wr.w("} else {")
-                    wr.level += 1
-                    emit_block(st.orelse)
-                    wr.level -= 1
-                wr.w("}")
-            elif isinstance(st, astgen.Loop):
-                k = counters["loop"]
-                counters["loop"] += 1
-                wr.w("for lsI%d := uint64(0); lsI%d < %d; lsI%d++ {" % (k, k, trip_count, k))
-                wr.level += 1
-                for block in (st.cond, st.body):
-                    if block:
-                        wr.w("{")
-                        wr.level += 1
-                        emit_block(block)
-                        wr.level -= 1
-                        wr.w("}")
-                wr.level -= 1
-                wr.w("}")
-            elif isinstance(st, astgen.Call):
-                slots = st.available_slots
-                elem = "[]int64" if scalar else "[]*lsObj"
-                if slots:
-                    args = "%s{%s}" % (elem, ", ".join("v%d" % s for s in slots))
-                else:
-                    args = "nil"
-                wr.w("f%d(lsMakeParams(%s), path)" % (st.callee_id, args))
-            else:
-                raise BackendError("unknown statement type: %r" % (st,))
-        if not scalar:
-            for slot in reversed(bound):
-                wr.w("lsRelease(v%d)" % slot)
 
-    wr.w("func f%d(data lsParams, path uint64) {" % fn.id)
-    wr.level += 1
-    emit_block(fn.body)
-    if not scalar:
-        wr.w("for lsP := data.consumed; lsP < len(data.items); lsP++ {")
-        wr.level += 1
-        wr.w("lsRelease(data.items[lsP])")
-        wr.level -= 1
-        wr.w("}")
-    wr.level -= 1
-    wr.w("}")
-    return wr.text()
+class _GoSyntax(BraceSyntax):
+    indent = "\t"
+    fn_head = "func f%d(data lsParams, path uint64) {"
+    if_head = "if (path>>%d)&1 == 1 {"
+    loop_head = "for lsI%d := uint64(0); lsI%d < %d; lsI%d++ {"
+
+    def new(self, slot):
+        if self.scalar:
+            return ["v%d := lsNew(&data, %d)" % (slot, slot), "_ = v%d" % slot]
+        return ["v%d := lsNew(&data)" % slot, "_ = v%d" % slot]
+
+    def op(self, name, slot, value):
+        if self.scalar:
+            var = ("v%d" if name == "contains" else "&v%d") % slot
+            return ["%s(%s, %d, %d)" % (_GO_OPS[name], var, slot, value)]
+        return ["%s(v%d, %d)" % (_GO_OPS[name], slot, value)]
+
+    def call(self, callee, slots, k):
+        if slots:
+            elem = "[]int64" if self.scalar else "[]*lsObj"
+            args = "%s{%s}" % (elem, ", ".join("v%d" % s for s in slots))
+        else:
+            args = "nil"
+        return ["f%d(lsMakeParams(%s), path)" % (callee, args)]
 
 
 def _emit_main(entry_id: int) -> str:
@@ -353,7 +280,7 @@ class GoBackend:
 
     def emit(self, program: astgen.Program, cfg: EmitConfig) -> List[SourceFile]:
         kind = program.plan.container_kind
-        trip = program.plan.trip_count
+        syntax = _GoSyntax(kind, program.plan.trip_count)
         banner = _BANNER.format(n=len(program.functions), kind=kind)
 
         main_parts = [
@@ -365,7 +292,7 @@ class GoBackend:
         ]
         files = []
         if cfg.split_files:
-            main_parts.append(_emit_function(program.entry, kind, trip))
+            main_parts.append(syntax.function(program.entry))
             main_parts.append(_emit_main(program.entry_id))
             files.append(SourceFile("main.go", "\n".join(main_parts)))
             for fn in program.functions:
@@ -374,12 +301,12 @@ class GoBackend:
                 text = "\n".join([
                     banner,
                     "package main\n",
-                    _emit_function(fn, kind, trip),
+                    syntax.function(fn),
                 ])
                 files.append(SourceFile("f%d.go" % fn.id, text))
         else:
             for fn in program.functions:
-                main_parts.append(_emit_function(fn, kind, trip))
+                main_parts.append(syntax.function(fn))
             main_parts.append(_emit_main(program.entry_id))
             files.append(SourceFile("main.go", "\n".join(main_parts)))
         return files

@@ -66,15 +66,6 @@ class ItemSeq:
         return bool(self.items)
 
 
-EMPTY_SEQ = ItemSeq(())
-
-
-@dataclass(frozen=True)
-class Production:
-    lhs: str
-    rhs: ItemSeq
-
-
 @dataclass(frozen=True)
 class LSystemSpec:
     axiom: ItemSeq

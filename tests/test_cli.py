@@ -83,6 +83,41 @@ def test_check_requires_gen_first(spec_file, tmp_path, capsys):
     assert "gen" in capsys.readouterr().err
 
 
+USAGE_PREFIXES = {
+    "check": ["check", "s.lsys", "--cc", "cc {in} -o {out}"],
+    "measure": ["measure", "s.lsys", "--cc", "cc {flags} {in} -o {out}"],
+    "sweep-pgo": ["sweep-pgo", "s.lsys", "--cc-base", "a", "--cc-train", "b", "--cc-opt", "c"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("check", ["--seed", "5"]),
+    ("measure", ["--container", "scalar"]),
+    ("sweep-pgo", ["--generations", "3"]),
+])
+def test_generation_flags_are_usage_errors_after_gen(command, flag, capsys):
+    # These commands read the manifest; a generation flag would be ignored.
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(USAGE_PREFIXES[command] + flag)
+    assert excinfo.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("check", "--paths", "0,18446744073709551616"),
+    ("measure", "--path", "-1"),
+    ("sweep-pgo", "--train-path", "18446744073709551616"),
+])
+def test_path_flags_reject_values_outside_64_bits(command, flag, value, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(USAGE_PREFIXES[command] + [flag, value])
+    assert excinfo.value.code == 2
+    assert "PATH must be in [0, 2^64)" in capsys.readouterr().err
+    top = str(2**64 - 1)
+    args = build_parser().parse_args(USAGE_PREFIXES[command] + [flag, top])
+    assert vars(args)[flag[2:].replace("-", "_")] in (2**64 - 1, [2**64 - 1])
+
+
 @needs_c
 def test_gen_check_measure_round_trip(spec_file, tmp_path, capsys):
     out = str(tmp_path / "out")

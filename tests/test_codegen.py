@@ -1,4 +1,5 @@
 import os
+import re
 import warnings
 
 import pytest
@@ -214,6 +215,41 @@ def test_debug_trace_flag_bakes_default():
 
 
 # ---------------------------------------------------------------------------
+# golden text: a small program that uses every statement form
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "fixtures", "emit_golden")
+
+# New; insert, remove, contains; If with a cond and an else, If without a cond
+# or an else; Loop with and without a cond; Call without slots (first
+# statement) and with slots (later calls, one of them inside a loop).
+GOLDEN_ITEMS = (
+    "CALL(new insert) new insert remove contains "
+    "IF(new contains, new insert LOOP(CALL(new contains IF(, insert))), remove LOOP(contains)) "
+    "IF(, remove) LOOP(new contains, new insert) LOOP(remove) "
+    "CALL(new contains IF(, insert))"
+)
+
+
+def golden_program(container):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return astgen.lower(grammar.parse_items(GOLDEN_ITEMS),
+                            astgen.OperandPlan(seed=0, container_kind=container))
+
+
+@pytest.mark.parametrize("container", ["array", "sortedList", "scalar"])
+@pytest.mark.parametrize("backend", ["c", "go"])
+def test_emitted_sources_match_golden_text(backend, container):
+    files = emit(golden_program(container), EmitConfig(backend=backend))
+    assert [f.relative_path for f in files] == (
+        ["runtime.h", "main.c"] if backend == "c" else ["main.go"])
+    for f in files:
+        name = "%s_%s_%s" % (backend, container, f.relative_path)
+        with open(os.path.join(GOLDEN_DIR, name), encoding="utf-8") as fh:
+            assert f.contents == fh.read(), name
+
+
+# ---------------------------------------------------------------------------
 # compiled C behavior
 
 
@@ -304,16 +340,25 @@ def go_package_lines(text):
 
 
 def test_go_sources_are_wellformed_package_main():
-    program = make_program(CALL_CHURN_SPEC, 3, "scalar")
-    files = emit(program, EmitConfig(backend="go", split_files=True))
-    for f in files:
-        assert len(go_package_lines(f.contents)) == 1
-        assert f.contents.count("{") == f.contents.count("}")
-    main_go = files[0].contents
-    assert "func main() {" in main_go
-    assert "func f%d(data lsParams, path uint64) {" % program.entry_id in main_go
-    # scalar slots are pinned so unused locals cannot break the build
-    assert "_ = v" in main_go
+    for container in ("array", "sortedList", "scalar"):
+        program = make_program(CALL_CHURN_SPEC, 3, container)
+        files = emit(program, EmitConfig(backend="go", split_files=True))
+        for f in files:
+            assert len(go_package_lines(f.contents)) == 1
+            assert f.contents.count("{") == f.contents.count("}")
+            # callees borrow, so no reference counts are kept
+            for word in ("refc", "lsRetain", "lsRelease"):
+                assert word not in f.contents
+            # every binding is pinned: unused locals are compile errors in Go
+            lines = f.contents.splitlines()
+            for i, line in enumerate(lines):
+                m = re.match(r"(\s*)(v\d+) :=", line)
+                if m:
+                    assert lines[i + 1] == "%s_ = %s" % m.groups()
+        main_go = files[0].contents
+        assert "func main() {" in main_go
+        assert "func f%d(data lsParams, path uint64) {" % program.entry_id in main_go
+        assert "_ = v" in main_go
 
 
 @needs_go
