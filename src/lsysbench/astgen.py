@@ -7,9 +7,9 @@ call sites, and deterministic operand planning.
 
 from __future__ import annotations
 
-import copy
+import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Union
 
 from .grammar import (
@@ -337,18 +337,9 @@ def available_vars(fn: FunctionDef, call_site: Call) -> List[int]:
     return result
 
 
-class _SlotCounter:
-    def __init__(self):
-        self.next_slot = 0
-
-    def take(self) -> int:
-        slot = self.next_slot
-        self.next_slot += 1
-        return slot
-
-
 def plan_operands(program: Program, plan: Optional[OperandPlan] = None) -> Program:
-    """Fill in slots and values on a deep copy of the program.
+    """Return a new program whose slots and values are filled in; the input
+    program is left unchanged.
 
     A single PRNG stream seeded with plan.seed drives functions in id order
     and statements in pre-order (If: cond, then, else; Loop: cond, body).
@@ -357,51 +348,43 @@ def plan_operands(program: Program, plan: Optional[OperandPlan] = None) -> Progr
     visible, then always draws twice: once for the target slot and once for
     the operand value.
     """
-    prog = copy.deepcopy(program)
-    if plan is not None:
-        prog.plan = copy.deepcopy(plan)
-    rng = Lcg(prog.plan.seed)
-    for fn in sorted(prog.functions, key=lambda f: f.id):
-        counter = _SlotCounter()
-        fn.body = _plan_block(fn.body, [], counter, rng, prog.plan.value_range)
-        fn.slot_count = counter.next_slot
-    return prog
+    plan = replace(program.plan if plan is None else plan)
+    rng = Lcg(plan.seed)
 
+    # Argument lists are evaluated left to right, which keeps the RNG order
+    # given above.
+    def plan_block(stmts: List[Stmt], inherited: List[int]) -> List[Stmt]:
+        out: List[Stmt] = []
+        local: List[int] = []
+        for st in stmts:
+            visible = inherited + local
+            if isinstance(st, New):
+                st = New(next(slots))
+                local.append(st.slot)
+            elif isinstance(st, OPERAND_STMTS):
+                if not visible:
+                    fresh = New(next(slots))
+                    out.append(fresh)
+                    local.append(fresh.slot)
+                    visible = [fresh.slot]
+                st = type(st)(visible[rng.next() % len(visible)], rng.next() % plan.value_range)
+            elif isinstance(st, If):
+                st = If(plan_block(st.cond, visible), plan_block(st.then, visible),
+                        None if st.orelse is None else plan_block(st.orelse, visible),
+                        st.bit_index, st.bit_index_raw)
+            elif isinstance(st, Loop):
+                st = Loop(plan_block(st.cond, visible), plan_block(st.body, visible))
+            else:
+                st = Call(st.callee_id, visible)
+            out.append(st)
+        return out
 
-def _plan_block(
-    stmts: List[Stmt],
-    inherited: List[int],
-    counter: _SlotCounter,
-    rng: Lcg,
-    value_range: int,
-) -> List[Stmt]:
-    out: List[Stmt] = []
-    local: List[int] = []
-    for st in stmts:
-        visible = inherited + local
-        if isinstance(st, New):
-            st.slot = counter.take()
-            local.append(st.slot)
-        elif isinstance(st, OPERAND_STMTS):
-            if not visible:
-                fresh = New(slot=counter.take())
-                out.append(fresh)
-                local.append(fresh.slot)
-                visible = inherited + local
-            st.slot = visible[rng.next() % len(visible)]
-            st.value = rng.next() % value_range
-        elif isinstance(st, If):
-            st.cond = _plan_block(st.cond, visible, counter, rng, value_range)
-            st.then = _plan_block(st.then, visible, counter, rng, value_range)
-            if st.orelse is not None:
-                st.orelse = _plan_block(st.orelse, visible, counter, rng, value_range)
-        elif isinstance(st, Loop):
-            st.cond = _plan_block(st.cond, visible, counter, rng, value_range)
-            st.body = _plan_block(st.body, visible, counter, rng, value_range)
-        else:
-            st.available_slots = list(visible)
-        out.append(st)
-    return out
+    functions = []
+    for fn in sorted(program.functions, key=lambda f: f.id):
+        slots = itertools.count()  # per-function slot ordinals
+        body = plan_block(fn.body, [])
+        functions.append(replace(fn, body=body, slot_count=next(slots)))
+    return replace(program, functions=functions, plan=plan)
 
 
 def verify_slot_safety(program: Program) -> None:

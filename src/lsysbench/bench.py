@@ -180,13 +180,18 @@ def plan_from_manifest(manifest: dict, seed: Optional[int] = None) -> astgen.Ope
     )
 
 
-def program_from_manifest(spec_text: str, manifest: dict, seed: Optional[int] = None) -> astgen.Program:
+def check_spec(spec_text: str, manifest: dict) -> None:
+    """Refuse a spec other than the one `gen` wrote the manifest for."""
     digest = hashlib.sha256(spec_text.encode("utf-8")).hexdigest()
     if digest != manifest["specSha256"]:
         raise BenchError(
             "spec file does not match the manifest (sha256 differs); "
             "regenerate with `gen` or pass the original spec"
         )
+
+
+def program_from_manifest(spec_text: str, manifest: dict, seed: Optional[int] = None) -> astgen.Program:
+    check_spec(spec_text, manifest)
     return build_program(spec_text, manifest["generations"], plan_from_manifest(manifest, seed))
 
 
@@ -416,8 +421,11 @@ def cmd_measure(
     """One Measurement row per flag set; failures mark the row, not the batch."""
     manifest = load_manifest(out_dir)
     spec_text = read_spec_file(spec_path)
+    check_spec(spec_text, manifest)
     expected_checksum = None
-    if oracle_check:
+    if oracle_check and path == 1:
+        expected_checksum = manifest["oracleChecksumPath1"]
+    elif oracle_check:
         program = program_from_manifest(spec_text, manifest)
         expected_checksum = oracle.interpret(program, oracle.ExecConfig(path=path))[1].checksum
 
@@ -452,29 +460,13 @@ def cmd_measure(
             m.compile_time_ms = statistics.median(compile_times)
             m.binary_bytes = os.path.getsize(binary)
 
-            run_argv = [binary, str(path)]
-            run_failed = None
-            for _ in range(max(0, warmups)):
-                _, proc = timed_run(run_argv)
-                if proc.returncode != 0:
-                    run_failed = proc
-                    break
-            run_times = []
-            last_stdout = ""
-            if run_failed is None:
-                for _ in range(max(1, repetitions)):
-                    elapsed, proc = timed_run(run_argv)
-                    if proc.returncode != 0:
-                        run_failed = proc
-                        break
-                    run_times.append(elapsed)
-                    last_stdout = proc.stdout
-            if run_failed is not None:
+            try:
+                m.run_time_ms, stdout = _median_run_ms(binary, path, repetitions, warmups)
+            except BenchError as exc:
                 m.failed = True
-                m.error = f"exit={run_failed.returncode} {run_failed.stderr.strip()[:400]}"
+                m.error = str(exc)
                 continue
-            m.run_time_ms = statistics.median(run_times)
-            m.checksum = parse_checksum(last_stdout)
+            m.checksum = parse_checksum(stdout)
 
             if size_cmd:
                 argv = render_template(size_cmd, {"bin": binary})
@@ -504,7 +496,9 @@ def cmd_measure(
 
 
 def _median_run_ms(binary: str, path: int, repetitions: int, warmups: int,
-                   cwd: Optional[str] = None, env: Optional[Dict[str, str]] = None) -> float:
+                   cwd: Optional[str] = None,
+                   env: Optional[Dict[str, str]] = None) -> Tuple[float, str]:
+    """Median wall time of the timed runs, and the last run's stdout."""
     argv = [binary, str(path)]
     for _ in range(max(0, warmups)):
         _, proc = timed_run(argv, cwd=cwd, env=env)
@@ -516,7 +510,7 @@ def _median_run_ms(binary: str, path: int, repetitions: int, warmups: int,
         if proc.returncode != 0:
             raise BenchError(f"benchmark binary failed: exit={proc.returncode} {proc.stderr.strip()[:300]}")
         times.append(elapsed)
-    return statistics.median(times)
+    return statistics.median(times), proc.stdout
 
 
 def cmd_sweep_pgo(
@@ -539,7 +533,7 @@ def cmd_sweep_pgo(
     runs with that working directory).
     """
     manifest = load_manifest(out_dir)
-    read_spec_file(spec_path)  # fail early if missing
+    check_spec(read_spec_file(spec_path), manifest)
     src_files = source_file_names(manifest)
 
     with tempfile.TemporaryDirectory(prefix="lsysbench-pgo-") as workdir:
@@ -579,8 +573,8 @@ def cmd_sweep_pgo(
         rows: List[Dict[str, object]] = []
         for i in sweep.bit_counts:
             path = SweepConfig.path_of(i)
-            t_ms = _median_run_ms(base_bin, path, repetitions, warmups, cwd=workdir)
-            ti_ms = _median_run_ms(opt_bin, path, repetitions, warmups, cwd=workdir)
+            t_ms, _ = _median_run_ms(base_bin, path, repetitions, warmups, cwd=workdir)
+            ti_ms, _ = _median_run_ms(opt_bin, path, repetitions, warmups, cwd=workdir)
             ratio = t_ms / ti_ms if ti_ms > 0 else 0.0
             rows.append({
                 "i": i,

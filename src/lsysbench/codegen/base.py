@@ -27,6 +27,10 @@ class EmitConfig:
     debug_trace: bool = False  # baked default; --debug still works at runtime
 
 
+# Both emitted mains accept PATH only as [0-9]+ below 2^64; on anything else
+# they print this (a printf format for the argument) and exit 2.
+PATH_ERROR = "error: PATH must be a decimal integer in [0, 2^64), got '%s'"
+
 _OP_NAMES = {astgen.Insert: "insert", astgen.Remove: "remove", astgen.Contains: "contains"}
 
 

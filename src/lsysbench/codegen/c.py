@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import List, Set
 
 from .. import astgen
-from .base import BraceSyntax, EmitConfig, SourceFile
+from .base import PATH_ERROR, BraceSyntax, EmitConfig, SourceFile
 
 _BANNER = "/* Generated benchmark program: {n} function(s), {kind} container. */"
 
@@ -419,23 +419,30 @@ def _emit_main(entry_id: int) -> str:
         "{\n"
         "    uint64_t path = 0;\n"
         "    int got_path = 0;\n"
+        "    char *end;\n"
         "    int i;\n"
         "    for (i = 1; i < argc; i++) {\n"
         "        if (strcmp(argv[i], \"--debug\") == 0) {\n"
         "            ls_debug = 1;\n"
         "        } else if (!got_path) {\n"
-        "            path = strtoull(argv[i], NULL, 10);\n"
+        "            errno = 0;\n"
+        "            path = strtoull(argv[i], &end, 10);\n"
+        "            if (argv[i][0] < '0' || argv[i][0] > '9' || *end != '\\0' || errno == ERANGE) {\n"
+        "                fprintf(stderr, \"%s\\n\", argv[i]);\n"
+        "                return 2;\n"
+        "            }\n"
         "            got_path = 1;\n"
         "        }\n"
         "    }\n"
         "    f%d(ls_make_params(NULL, 0), path);\n"
         "    printf(\"CHECKSUM %%\" PRIu64 \"\\n\", ls_checksum);\n"
         "    return 0;\n"
-        "}\n" % entry_id
+        "}\n" % (PATH_ERROR, entry_id)
     )
 
 
 _MAIN_INCLUDES = """\
+#include <errno.h>
 #include <inttypes.h>
 #include <stdio.h>
 #include <stdlib.h>

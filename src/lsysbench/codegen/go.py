@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import List
 
 from .. import astgen
-from .base import BraceSyntax, EmitConfig, SourceFile
+from .base import PATH_ERROR, BraceSyntax, EmitConfig, SourceFile
 
 _BANNER = "// Generated benchmark program: {n} function(s), {kind} container."
 
@@ -250,15 +250,18 @@ def _emit_main(entry_id: int) -> str:
         "\t\tif arg == \"--debug\" {\n"
         "\t\t\tlsDebug = true\n"
         "\t\t} else if !gotPath {\n"
-        "\t\t\tif v, err := strconv.ParseUint(arg, 10, 64); err == nil {\n"
-        "\t\t\t\tpath = v\n"
+        "\t\t\tv, err := strconv.ParseUint(arg, 10, 64)\n"
+        "\t\t\tif err != nil {\n"
+        "\t\t\t\tfmt.Fprintf(os.Stderr, \"%s\\n\", arg)\n"
+        "\t\t\t\tos.Exit(2)\n"
         "\t\t\t}\n"
+        "\t\t\tpath = v\n"
         "\t\t\tgotPath = true\n"
         "\t\t}\n"
         "\t}\n"
         "\tf%d(lsMakeParams(nil), path)\n"
         "\tfmt.Printf(\"CHECKSUM %%d\\n\", lsChecksum)\n"
-        "}\n" % entry_id
+        "}\n" % (PATH_ERROR, entry_id)
     )
 
 

@@ -1,4 +1,5 @@
 /* Generated benchmark program: 3 function(s), scalar container. */
+#include <errno.h>
 #include <inttypes.h>
 #include <stdio.h>
 #include <stdlib.h>
@@ -154,12 +155,18 @@ int main(int argc, char **argv)
 {
     uint64_t path = 0;
     int got_path = 0;
+    char *end;
     int i;
     for (i = 1; i < argc; i++) {
         if (strcmp(argv[i], "--debug") == 0) {
             ls_debug = 1;
         } else if (!got_path) {
-            path = strtoull(argv[i], NULL, 10);
+            errno = 0;
+            path = strtoull(argv[i], &end, 10);
+            if (argv[i][0] < '0' || argv[i][0] > '9' || *end != '\0' || errno == ERANGE) {
+                fprintf(stderr, "error: PATH must be a decimal integer in [0, 2^64), got '%s'\n", argv[i]);
+                return 2;
+            }
             got_path = 1;
         }
     }

@@ -152,9 +152,12 @@ func main() {
 		if arg == "--debug" {
 			lsDebug = true
 		} else if !gotPath {
-			if v, err := strconv.ParseUint(arg, 10, 64); err == nil {
-				path = v
+			v, err := strconv.ParseUint(arg, 10, 64)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "error: PATH must be a decimal integer in [0, 2^64), got '%s'\n", arg)
+				os.Exit(2)
 			}
+			path = v
 			gotPath = true
 		}
 	}

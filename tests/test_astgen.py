@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 from helpers import all_ifs, assert_bitpath_properties, random_seq, random_seq_nonempty
 from lsysbench.astgen import (
+    CONTAINER_KINDS,
     Call,
     Contains,
     If,
@@ -289,6 +291,27 @@ def test_plan_is_deterministic_and_pure():
     assert base == before
     p3 = plan_operands(base, OperandPlan(seed=12))
     assert p3 != p1
+    inputs = {id(st) for fn in base.functions for st in iter_statements(fn.body)}
+    for planned in (p1, p2, p3):
+        for fn in planned.functions:
+            assert not any(id(st) in inputs for st in iter_statements(fn.body))
+
+
+# sha256 over the planned programs' reprs. It pins the planner's RNG order
+# and slot numbering: a change to either moves it.
+PLANNER_DIGEST = "3efa2454c4b5a256626465a8ddbb04bdb9119d183f70cc49c570f8d73a0dc938"
+
+
+def test_planner_output_digest_is_pinned():
+    rng = random.Random(1234)
+    digest = hashlib.sha256()
+    for _ in range(60):
+        seq = random_seq(rng, depth=3)
+        for kind in CONTAINER_KINDS:
+            for seed in (0, 7):
+                program = lower(seq, OperandPlan(seed=seed, container_kind=kind))
+                digest.update(repr(program).encode())
+    assert digest.hexdigest() == PLANNER_DIGEST
 
 
 def test_plan_slot_count_counts_materialized():

@@ -312,6 +312,41 @@ def test_measure_checksum_matches_oracle(spec_file, tmp_path, capsys):
     assert results[0].checksum == manifest["oracleChecksumPath1"]
 
 
+@needs_c
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_measure_path1_checks_against_the_manifest_checksum(spec_file, tmp_path, capsys,
+                                                            monkeypatch):
+    out = str(tmp_path / "out")
+    manifest = gen_quiet(spec_file, out, 4, default_plan(), codegen.EmitConfig(backend="c"))
+    interpret = oracle.interpret
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("measure re-ran the oracle at PATH 1")
+
+    def measure(path):
+        return cmd_measure(spec_file, out, CC_FLAGS, flag_sets=["-O0"],
+                           repetitions=1, warmups=0, path=path)
+
+    monkeypatch.setattr(bench.oracle, "interpret", no_oracle)
+    (m,) = measure(1)
+    assert not m.failed, m.error
+    assert m.checksum == manifest["oracleChecksumPath1"]
+
+    manifest["oracleChecksumPath1"] += 1
+    with open(os.path.join(out, bench.MANIFEST_NAME), "w", encoding="utf-8") as fh:
+        fh.write(bench.manifest_to_json(manifest))
+    (m,) = measure(1)
+    assert m.failed
+    assert "checksum mismatch" in m.error
+
+    monkeypatch.setattr(bench.oracle, "interpret", interpret)
+    program = program_from_manifest(CONTAINER_STRESS_SPEC, manifest)
+    (m,) = measure(2)
+    capsys.readouterr()
+    assert not m.failed, m.error
+    assert m.checksum == interpret(program, oracle.ExecConfig(path=2))[1].checksum
+
+
 def test_measure_unknown_compiler_marks_rows_failed(spec_file, tmp_path, capsys):
     out = str(tmp_path / "out")
     gen_quiet(spec_file, out, 4, default_plan(), codegen.EmitConfig(backend="c"))

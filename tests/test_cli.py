@@ -118,6 +118,29 @@ def test_path_flags_reject_values_outside_64_bits(command, flag, value, capsys):
     assert vars(args)[flag[2:].replace("-", "_")] in (2**64 - 1, [2**64 - 1])
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("check", []),
+    ("measure", ["--no-oracle-check"]),
+    ("sweep-pgo", []),
+])
+def test_commands_refuse_a_spec_other_than_the_manifests(
+        command, extra, spec_file, tmp_path, capsys, monkeypatch):
+    out = str(tmp_path / "out")
+    assert run_cli(["gen", spec_file, "--out", out]) == 0
+    other = tmp_path / "other.lsys"
+    other.write_text("A = insert\n")
+
+    def no_compile(*args, **kwargs):
+        raise AssertionError("compiled despite a mismatched spec")
+
+    monkeypatch.setattr(bench, "compile_sources", no_compile)
+    capsys.readouterr()
+    argv = USAGE_PREFIXES[command] + extra + ["--out", out]
+    argv[1] = str(other)
+    assert run_cli(argv) == 2
+    assert "sha256" in capsys.readouterr().err
+
+
 @needs_c
 def test_gen_check_measure_round_trip(spec_file, tmp_path, capsys):
     out = str(tmp_path / "out")

@@ -331,6 +331,27 @@ def test_c_missing_path_argument_defaults_to_zero(tmp_path):
     assert bare == zero
 
 
+@needs_c
+def test_c_path_argument_accepts_only_64_bit_decimals(tmp_path):
+    import subprocess
+
+    program = make_program(CONTAINER_STRESS_SPEC, 4)
+    files = emit(program, EmitConfig(backend="c"))
+    write_files(files, str(tmp_path))
+    binary = str(tmp_path / "prog")
+    proc = compile_c(str(tmp_path), c_sources(files), binary, C_COMPILER, ["-O0"])
+    assert proc.returncode == 0, proc.stderr
+    for path in (0, 2**64 - 1):
+        run = run_binary(binary, path, debug=False)
+        assert run.returncode == 0
+        assert run.stdout == oracle.run_to_text(program, oracle.ExecConfig(path=path))
+    for bad in ("18446744073709551616", "-1", "+1", " 1", "1abc", "0x1", ""):
+        run = subprocess.run([binary, bad], capture_output=True, text=True)
+        assert run.returncode == 2, bad
+        assert "CHECKSUM" not in run.stdout, bad
+        assert "PATH must be a decimal integer" in run.stderr, bad
+
+
 # ---------------------------------------------------------------------------
 # Go sources (structural checks always; compile checks only with a toolchain)
 
