@@ -131,17 +131,21 @@ class Program:
 
 
 def iter_statements(stmts: List[Stmt]) -> Iterator[Stmt]:
-    """Pre-order walk: a statement, then its cond/then/else or cond/body."""
-    for st in stmts:
+    """Pre-order walk: a statement, then its cond/then/else or cond/body.
+
+    One generator with a stack of open blocks, so a statement nested d
+    blocks deep is not passed up through d generators."""
+    stack = [iter(stmts)]
+    while stack:
+        st = next(stack[-1], None)
+        if st is None:
+            stack.pop()
+            continue
         yield st
         if isinstance(st, If):
-            yield from iter_statements(st.cond)
-            yield from iter_statements(st.then)
-            if st.orelse is not None:
-                yield from iter_statements(st.orelse)
+            stack.append(itertools.chain(st.cond, st.then, st.orelse or ()))
         elif isinstance(st, Loop):
-            yield from iter_statements(st.cond)
-            yield from iter_statements(st.body)
+            stack.append(itertools.chain(st.cond, st.body))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ emitted program must reproduce bit for bit.
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .astgen import (
     Call,
@@ -20,6 +21,7 @@ from .astgen import (
     OperandPlan,
     Program,
     Remove,
+    iter_statements,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -27,6 +29,9 @@ _MASK64 = (1 << 64) - 1
 CHECKSUM_OFFSET = 14695981039346656037
 CHECKSUM_PRIME = 1099511628211
 OPCODES = {"new": 1, "insert": 2, "remove": 3, "contains": 4}
+# event = opcode << 48 | var << 32 | val << 16 | res, low 16 bits of each field
+_OP_SHIFT, _VAR_SHIFT, _VAL_SHIFT, _FIELD = 48, 32, 16, 0xFFFF
+_OP_NAMES = {code: op for op, code in OPCODES.items()}
 
 
 class OracleInvariantError(RuntimeError):
@@ -47,8 +52,7 @@ class HeapObject:
     payload: List[int]
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     op: str
     var: int
     val: int
@@ -65,10 +69,10 @@ class RunStats:
 
 def checksum_update(cs: int, op: str, var: int, val: int, res: int) -> int:
     event = (
-        (OPCODES[op] << 48)
-        | ((var & 0xFFFF) << 32)
-        | ((val & 0xFFFF) << 16)
-        | (res & 0xFFFF)
+        (OPCODES[op] << _OP_SHIFT)
+        | ((var & _FIELD) << _VAR_SHIFT)
+        | ((val & _FIELD) << _VAL_SHIFT)
+        | (res & _FIELD)
     )
     return ((cs * CHECKSUM_PRIME) & _MASK64) ^ event
 
@@ -77,34 +81,54 @@ def format_trace_event(event: TraceEvent) -> str:
     return f"OP kind={event.op} var={event.var} val={event.val} res={event.res}"
 
 
-class _Heap:
-    def __init__(self):
-        self.next_id = 1
-        self.live: Dict[int, HeapObject] = {}
-        self.max_live = 0
+def _broken(message: str):
+    raise OracleInvariantError(message)
 
-    def alloc(self, payload) -> HeapObject:
-        obj = HeapObject(id=self.next_id, refc=1, payload=payload)
-        self.next_id += 1
-        self.live[obj.id] = obj
-        self.max_live = max(self.max_live, len(self.live))
-        return obj
 
-    def check_live(self, obj: HeapObject) -> None:
-        if obj.id not in self.live:
-            raise OracleInvariantError(f"use of freed object {obj.id}")
+def _unusable(value, slot: int):
+    _broken(f"use of unbound slot {slot}" if value is None else f"use of freed object {value.id}")
 
-    def incref(self, obj: HeapObject) -> None:
-        self.check_live(obj)
-        obj.refc += 1
 
-    def decref(self, obj: HeapObject) -> None:
-        self.check_live(obj)
-        obj.refc -= 1
-        if obj.refc == 0:
-            del self.live[obj.id]
-        elif obj.refc < 0:
-            raise OracleInvariantError(f"negative refC on object {obj.id}")
+def _sorted_index(payload: List[int], value: int) -> int:
+    i = bisect.bisect_left(payload, value)
+    return i if i < len(payload) and payload[i] == value else -1
+
+
+def _array_remove(payload: List[int], value: int) -> int:
+    try:
+        payload.remove(value)
+    except ValueError:
+        return 0
+    return 1
+
+
+def _sorted_remove(payload: List[int], value: int) -> int:
+    i = _sorted_index(payload, value)
+    if i < 0:
+        return 0
+    del payload[i]
+    return 1
+
+
+# (payload, value) -> res for each container kind and op; mutates the payload
+_CONTAINER_OPS = {
+    "array": {
+        Insert: lambda p, v: p.append(v) or len(p),
+        Remove: _array_remove,
+        Contains: lambda p, v: 1 if v in p else 0,
+    },
+    "sortedList": {
+        Insert: lambda p, v: bisect.insort(p, v) or len(p),
+        Remove: _sorted_remove,
+        Contains: lambda p, v: 1 if _sorted_index(p, v) >= 0 else 0,
+    },
+}
+# scalar: (step added to the slot's integer, res as a function of the old value)
+_SCALAR_OPS = {
+    Insert: (1, lambda v: v + 1),
+    Remove: (-1, lambda v: 1 if v != 0 else 0),
+    Contains: (0, lambda v: 1 if v == 0 else 0),
+}
 
 
 class _Frame:
@@ -137,160 +161,217 @@ def interpret(
     Scalar mode has no heap: slots are plain integer variables, parameters
     are passed by value and consumed as copies, and the trace's var field is
     the per-function slot ordinal instead of an allocation id.
+
+    Each call compiles the program into closures, one per statement, block
+    and function, each function on its first call; nothing is kept between
+    calls. Compiling settles the container kind, each If's arm (the arm not
+    taken is never compiled), the slots each block binds, the static bits of
+    each checksum event, and whether events are traced or refcounts
+    verified. A Call to an inert callee, one whose body through nested
+    If/Loop/Call has no New, Insert, Remove or Contains and passes no slots,
+    compiles to its argument checks alone: it would emit nothing, and its
+    refC increments and releases cancel.
     """
     cfg = cfg or ExecConfig()
     plan = cfg.plan or program.plan
-    kind = plan.container_kind
-    scalar = kind == "scalar"
+    scalar = plan.container_kind == "scalar"
     path = cfg.path & _MASK64
-    heap = _Heap()
+    live: Dict[int, HeapObject] = {}
+    ids = itertools.count(1)
+    max_live = 0
     trace: List[TraceEvent] = []
-    op_counts = {op: 0 for op in OPCODES}
+    counts = dict.fromkeys(_OP_NAMES, 0)
     cs = CHECKSUM_OFFSET
-    frames: List[_Frame] = []
+    verifying = verify_refcounts and not scalar
+    frames: List[_Frame] = []  # read by refcount verification only
+    compiled: Dict[int, Callable[[list], None]] = {}
+    inert: Dict[int, bool] = {}
 
-    def emit(op: str, var: int, val: int, res: int) -> None:
-        nonlocal cs
-        cs = checksum_update(cs, op, var, val, res)
-        op_counts[op] += 1
-        if cfg.debug_trace:
-            trace.append(TraceEvent(op, var, val, res))
-        if verify_refcounts and not scalar:
-            _check_refcount_conservation(heap, frames)
+    def emit(hi: int, var: int, val: int, res: int) -> None:
+        nonlocal cs  # hi: the event's opcode and val bits, fixed per statement
+        cs = ((cs * CHECKSUM_PRIME) & _MASK64) ^ hi ^ ((var & _FIELD) << _VAR_SHIFT) ^ (res & _FIELD)
+        counts[hi >> _OP_SHIFT] += 1
 
-    def do_insert(obj: HeapObject, value: int) -> int:
-        if kind == "array":
-            obj.payload.append(value)
-        else:
-            bisect.insort(obj.payload, value)
-        return len(obj.payload)
+    if cfg.debug_trace or verifying:
+        fold, tracing = emit, cfg.debug_trace
 
-    def do_remove(obj: HeapObject, value: int) -> int:
-        if kind == "array":
-            try:
-                obj.payload.remove(value)
-                return 1
-            except ValueError:
-                return 0
-        i = bisect.bisect_left(obj.payload, value)
-        if i < len(obj.payload) and obj.payload[i] == value:
-            del obj.payload[i]
-            return 1
-        return 0
+        def emit(hi: int, var: int, val: int, res: int) -> None:
+            fold(hi, var, val, res)
+            if tracing:
+                trace.append(TraceEvent(_OP_NAMES[hi >> _OP_SHIFT], var, val, res))
+            if verifying:
+                _check_refcount_conservation(live, frames)
 
-    def do_contains(obj: HeapObject, value: int) -> int:
-        if kind == "array":
-            return 1 if value in obj.payload else 0
-        i = bisect.bisect_left(obj.payload, value)
-        return 1 if i < len(obj.payload) and obj.payload[i] == value else 0
+    def alloc() -> HeapObject:
+        nonlocal max_live
+        obj = HeapObject(id=next(ids), refc=1, payload=[])
+        live[obj.id] = obj
+        max_live = max(max_live, len(live))
+        return obj
 
-    def slot_get(frame: _Frame, slot: int):
-        bound_value = frame.slots[slot]
-        if bound_value is None:
-            raise OracleInvariantError(f"use of unbound slot {slot}")
-        if not scalar:
-            heap.check_live(bound_value)
-        return bound_value
+    def decref(obj: HeapObject) -> None:
+        if obj.id not in live:
+            _broken(f"use of freed object {obj.id}")
+        obj.refc -= 1
+        if obj.refc == 0:
+            del live[obj.id]
+        elif obj.refc < 0:
+            _broken(f"negative refC on object {obj.id}")
 
-    def exec_block(frame: _Frame, stmts) -> None:
+    if scalar:
+        fresh, ident, release = (lambda: 0), (lambda value, slot: slot), (lambda value: None)
+    else:
+        fresh, ident, release = alloc, (lambda value, slot: value.id), decref
+
+    def new(slot: int, first: bool):
+        # only a slot's first binding in a block is saved for the block's
+        # exit; a same-block rebinding drops the old reference unreleased (a
+        # leak the generator never emits; hand-built programs can)
+        hi = checksum_update(0, "new", 0, 0, 0)
+
+        def op(f: _Frame) -> None:
+            if f.consumed < len(f.params):
+                value, res = f.params[f.consumed], 0  # alias (value copy in scalar)
+                f.consumed += 1
+            else:
+                value, res = fresh(), 1
+            if first:
+                f.saved.append(f.slots[slot])
+            f.slots[slot] = value
+            emit(hi, ident(value, slot), 0, res)
+        return op
+
+    def operand_op(st):
+        slot, value = st.slot, st.value
+        hi = checksum_update(0, type(st).__name__.lower(), 0, value, 0)
+        if scalar:
+            step, result = _SCALAR_OPS[type(st)]
+
+            def op(f: _Frame) -> None:
+                v = f.slots[slot]
+                if v is None:
+                    _unusable(v, slot)
+                f.slots[slot] = v + step
+                emit(hi, slot, value, result(v))
+            return op
+        act = _CONTAINER_OPS[plan.container_kind][type(st)]
+
+        def op(f: _Frame) -> None:
+            obj = f.slots[slot]
+            if obj is None or obj.id not in live:
+                _unusable(obj, slot)
+            emit(hi, obj.id, value, act(obj.payload, value))
+        return op
+
+    def check_args(f: _Frame, avail: List[int]) -> None:
+        for s in avail:
+            arg = f.slots[s]
+            if arg is None or not scalar and arg.id not in live:
+                _unusable(arg, s)
+
+    def is_inert(fid: int) -> bool:
+        if fid not in inert:
+            inert[fid] = False  # a function on its own call chain is not inert
+            inert[fid] = all(
+                isinstance(st, (If, Loop))
+                or isinstance(st, Call) and not st.available_slots and is_inert(st.callee_id)
+                for st in iter_statements(program.functions[fid].body)
+            )
+        return inert[fid]
+
+    def call(fid: int, avail: List[int]):
+        def op(f: _Frame) -> None:
+            check_args(f, avail)
+            args = [f.slots[s] for s in avail]
+            if not scalar:
+                for arg in args:
+                    arg.refc += 1
+            (compiled.get(fid) or function(fid))(args)
+        return (lambda f: check_args(f, avail)) if is_inert(fid) else op
+
+    def scope(seq: list, bound: List[int]):
+        unbind = bound[::-1]
+
+        def run(f: _Frame) -> None:
+            for op in seq:
+                op(f)
+            for slot in unbind:
+                release(f.slots[slot])
+                f.slots[slot] = f.saved.pop()
+        return run
+
+    def loop(seq: list):
+        trips = range(plan.trip_count)
+
+        def run(f: _Frame) -> None:
+            for _ in trips:
+                for op in seq:
+                    op(f)
+        return run
+
+    def block(stmts) -> list:
+        """The closures of one block. A block that binds no slot has nothing
+        to release at its exit, so its closures join its parent's list."""
+        seq: list = []
         bound: List[int] = []  # slots first bound in this block, in order
-
-        def bind(slot: int, value) -> None:
-            if slot not in bound:
-                bound.append(slot)
-                frame.saved.append(frame.slots[slot])
-            # else: same-block rebinding overwrites the binding; for
-            # containers the old reference is dropped without a release (a
-            # leak). The generator never emits this; hand-built programs can.
-            frame.slots[slot] = value
-
         for st in stmts:
             if isinstance(st, New):
-                if frame.consumed < len(frame.params):
-                    taken = frame.params[frame.consumed]
-                    frame.consumed += 1
-                    res = 0  # consumed parameter: alias (value copy in scalar)
-                else:
-                    taken = 0 if scalar else heap.alloc([])
-                    res = 1
-                bind(st.slot, taken)
-                emit("new", st.slot if scalar else taken.id, 0, res)
-            elif isinstance(st, Insert):
-                if scalar:
-                    v = slot_get(frame, st.slot) + 1
-                    frame.slots[st.slot] = v
-                    emit("insert", st.slot, st.value, v)
-                else:
-                    obj = slot_get(frame, st.slot)
-                    emit("insert", obj.id, st.value, do_insert(obj, st.value))
-            elif isinstance(st, Remove):
-                if scalar:
-                    v = slot_get(frame, st.slot)
-                    frame.slots[st.slot] = v - 1
-                    emit("remove", st.slot, st.value, 1 if v != 0 else 0)
-                else:
-                    obj = slot_get(frame, st.slot)
-                    emit("remove", obj.id, st.value, do_remove(obj, st.value))
-            elif isinstance(st, Contains):
-                if scalar:
-                    res = 1 if slot_get(frame, st.slot) == 0 else 0
-                    emit("contains", st.slot, st.value, res)
-                else:
-                    obj = slot_get(frame, st.slot)
-                    emit("contains", obj.id, st.value, do_contains(obj, st.value))
+                first = st.slot not in bound
+                seq.append(new(st.slot, first))
+                if first:
+                    bound.append(st.slot)
+            elif isinstance(st, (Insert, Remove, Contains)):
+                seq.append(operand_op(st))
             elif isinstance(st, If):
-                exec_block(frame, st.cond)
-                if (path >> st.bit_index) & 1:
-                    exec_block(frame, st.then)
-                elif st.orelse is not None:
-                    exec_block(frame, st.orelse)
+                arm = st.then if (path >> st.bit_index) & 1 else st.orelse
+                seq += block(st.cond) + block(arm or [])
             elif isinstance(st, Loop):
-                for _ in range(plan.trip_count):
-                    exec_block(frame, st.cond)
-                    exec_block(frame, st.body)
+                body = block(st.cond) + block(st.body)
+                if body:  # else only empty blocks and inert calls: nothing to repeat
+                    seq.append(loop(body))
             elif isinstance(st, Call):
-                args = [slot_get(frame, s) for s in st.available_slots]
-                if not scalar:
-                    for arg in args:
-                        heap.incref(arg)
-                run_function(program.functions[st.callee_id], args)
+                if st.available_slots or not is_inert(st.callee_id):
+                    seq.append(call(st.callee_id, list(st.available_slots)))
             else:
-                raise OracleInvariantError(f"unknown statement {st!r}")
-        for slot in reversed(bound):
-            if not scalar:
-                heap.decref(frame.slots[slot])
-            frame.slots[slot] = frame.saved.pop()
+                seq.append(lambda f, st=st: _broken(f"unknown statement {st!r}"))
+        return [scope(seq, bound)] if bound else seq
 
-    def run_function(fn, params: list) -> None:
-        frame = _Frame(fn.slot_count, params)
-        frames.append(frame)
-        exec_block(frame, fn.body)
-        if not scalar:
-            for obj in frame.params[frame.consumed:]:
-                heap.decref(obj)
-        frames.pop()
+    def function(fid: int):
+        fn = program.functions[fid]
+        body = block(fn.body)
 
-    run_function(program.functions[program.entry_id], [])
+        def run(params: list) -> None:
+            f = _Frame(fn.slot_count, params)
+            if verifying:
+                frames.append(f)
+            for op in body:
+                op(f)
+            for value in params[f.consumed:]:
+                release(value)
+            if verifying:
+                frames.pop()
+        compiled[fid] = run
+        return run
+
+    function(program.entry_id)([])
     stats = RunStats(
-        op_counts=op_counts,
-        max_live=heap.max_live,
-        live_at_exit=len(heap.live),
+        op_counts={op: counts[code] for op, code in OPCODES.items()},
+        max_live=max_live,
+        live_at_exit=len(live),
         checksum=cs,
     )
     return trace, stats
 
 
-def _check_refcount_conservation(heap: _Heap, frames: List[_Frame]) -> None:
+def _check_refcount_conservation(live: Dict[int, HeapObject], frames: List[_Frame]) -> None:
     held = 0
     for frame in frames:
         held += sum(1 for obj in frame.slots if obj is not None)
         held += sum(1 for obj in frame.saved if obj is not None)
         held += len(frame.params) - frame.consumed
-    total = sum(obj.refc for obj in heap.live.values())
+    total = sum(obj.refc for obj in live.values())
     if total != held:
-        raise OracleInvariantError(
-            f"refcount conservation broken: sum refC {total} != {held} held references"
-        )
+        _broken(f"refcount conservation broken: sum refC {total} != {held} held references")
 
 
 def verify_no_leaks(stats: RunStats) -> bool:

@@ -179,6 +179,16 @@ def test_extract_entry_is_highest_id_random():
             assert len(fn.canonical) <= entry_len
 
 
+def test_iter_statements_is_pre_order():
+    inner = [Insert(1, 0), Remove(1, 0)]
+    loop = Loop(cond=[New(1)], body=[If(cond=inner, then=[Contains(1, 0)])])
+    branch = If(cond=[New(0)], then=[loop], orelse=[Call(0, [])])
+    stmts = [New(2), branch, Insert(2, 0)]
+    expected = [stmts[0], branch, branch.cond[0], loop, loop.cond[0],
+                loop.body[0], *inner, loop.body[0].then[0], branch.orelse[0], stmts[2]]
+    assert [id(st) for st in iter_statements(stmts)] == [id(st) for st in expected]
+
+
 # ---------------------------------------------------------------------------
 # visibility
 

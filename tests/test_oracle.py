@@ -1,11 +1,20 @@
+import hashlib
 import random
+import warnings
 
 import pytest
 
-from helpers import CONTAINER_STRESS_SPEC, random_seq_nonempty
+from helpers import (
+    CALL_CHURN_SPEC,
+    CONTAINER_STRESS_SPEC,
+    random_seq,
+    random_seq_nonempty,
+)
 from lsysbench.astgen import (
+    CONTAINER_KINDS,
     Call,
     FunctionDef,
+    If,
     Insert,
     New,
     OperandPlan,
@@ -267,6 +276,53 @@ def test_unbound_call_argument_aborts():
         interpret(program)
 
 
+def test_refcount_verification_catches_a_leaked_rebinding():
+    # the same hand-built leak as above: with verification on, the dropped
+    # reference shows as one refcount more than the frames hold
+    fn = FunctionDef(id=0, canonical="new new", body=[New(0), New(0)], slot_count=1)
+    program = Program(functions=[fn], entry_id=0)
+    with pytest.raises(OracleInvariantError, match="refcount conservation broken"):
+        interpret(program, verify_refcounts=True)
+
+
+def inert_chain(entry_body, entry_slots=1):
+    """fn0 is empty, fn1 only calls fn0, and the entry (fn2) calls fn1."""
+    fn0 = FunctionDef(id=0, canonical="", body=[], slot_count=0)
+    fn1 = FunctionDef(id=1, canonical="CALL()", body=[Call(0, [])], slot_count=0)
+    entry = FunctionDef(id=2, canonical="entry", body=entry_body, slot_count=entry_slots)
+    return Program(functions=[fn0, fn1, entry], entry_id=2)
+
+
+def test_inert_callee_still_checks_its_arguments():
+    program = inert_chain([Call(1, [0])])
+    with pytest.raises(OracleInvariantError, match="use of unbound slot 0"):
+        interpret(program)
+
+
+def test_inert_callee_leaves_the_heap_as_a_full_call_does():
+    # appending an If whose arm allocates makes fn1 non-inert, so its calls
+    # run in full; at PATH 0 the arm is not taken and fn1 still emits nothing
+    arm = If(cond=[], then=[New(0), Insert(0, 9)], bit_index=0, bit_index_raw=0)
+    body = [New(0), Insert(0, 5), Call(1, [0]), New(1), Call(1, [1, 0]), Insert(0, 6)]
+    for kind in CONTAINER_KINDS:
+        runs = []
+        for fn1_body in ([Call(0, [])], [Call(0, []), arm]):
+            program = inert_chain(body, entry_slots=2)
+            program.plan = OperandPlan(container_kind=kind)
+            program.functions[1] = FunctionDef(
+                id=1, canonical="fn1", body=fn1_body, slot_count=1
+            )
+            for verify in (False, True):
+                trace, stats = interpret(
+                    program, ExecConfig(debug_trace=True), verify_refcounts=verify
+                )
+                runs.append(([(e.op, e.var, e.val, e.res) for e in trace], stats))
+        assert all(run == runs[0] for run in runs)
+        trace, stats = runs[0]
+        assert [e[0] for e in trace] == ["new", "insert", "new", "insert"]
+        assert (stats.max_live, stats.live_at_exit) == ((0, 0) if kind == "scalar" else (2, 0))
+
+
 def test_no_leaks_random_programs_all_containers():
     rng = random.Random(555)
     for _ in range(40):
@@ -384,3 +440,44 @@ def test_exec_config_plan_override():
         program, ExecConfig(debug_trace=True, plan=scalar_plan)
     )
     assert trace[1].res == 1  # scalar zero-test instead of array membership
+
+
+# ---------------------------------------------------------------------------
+# pinned results
+
+# sha256 over the trace, checksum, op counts, max_live and live_at_exit of
+# every run below. It pins the interpreter's results: any change to what a
+# program does under the oracle moves it.
+ORACLE_DIGEST = "f7c87f1846e7c71c3335c5990b7f5356ac0694e89deaa0fd90fbc14ac337b67b"
+
+
+def digest_programs():
+    rng = random.Random(4321)
+    seqs = [random_seq(rng, depth=3) for _ in range(60)]
+    seqs.append(derive(parse_spec(CALL_CHURN_SPEC), 8))
+    seqs.append(derive(parse_spec(CONTAINER_STRESS_SPEC), 7))
+    for seq in seqs:
+        for kind in CONTAINER_KINDS:
+            with warnings.catch_warnings():  # dropped nonterminals, wrapped bits
+                warnings.simplefilter("ignore")
+                yield lower(seq, OperandPlan(seed=3, container_kind=kind))
+
+
+def run_record(program, path, verify_refcounts=False):
+    trace, stats = interpret(
+        program, ExecConfig(path=path, debug_trace=True), verify_refcounts
+    )
+    events = [(e.op, e.var, e.val, e.res) for e in trace]
+    return repr((events, stats.checksum, list(stats.op_counts.items()),
+                 stats.max_live, stats.live_at_exit))
+
+
+def test_oracle_results_digest_is_pinned():
+    digest = hashlib.sha256()
+    for i, program in enumerate(digest_programs()):
+        for path in (0, 1, U64):
+            record = run_record(program, path)
+            if i % 9 == 0:  # refcount verification leaves every result unchanged
+                assert run_record(program, path, verify_refcounts=True) == record
+            digest.update(record.encode())
+    assert digest.hexdigest() == ORACLE_DIGEST
