@@ -6,7 +6,6 @@ emitted program must reproduce bit for bit.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -18,7 +17,6 @@ from .astgen import (
     Insert,
     Loop,
     New,
-    OperandPlan,
     Program,
     Remove,
     iter_statements,
@@ -41,15 +39,15 @@ class OracleInvariantError(RuntimeError):
 @dataclass
 class ExecConfig:
     path: int = 0
-    plan: Optional[OperandPlan] = None  # defaults to the program's own plan
     debug_trace: bool = False
 
 
 @dataclass
 class HeapObject:
     id: int
-    refc: int
-    payload: List[int]
+    owner: _Frame  # the frame that allocated it, and the only one to free it
+    size: int = 0
+    counts: Dict[int, int] = field(default_factory=dict)
 
 
 class TraceEvent(NamedTuple):
@@ -89,39 +87,27 @@ def _unusable(value, slot: int):
     _broken(f"use of unbound slot {slot}" if value is None else f"use of freed object {value.id}")
 
 
-def _sorted_index(payload: List[int], value: int) -> int:
-    i = bisect.bisect_left(payload, value)
-    return i if i < len(payload) and payload[i] == value else -1
+def _insert(obj: HeapObject, value: int) -> int:
+    obj.counts[value] = obj.counts.get(value, 0) + 1
+    obj.size += 1
+    return obj.size
 
 
-def _array_remove(payload: List[int], value: int) -> int:
-    try:
-        payload.remove(value)
-    except ValueError:
+def _remove(obj: HeapObject, value: int) -> int:
+    n = obj.counts.get(value)
+    if not n:
         return 0
+    obj.counts[value] = n - 1
+    obj.size -= 1
     return 1
 
 
-def _sorted_remove(payload: List[int], value: int) -> int:
-    i = _sorted_index(payload, value)
-    if i < 0:
-        return 0
-    del payload[i]
-    return 1
-
-
-# (payload, value) -> res for each container kind and op; mutates the payload
-_CONTAINER_OPS = {
-    "array": {
-        Insert: lambda p, v: p.append(v) or len(p),
-        Remove: _array_remove,
-        Contains: lambda p, v: 1 if v in p else 0,
-    },
-    "sortedList": {
-        Insert: lambda p, v: bisect.insort(p, v) or len(p),
-        Remove: _sorted_remove,
-        Contains: lambda p, v: 1 if _sorted_index(p, v) >= 0 else 0,
-    },
+# (object, value) -> res for every heap container kind, each a multiset of
+# values held as its size and a count per value; mutates the object
+_MULTISET_OPS = {
+    Insert: _insert,
+    Remove: _remove,
+    Contains: lambda obj, v: 1 if obj.counts.get(v) else 0,
 }
 # scalar: (step added to the slot's integer, res as a function of the old value)
 _SCALAR_OPS = {
@@ -132,13 +118,13 @@ _SCALAR_OPS = {
 
 
 class _Frame:
-    __slots__ = ("slots", "params", "consumed", "saved")
+    __slots__ = ("slots", "params", "saved", "owned")
 
     def __init__(self, slot_count: int, params: List[HeapObject]):
         self.slots: List[Optional[HeapObject]] = [None] * slot_count
-        self.params = params
-        self.consumed = 0
+        self.params = iter(params)  # the passed objects New has not yet bound
         self.saved: List[Optional[HeapObject]] = []  # shadowed bindings
+        self.owned = 0  # objects this frame allocated and has not freed
 
 
 def interpret(
@@ -152,11 +138,15 @@ def interpret(
     checksum and statistics are always computed. If with bit b runs its cond
     block first, then takes the then-branch iff (path >> b) & 1 is 1. Loop
     runs cond then body exactly trip_count times. Call passes the objects
-    bound to the visible slots (one refC increment each); inside the callee
-    every New consumes the next unconsumed passed reference as an alias
-    while one remains, else allocates fresh. Slots bound by a block are
-    released when that block exits, so loop-iteration locals are freed every
-    iteration; the callee releases unconsumed parameters on exit.
+    bound to the visible slots, which the callee borrows: inside it every
+    New binds the next unconsumed passed object as an alias while one
+    remains, else allocates fresh. An object belongs to the frame that
+    allocated it, as in the emitted C runtime: a block's exit frees each
+    slot it bound whose object its frame owns, so loop-iteration locals are
+    freed every iteration and borrowed objects are left to their owner.
+    Every run raises on an op on a freed object or on a second free; with
+    verify_refcounts, a call also raises if it returns with objects it
+    allocated still live (a binding dropped unfreed).
 
     Scalar mode has no heap: slots are plain integer variables, parameters
     are passed by value and consumed as copies, and the trace's var field is
@@ -166,14 +156,13 @@ def interpret(
     and function, each function on its first call; nothing is kept between
     calls. Compiling settles the container kind, each If's arm (the arm not
     taken is never compiled), the slots each block binds, the static bits of
-    each checksum event, and whether events are traced or refcounts
-    verified. A Call to an inert callee, one whose body through nested
-    If/Loop/Call has no New, Insert, Remove or Contains and passes no slots,
-    compiles to its argument checks alone: it would emit nothing, and its
-    refC increments and releases cancel.
+    each checksum event, and whether events are traced. A Call to an inert
+    callee, one whose body through nested If/Loop/Call has no New, Insert,
+    Remove or Contains and passes no slots, compiles to its argument checks
+    alone: it would emit nothing and allocate nothing.
     """
     cfg = cfg or ExecConfig()
-    plan = cfg.plan or program.plan
+    plan = program.plan
     scalar = plan.container_kind == "scalar"
     path = cfg.path & _MASK64
     live: Dict[int, HeapObject] = {}
@@ -182,8 +171,6 @@ def interpret(
     trace: List[TraceEvent] = []
     counts = dict.fromkeys(_OP_NAMES, 0)
     cs = CHECKSUM_OFFSET
-    verifying = verify_refcounts and not scalar
-    frames: List[_Frame] = []  # read by refcount verification only
     compiled: Dict[int, Callable[[list], None]] = {}
     inert: Dict[int, bool] = {}
 
@@ -192,53 +179,45 @@ def interpret(
         cs = ((cs * CHECKSUM_PRIME) & _MASK64) ^ hi ^ ((var & _FIELD) << _VAR_SHIFT) ^ (res & _FIELD)
         counts[hi >> _OP_SHIFT] += 1
 
-    if cfg.debug_trace or verifying:
-        fold, tracing = emit, cfg.debug_trace
+    if cfg.debug_trace:
+        fold = emit
 
         def emit(hi: int, var: int, val: int, res: int) -> None:
             fold(hi, var, val, res)
-            if tracing:
-                trace.append(TraceEvent(_OP_NAMES[hi >> _OP_SHIFT], var, val, res))
-            if verifying:
-                _check_refcount_conservation(live, frames)
+            trace.append(TraceEvent(_OP_NAMES[hi >> _OP_SHIFT], var, val, res))
 
-    def alloc() -> HeapObject:
+    def alloc(f: _Frame) -> HeapObject:
         nonlocal max_live
-        obj = HeapObject(id=next(ids), refc=1, payload=[])
+        obj = HeapObject(next(ids), f)
         live[obj.id] = obj
         max_live = max(max_live, len(live))
+        f.owned += 1
         return obj
 
-    def decref(obj: HeapObject) -> None:
-        if obj.id not in live:
-            _broken(f"use of freed object {obj.id}")
-        obj.refc -= 1
-        if obj.refc == 0:
-            del live[obj.id]
-        elif obj.refc < 0:
-            _broken(f"negative refC on object {obj.id}")
+    def free(f: _Frame, obj: HeapObject) -> None:
+        if obj.owner is f:  # a borrowed object is left to its owner
+            if live.pop(obj.id, None) is None:
+                _broken(f"use of freed object {obj.id}")
+            f.owned -= 1
 
     if scalar:
-        fresh, ident, release = (lambda: 0), (lambda value, slot: slot), (lambda value: None)
+        fresh, ident, release = (lambda f: 0), (lambda value, slot: slot), (lambda f, value: None)
     else:
-        fresh, ident, release = alloc, (lambda value, slot: value.id), decref
+        fresh, ident, release = alloc, (lambda value, slot: value.id), free
 
     def new(slot: int, first: bool):
         # only a slot's first binding in a block is saved for the block's
-        # exit; a same-block rebinding drops the old reference unreleased (a
-        # leak the generator never emits; hand-built programs can)
+        # exit; a same-block rebinding drops the old object unfreed (a leak
+        # the generator never emits; hand-built programs can)
         hi = checksum_update(0, "new", 0, 0, 0)
 
         def op(f: _Frame) -> None:
-            if f.consumed < len(f.params):
-                value, res = f.params[f.consumed], 0  # alias (value copy in scalar)
-                f.consumed += 1
-            else:
-                value, res = fresh(), 1
+            alias = next(f.params, None)  # a value copy in scalar
+            value = fresh(f) if alias is None else alias
             if first:
                 f.saved.append(f.slots[slot])
             f.slots[slot] = value
-            emit(hi, ident(value, slot), 0, res)
+            emit(hi, ident(value, slot), 0, 1 if alias is None else 0)
         return op
 
     def operand_op(st):
@@ -254,13 +233,13 @@ def interpret(
                 f.slots[slot] = v + step
                 emit(hi, slot, value, result(v))
             return op
-        act = _CONTAINER_OPS[plan.container_kind][type(st)]
+        act = _MULTISET_OPS[type(st)]
 
         def op(f: _Frame) -> None:
             obj = f.slots[slot]
             if obj is None or obj.id not in live:
                 _unusable(obj, slot)
-            emit(hi, obj.id, value, act(obj.payload, value))
+            emit(hi, obj.id, value, act(obj, value))
         return op
 
     def check_args(f: _Frame, avail: List[int]) -> None:
@@ -282,11 +261,7 @@ def interpret(
     def call(fid: int, avail: List[int]):
         def op(f: _Frame) -> None:
             check_args(f, avail)
-            args = [f.slots[s] for s in avail]
-            if not scalar:
-                for arg in args:
-                    arg.refc += 1
-            (compiled.get(fid) or function(fid))(args)
+            (compiled.get(fid) or function(fid))([f.slots[s] for s in avail])
         return (lambda f: check_args(f, avail)) if is_inert(fid) else op
 
     def scope(seq: list, bound: List[int]):
@@ -296,7 +271,7 @@ def interpret(
             for op in seq:
                 op(f)
             for slot in unbind:
-                release(f.slots[slot])
+                release(f, f.slots[slot])
                 f.slots[slot] = f.saved.pop()
         return run
 
@@ -342,14 +317,13 @@ def interpret(
 
         def run(params: list) -> None:
             f = _Frame(fn.slot_count, params)
-            if verifying:
-                frames.append(f)
             for op in body:
                 op(f)
-            for value in params[f.consumed:]:
-                release(value)
-            if verifying:
-                frames.pop()
+            if verify_refcounts and f.owned:
+                _broken(
+                    f"refcount conservation broken: function {fid} returns with "
+                    f"{f.owned} objects it allocated still live"
+                )
         compiled[fid] = run
         return run
 
@@ -361,17 +335,6 @@ def interpret(
         checksum=cs,
     )
     return trace, stats
-
-
-def _check_refcount_conservation(live: Dict[int, HeapObject], frames: List[_Frame]) -> None:
-    held = 0
-    for frame in frames:
-        held += sum(1 for obj in frame.slots if obj is not None)
-        held += sum(1 for obj in frame.saved if obj is not None)
-        held += len(frame.params) - frame.consumed
-    total = sum(obj.refc for obj in live.values())
-    if total != held:
-        _broken(f"refcount conservation broken: sum refC {total} != {held} held references")
 
 
 def verify_no_leaks(stats: RunStats) -> bool:

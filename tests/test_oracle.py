@@ -13,12 +13,14 @@ from helpers import (
 from lsysbench.astgen import (
     CONTAINER_KINDS,
     Call,
+    Contains,
     FunctionDef,
     If,
     Insert,
     New,
     OperandPlan,
     Program,
+    Remove,
     lower,
 )
 from lsysbench.grammar import derive, parse_items, parse_spec
@@ -285,6 +287,56 @@ def test_refcount_verification_catches_a_leaked_rebinding():
         interpret(program, verify_refcounts=True)
 
 
+def test_callee_borrows_the_callers_object():
+    # the callee's new aliases the caller's object and inserts into it; the
+    # caller sees that insert, and only the caller frees the object
+    for kind in ("array", "sortedList"):
+        program = lower_text("new CALL(new insert) insert contains", container_kind=kind)
+        for verify in (False, True):
+            trace, stats = interpret(
+                program, ExecConfig(debug_trace=True), verify_refcounts=verify
+            )
+            assert [(e.op, e.var, e.res) for e in trace[:4]] == [
+                ("new", 1, 1),
+                ("new", 1, 0),
+                ("insert", 1, 1),
+                ("insert", 1, 2),  # size 2: the callee's insert is visible
+            ]
+            assert [(e.op, e.var) for e in trace[4:]] == [("contains", 1)]
+            assert (stats.max_live, stats.live_at_exit) == (1, 0)
+
+
+def test_callee_rebinding_a_borrowed_slot_frees_only_its_own_object():
+    # the callee's second new replaces the borrowed object with its own,
+    # which it frees; the caller's object stays live for the caller's insert
+    callee = FunctionDef(id=0, canonical="new new", body=[New(0), New(0)], slot_count=1)
+    entry = FunctionDef(
+        id=1, canonical="new CALL() insert",
+        body=[New(0), Call(0, [0]), Insert(0, 7)], slot_count=1,
+    )
+    program = Program(functions=[callee, entry], entry_id=1)
+    trace, stats = interpret(
+        program, ExecConfig(debug_trace=True), verify_refcounts=True
+    )
+    assert [(e.op, e.var, e.res) for e in trace] == [
+        ("new", 1, 1),
+        ("new", 1, 0),
+        ("new", 2, 1),
+        ("insert", 1, 1),
+    ]
+    assert (stats.max_live, stats.live_at_exit) == (2, 0)
+
+
+def test_refcount_verification_catches_a_leak_inside_a_callee():
+    callee = FunctionDef(id=0, canonical="new new", body=[New(0), New(0)], slot_count=1)
+    entry = FunctionDef(id=1, canonical="CALL()", body=[Call(0, [])], slot_count=0)
+    program = Program(functions=[callee, entry], entry_id=1)
+    _, stats = interpret(program)
+    assert stats.live_at_exit == 1
+    with pytest.raises(OracleInvariantError, match="refcount conservation broken"):
+        interpret(program, verify_refcounts=True)
+
+
 def inert_chain(entry_body, entry_slots=1):
     """fn0 is empty, fn1 only calls fn0, and the entry (fn2) calls fn1."""
     fn0 = FunctionDef(id=0, canonical="", body=[], slot_count=0)
@@ -433,13 +485,48 @@ def test_interpret_deterministic_and_pure():
     assert r1 == r2
 
 
-def test_exec_config_plan_override():
+def test_program_plan_sets_container_kind():
     program = lower_text("new contains", container_kind="array")
-    scalar_plan = OperandPlan(seed=0, container_kind="scalar")
-    trace, _ = interpret(
-        program, ExecConfig(debug_trace=True, plan=scalar_plan)
-    )
+    program.plan = OperandPlan(seed=0, container_kind="scalar")
+    trace, _ = interpret(program, ExecConfig(debug_trace=True))
     assert trace[1].res == 1  # scalar zero-test instead of array membership
+
+
+def model_remove(model, value):
+    if value not in model:
+        return 0
+    model.remove(value)
+    return 1
+
+
+LIST_MODEL = {
+    Insert: lambda model, value: model.append(value) or len(model),
+    Remove: model_remove,
+    Contains: lambda model, value: 1 if value in model else 0,
+}
+
+
+def test_heap_containers_match_a_list_model():
+    # each object is modelled as a plain Python list, independently of the
+    # interpreter's containers; small signed values give repeats, negative
+    # values and removes of absent values
+    rng = random.Random(2468)
+    for _ in range(60):
+        body = [New(0), New(1)]  # objects 1 and 2
+        for _ in range(rng.randint(0, 40)):
+            op = rng.choice(list(LIST_MODEL))
+            body.append(op(slot=rng.randint(0, 1), value=rng.randint(-4, 4)))
+        models = {1: [], 2: []}
+        expected = [
+            (st.slot + 1, st.value, LIST_MODEL[type(st)](models[st.slot + 1], st.value))
+            for st in body[2:]
+        ]
+        for kind in ("array", "sortedList"):
+            fn = FunctionDef(id=0, canonical="model", body=body, slot_count=2)
+            program = Program([fn], entry_id=0, plan=OperandPlan(container_kind=kind))
+            trace, stats = interpret(program, ExecConfig(debug_trace=True))
+            assert [(e.var, e.val, e.res) for e in trace[2:]] == expected
+            assert stats.live_at_exit == 0
 
 
 # ---------------------------------------------------------------------------
