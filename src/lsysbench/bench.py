@@ -16,6 +16,7 @@ the median over repetitions, with warm-up runs discarded.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -23,13 +24,14 @@ import json
 import os
 import shlex
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import astgen, codegen, grammar, oracle
 
@@ -242,6 +244,52 @@ def timed_run(
     return elapsed_ms, proc
 
 
+def start_compile(
+    cc_template: str,
+    src_dir: str,
+    src_files: Sequence[str],
+    out_binary: str,
+    flags: Optional[str] = None,
+) -> Callable[..., Tuple[float, subprocess.CompletedProcess]]:
+    """Start a compile in the background and return its finisher.
+
+    ``finish()`` reaps the compiler and returns ``(ms, CompletedProcess)``
+    timed from the start; ``finish(cancel=True)`` kills it first. The
+    compiler runs in a process group of its own, so that a kill also reaches
+    the children of a compiler driver (cc1, as, ld).
+    """
+    mapping = {"in": " ".join(src_files), "out": out_binary}
+    if flags is not None:
+        mapping["flags"] = flags
+    argv = render_template(cc_template, mapping)
+    start = time.perf_counter()
+    try:
+        child = subprocess.Popen(argv, cwd=src_dir, stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE, text=True, start_new_session=True)
+    except OSError as exc:
+        failed = subprocess.CompletedProcess(argv, returncode=127, stdout="", stderr=str(exc))
+        return lambda cancel=False: ((time.perf_counter() - start) * 1000.0, failed)
+
+    def kill() -> None:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(child.pid, signal.SIGKILL)
+
+    def finish(cancel: bool = False) -> Tuple[float, subprocess.CompletedProcess]:
+        with child:
+            try:
+                if cancel:
+                    kill()
+                stdout, stderr = child.communicate()
+            finally:
+                if child.returncode is None:  # interrupted: leave no compiler behind
+                    kill()
+                    child.wait()
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        return elapsed_ms, subprocess.CompletedProcess(argv, child.returncode, stdout, stderr)
+
+    return finish
+
+
 def compile_sources(
     cc_template: str,
     src_dir: str,
@@ -249,11 +297,7 @@ def compile_sources(
     out_binary: str,
     flags: Optional[str] = None,
 ) -> Tuple[float, subprocess.CompletedProcess]:
-    mapping = {"in": " ".join(src_files), "out": out_binary}
-    if flags is not None:
-        mapping["flags"] = flags
-    argv = render_template(cc_template, mapping)
-    return timed_run(argv, cwd=src_dir)
+    return start_compile(cc_template, src_dir, src_files, out_binary, flags)()
 
 
 def parse_checksum(stdout: str) -> Optional[int]:
@@ -342,12 +386,20 @@ def cmd_check(
 ) -> bool:
     """Compile the emitted program and diff each run against the oracle.
 
+    The compile runs in the background while the oracle computes the
+    expected trace of every PATH; a failure there kills the compile.
     Returns True when every (seed, path) combination passes. Failure
     categories: compile-failure, runtime-failure, trace-mismatch.
     """
     manifest = load_manifest(out_dir)
     spec_text = read_spec_file(spec_path)
+    check_spec(spec_text, manifest)
     seed_list = list(seeds) if seeds else [manifest["seed"]]
+    emit_cfg = codegen.EmitConfig(
+        backend=manifest["backend"],
+        split_files=manifest["splitFiles"],
+        debug_trace=manifest["debugTrace"],
+    )
     rows: List[Dict[str, object]] = []
     ok = True
 
@@ -357,26 +409,36 @@ def cmd_check(
         where = f"seed={seed}" + ("" if path is None else f" path={path}")
         print(f"[{status}] {where}{tail}")
 
+    def build(seed: int) -> astgen.Program:
+        return build_program(spec_text, manifest["generations"], plan_from_manifest(manifest, seed))
+
     for seed in seed_list:
-        program = program_from_manifest(spec_text, manifest, seed)
         with tempfile.TemporaryDirectory(prefix="lsysbench-check-") as workdir:
-            if seed == manifest["seed"]:
-                src_dir = out_dir
-            else:
-                emit_cfg = codegen.EmitConfig(
-                    backend=manifest["backend"],
-                    split_files=manifest["splitFiles"],
-                    debug_trace=manifest["debugTrace"],
-                )
+            # gcc compiles while the oracle computes the expected traces. The
+            # manifest seed's sources are on disk already; another seed's
+            # program is built and emitted first.
+            program = None
+            src_dir = out_dir
+            if seed != manifest["seed"]:
+                program = build(seed)
                 write_source_files(codegen.emit(program, emit_cfg), workdir)
                 src_dir = workdir
             binary = os.path.join(workdir, "prog")
-            _, proc = compile_sources(cc_template, src_dir, source_file_names(manifest), binary)
+            finish = start_compile(cc_template, src_dir, source_file_names(manifest), binary)
+            try:
+                if program is None:
+                    program = build(seed)
+                wants = [oracle.run_to_text(program, oracle.ExecConfig(
+                    path=path, debug_trace=not checksum_only)) for path in paths]
+            except BaseException:
+                finish(cancel=True)
+                raise
+            _, proc = finish()
             if proc.returncode != 0:
                 report(seed, None, "compile-failure", proc.stderr.strip()[:400])
                 ok = False
                 continue
-            for path in paths:
+            for path, want in zip(paths, wants):
                 argv = [binary, str(path)]
                 if not checksum_only:
                     argv.append("--debug")
@@ -386,8 +448,6 @@ def cmd_check(
                            f"exit={run.returncode} {run.stderr.strip()[:200]}")
                     ok = False
                     continue
-                cfg = oracle.ExecConfig(path=path, debug_trace=not checksum_only)
-                want = oracle.run_to_text(program, cfg)
                 if run.stdout == want:
                     report(seed, path, "pass")
                     continue

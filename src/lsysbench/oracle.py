@@ -130,7 +130,7 @@ class _Frame:
 def interpret(
     program: Program,
     cfg: Optional[ExecConfig] = None,
-    verify_refcounts: bool = False,
+    verify_ownership: bool = False,
 ) -> Tuple[List[TraceEvent], RunStats]:
     """Run the entry function; returns (trace, stats).
 
@@ -145,7 +145,7 @@ def interpret(
     slot it bound whose object its frame owns, so loop-iteration locals are
     freed every iteration and borrowed objects are left to their owner.
     Every run raises on an op on a freed object or on a second free; with
-    verify_refcounts, a call also raises if it returns with objects it
+    verify_ownership, a call also raises if it returns with objects it
     allocated still live (a binding dropped unfreed).
 
     Scalar mode has no heap: slots are plain integer variables, parameters
@@ -319,9 +319,9 @@ def interpret(
             f = _Frame(fn.slot_count, params)
             for op in body:
                 op(f)
-            if verify_refcounts and f.owned:
+            if verify_ownership and f.owned:
                 _broken(
-                    f"refcount conservation broken: function {fid} returns with "
+                    f"ownership broken: function {fid} returns with "
                     f"{f.owned} objects it allocated still live"
                 )
         compiled[fid] = run

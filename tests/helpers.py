@@ -130,9 +130,17 @@ def write_files(files, out_dir):
             fh.write(f.contents)
 
 
-def compile_c(src_dir, src_files, binary, compiler, extra_flags=()):
+def start_compile_c(src_dir, src_files, binary, compiler, extra_flags=()):
+    """Start a strict compile without waiting for it; communicate() reaps it."""
     argv = [compiler] + STRICT_C_FLAGS + list(extra_flags) + list(src_files) + ["-o", binary]
-    return subprocess.run(argv, cwd=src_dir, capture_output=True, text=True)
+    return subprocess.Popen(argv, cwd=src_dir, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+
+
+def compile_c(src_dir, src_files, binary, compiler, extra_flags=()):
+    with start_compile_c(src_dir, src_files, binary, compiler, extra_flags) as proc:
+        stdout, stderr = proc.communicate()
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
 
 
 def run_binary(binary, path, debug=True):

@@ -22,10 +22,10 @@ from helpers import (
     FAN_OUT_INIT_SPEC,
     CALL_CHURN_SPEC,
     assert_bitpath_properties,
-    compile_c,
     find_c_compiler,
     random_seq_nonempty,
     run_binary,
+    start_compile_c,
     write_files,
 )
 from lsysbench import astgen, bench, codegen, grammar, oracle
@@ -136,7 +136,7 @@ def test_criterion_04_oracle_leak_freedom():
                 planned = astgen.plan_operands(program, plan)
                 for path in paths:
                     stats = oracle.interpret(
-                        planned, oracle.ExecConfig(path=path), verify_refcounts=True
+                        planned, oracle.ExecConfig(path=path), verify_ownership=True
                     )[1]
                     assert stats.live_at_exit == 0
 
@@ -146,7 +146,7 @@ def test_criterion_04_oracle_leak_freedom():
                 program = quiet_lower(derived, astgen.OperandPlan(seed=0, container_kind=kind))
                 for path in paths:
                     stats = oracle.interpret(
-                        program, oracle.ExecConfig(path=path), verify_refcounts=True
+                        program, oracle.ExecConfig(path=path), verify_ownership=True
                     )[1]
                     assert stats.live_at_exit == 0
 
@@ -171,25 +171,32 @@ def test_criterion_05_compiled_trace_equivalence(tmp_path):
             derived = derive_spec(spec_text, generations)
             plan = astgen.OperandPlan(seed=seed, container_kind=container)
             program = quiet_lower(derived, plan)
-            expected = {
-                path: oracle.run_to_text(
-                    program, oracle.ExecConfig(path=path, debug_trace=True))
-                for path in paths
-            }
             files = codegen.emit(program, codegen.EmitConfig(backend="c"))
-            for opt in ("-O0", "-O1", "-O2", "-O3"):
-                case += 1
-                workdir = tmp_path / f"case{case}"
-                write_files(files, str(workdir))
-                binary = str(workdir / "prog")
-                proc = compile_c(str(workdir), ["main.c"], binary, C_COMPILER, [opt])
-                assert proc.returncode == 0, proc.stderr
-                for path in paths:
-                    run = run_binary(binary, path, debug=True)
-                    assert run.returncode == 0
-                    assert run.stdout == expected[path], (
-                        spec_text[:20], generations, seed, container, opt, path)
-                    combos += 1
+            # the four optimisation levels compile side by side while the
+            # oracle computes the expected traces; then each is reaped and run
+            with contextlib.ExitStack() as running:
+                compiles = []
+                for opt in ("-O0", "-O1", "-O2", "-O3"):
+                    case += 1
+                    workdir = tmp_path / f"case{case}"
+                    write_files(files, str(workdir))
+                    binary = str(workdir / "prog")
+                    compiles.append((opt, binary, running.enter_context(start_compile_c(
+                        str(workdir), ["main.c"], binary, C_COMPILER, [opt]))))
+                expected = {
+                    path: oracle.run_to_text(
+                        program, oracle.ExecConfig(path=path, debug_trace=True))
+                    for path in paths
+                }
+                for opt, binary, proc in compiles:
+                    _, stderr = proc.communicate()
+                    assert proc.returncode == 0, stderr
+                    for path in paths:
+                        run = run_binary(binary, path, debug=True)
+                        assert run.returncode == 0
+                        assert run.stdout == expected[path], (
+                            spec_text[:20], generations, seed, container, opt, path)
+                        combos += 1
         assert combos >= 20
 
 

@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import time
 import warnings
 
 import pytest
@@ -263,6 +265,68 @@ def test_check_checksum_only_mode(spec_file, tmp_path, capsys):
         ok = cmd_check(spec_file, out, CC_STRICT, paths=[0, 1], checksum_only=True)
     assert ok is True
     assert "pass" in capsys.readouterr().out
+
+
+@needs_c
+def test_check_compiles_while_the_oracle_runs(spec_file, tmp_path, monkeypatch):
+    out = str(tmp_path / "out")
+    gen_quiet(spec_file, out, 4, default_plan(), codegen.EmitConfig(backend="c"))
+    events = []
+
+    def record(name, fn):
+        def recorded(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+        return recorded
+
+    real_start_compile = bench.start_compile
+
+    def start_compile(*args, **kwargs):
+        events.append("compile")
+        return record("reap", real_start_compile(*args, **kwargs))
+
+    monkeypatch.setattr(bench, "start_compile", start_compile)
+    monkeypatch.setattr(bench, "build_program", record("build", bench.build_program))
+    monkeypatch.setattr(codegen, "emit", record("emit", codegen.emit))
+    monkeypatch.setattr(oracle, "run_to_text", record("oracle", oracle.run_to_text))
+    monkeypatch.setattr(bench, "timed_run", record("run", bench.timed_run))
+    paths = [0, 1, 2**63]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cmd_check(spec_file, out, CC_STRICT, paths=paths, seeds=[0, 11])
+    # seed 0 is the manifest's: its sources are on disk, so gcc starts first;
+    # seed 11 is built and emitted before its compile starts
+    tail = ["oracle"] * len(paths) + ["reap"] + ["run"] * len(paths)
+    assert events == (["compile", "build"] + tail + ["build", "emit", "compile"] + tail)
+
+
+def test_check_kills_the_compile_when_the_oracle_fails(spec_file, tmp_path, monkeypatch):
+    out = str(tmp_path / "out")
+    gen_quiet(spec_file, out, 4, default_plan(), codegen.EmitConfig(backend="c"))
+    children = []
+
+    class RecordedPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            children.append(self)
+
+    def broken_oracle(*args, **kwargs):
+        time.sleep(0.5)  # long enough for the compile to start its children
+        raise oracle.OracleInvariantError("planted failure")
+
+    monkeypatch.setattr(subprocess, "Popen", RecordedPopen)
+    monkeypatch.setattr(oracle, "run_to_text", broken_oracle)
+    # the shell forks sleep, so only a kill of the whole process group
+    # closes the pipes that the compile's output is read from
+    cc = "sh -c 'sleep 30; exit 0' {in} {out}"
+    start = time.monotonic()
+    with pytest.raises(oracle.OracleInvariantError, match="planted failure"), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cmd_check(spec_file, out, cc, paths=[1])
+    assert time.monotonic() - start < 10.0
+    assert len(children) == 1
+    assert children[0].returncode is not None  # reaped, not left running
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,7 @@ def test_commands_refuse_a_spec_other_than_the_manifests(
     def no_compile(*args, **kwargs):
         raise AssertionError("compiled despite a mismatched spec")
 
-    monkeypatch.setattr(bench, "compile_sources", no_compile)
+    monkeypatch.setattr(bench, "start_compile", no_compile)
     capsys.readouterr()
     argv = USAGE_PREFIXES[command] + extra + ["--out", out]
     argv[1] = str(other)

@@ -204,7 +204,7 @@ def test_params_consumed_in_slot_order():
     assert stats.live_at_exit == 0
 
 
-def test_unconsumed_parameters_released():
+def test_a_parameter_the_callee_never_binds_stays_with_its_owner():
     program = lower_text("new CALL()")
     _, stats = interpret(program)
     assert stats.live_at_exit == 0
@@ -247,8 +247,9 @@ def test_cond_locals_not_visible_to_materialized_operand():
 
 
 def test_hand_built_rebinding_leaks():
-    # same-block slot rebinding drops a reference; the generator never emits
-    # this, so it only arises in hand-built programs like this one
+    # same-block slot rebinding drops the first object without freeing it;
+    # the generator never emits this, so it only arises in hand-built
+    # programs like this one
     fn = FunctionDef(id=0, canonical="new new", body=[New(0), New(0)], slot_count=1)
     program = Program(functions=[fn], entry_id=0)
     _, stats = interpret(program)
@@ -278,13 +279,13 @@ def test_unbound_call_argument_aborts():
         interpret(program)
 
 
-def test_refcount_verification_catches_a_leaked_rebinding():
-    # the same hand-built leak as above: with verification on, the dropped
-    # reference shows as one refcount more than the frames hold
+def test_ownership_verification_catches_a_leaked_rebinding():
+    # the same hand-built leak as above: with verification on, the function
+    # returns with an object it allocated still live
     fn = FunctionDef(id=0, canonical="new new", body=[New(0), New(0)], slot_count=1)
     program = Program(functions=[fn], entry_id=0)
-    with pytest.raises(OracleInvariantError, match="refcount conservation broken"):
-        interpret(program, verify_refcounts=True)
+    with pytest.raises(OracleInvariantError, match="ownership broken"):
+        interpret(program, verify_ownership=True)
 
 
 def test_callee_borrows_the_callers_object():
@@ -294,7 +295,7 @@ def test_callee_borrows_the_callers_object():
         program = lower_text("new CALL(new insert) insert contains", container_kind=kind)
         for verify in (False, True):
             trace, stats = interpret(
-                program, ExecConfig(debug_trace=True), verify_refcounts=verify
+                program, ExecConfig(debug_trace=True), verify_ownership=verify
             )
             assert [(e.op, e.var, e.res) for e in trace[:4]] == [
                 ("new", 1, 1),
@@ -316,7 +317,7 @@ def test_callee_rebinding_a_borrowed_slot_frees_only_its_own_object():
     )
     program = Program(functions=[callee, entry], entry_id=1)
     trace, stats = interpret(
-        program, ExecConfig(debug_trace=True), verify_refcounts=True
+        program, ExecConfig(debug_trace=True), verify_ownership=True
     )
     assert [(e.op, e.var, e.res) for e in trace] == [
         ("new", 1, 1),
@@ -327,14 +328,14 @@ def test_callee_rebinding_a_borrowed_slot_frees_only_its_own_object():
     assert (stats.max_live, stats.live_at_exit) == (2, 0)
 
 
-def test_refcount_verification_catches_a_leak_inside_a_callee():
+def test_ownership_verification_catches_a_leak_inside_a_callee():
     callee = FunctionDef(id=0, canonical="new new", body=[New(0), New(0)], slot_count=1)
     entry = FunctionDef(id=1, canonical="CALL()", body=[Call(0, [])], slot_count=0)
     program = Program(functions=[callee, entry], entry_id=1)
     _, stats = interpret(program)
     assert stats.live_at_exit == 1
-    with pytest.raises(OracleInvariantError, match="refcount conservation broken"):
-        interpret(program, verify_refcounts=True)
+    with pytest.raises(OracleInvariantError, match="ownership broken"):
+        interpret(program, verify_ownership=True)
 
 
 def inert_chain(entry_body, entry_slots=1):
@@ -366,7 +367,7 @@ def test_inert_callee_leaves_the_heap_as_a_full_call_does():
             )
             for verify in (False, True):
                 trace, stats = interpret(
-                    program, ExecConfig(debug_trace=True), verify_refcounts=verify
+                    program, ExecConfig(debug_trace=True), verify_ownership=verify
                 )
                 runs.append(([(e.op, e.var, e.val, e.res) for e in trace], stats))
         assert all(run == runs[0] for run in runs)
@@ -383,7 +384,7 @@ def test_no_leaks_random_programs_all_containers():
             program = lower(seq, OperandPlan(seed=1, container_kind=kind))
             for path in (0, 1, U64):
                 _, stats = interpret(
-                    program, ExecConfig(path=path), verify_refcounts=True
+                    program, ExecConfig(path=path), verify_ownership=True
                 )
                 assert verify_no_leaks(stats)
 
@@ -550,9 +551,9 @@ def digest_programs():
                 yield lower(seq, OperandPlan(seed=3, container_kind=kind))
 
 
-def run_record(program, path, verify_refcounts=False):
+def run_record(program, path, verify_ownership=False):
     trace, stats = interpret(
-        program, ExecConfig(path=path, debug_trace=True), verify_refcounts
+        program, ExecConfig(path=path, debug_trace=True), verify_ownership
     )
     events = [(e.op, e.var, e.val, e.res) for e in trace]
     return repr((events, stats.checksum, list(stats.op_counts.items()),
@@ -564,7 +565,7 @@ def test_oracle_results_digest_is_pinned():
     for i, program in enumerate(digest_programs()):
         for path in (0, 1, U64):
             record = run_record(program, path)
-            if i % 9 == 0:  # refcount verification leaves every result unchanged
-                assert run_record(program, path, verify_refcounts=True) == record
+            if i % 9 == 0:  # ownership verification leaves every result unchanged
+                assert run_record(program, path, verify_ownership=True) == record
             digest.update(record.encode())
     assert digest.hexdigest() == ORACLE_DIGEST
