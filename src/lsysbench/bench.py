@@ -30,21 +30,13 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import astgen, codegen, grammar, oracle
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_SCHEMA = "lsysbench/manifest/v1"
-
-SOURCE_EXTENSIONS = {"c": ".c", "go": ".go"}
-
-MEASUREMENT_COLUMNS = [
-    "specName", "generation", "backend", "compilerCmd", "flags", "path", "seed",
-    "containerKind", "compileTimeMs", "runTimeMs", "binaryBytes", "textBytes",
-    "checksum", "failed", "error",
-]
 
 SWEEP_COLUMNS = ["i", "path", "t_ms", "ti_ms", "ratio"]
 
@@ -72,23 +64,20 @@ class Measurement:
     error: str = ""
 
     def to_row(self) -> Dict[str, object]:
-        return {
-            "specName": self.spec_name,
-            "generation": self.generation,
-            "backend": self.backend,
-            "compilerCmd": self.compiler_cmd,
-            "flags": self.flags,
-            "path": self.path,
-            "seed": self.seed,
-            "containerKind": self.container_kind,
-            "compileTimeMs": round(self.compile_time_ms, 3),
-            "runTimeMs": round(self.run_time_ms, 3),
-            "binaryBytes": self.binary_bytes,
-            "textBytes": self.text_bytes,
-            "checksum": self.checksum,
-            "failed": self.failed,
-            "error": self.error,
-        }
+        """The fields under camelCase names, times rounded to 3 places."""
+        row = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            row[_camel_case(f.name)] = round(value, 3) if f.name.endswith("_ms") else value
+        return row
+
+
+def _camel_case(name: str) -> str:
+    head, *rest = name.split("_")
+    return head + "".join(word.capitalize() for word in rest)
+
+
+MEASUREMENT_COLUMNS = [_camel_case(f.name) for f in fields(Measurement)]
 
 
 @dataclass
@@ -210,7 +199,7 @@ def write_source_files(files: Sequence[codegen.SourceFile], out_dir: str) -> Non
 
 
 def source_file_names(manifest: dict) -> List[str]:
-    ext = SOURCE_EXTENSIONS[manifest["backend"]]
+    ext = "." + codegen.get_backend(manifest["backend"]).extension
     return [name for name in manifest["files"] if name.endswith(ext)]
 
 
@@ -448,10 +437,14 @@ def cmd_check(
                            f"exit={run.returncode} {run.stderr.strip()[:200]}")
                     ok = False
                     continue
-                if run.stdout == want:
+                got = run.stdout
+                if checksum_only:  # a --debug-trace build prints its trace anyway
+                    got = "".join(line for line in got.splitlines(keepends=True)
+                                  if line.startswith("CHECKSUM "))
+                if got == want:
                     report(seed, path, "pass")
                     continue
-                got_lines = run.stdout.splitlines()
+                got_lines = got.splitlines()
                 want_lines = want.splitlines()
                 idx = _first_divergence(got_lines, want_lines)
                 got_at = got_lines[idx] if idx < len(got_lines) else "<missing>"
@@ -479,6 +472,7 @@ def cmd_measure(
     json_path: Optional[str] = None,
 ) -> List[Measurement]:
     """One Measurement row per flag set; failures mark the row, not the batch."""
+    _check_run_counts(repetitions, warmups)
     manifest = load_manifest(out_dir)
     spec_text = read_spec_file(spec_path)
     check_spec(spec_text, manifest)
@@ -507,7 +501,7 @@ def cmd_measure(
             binary = os.path.join(workdir, "prog")
             compile_times = []
             failed_proc = None
-            for _ in range(max(1, repetitions)):
+            for _ in range(repetitions):
                 elapsed, proc = compile_sources(cc_template, out_dir, src_files, binary, flags=flags)
                 if proc.returncode != 0:
                     failed_proc = proc
@@ -555,22 +549,25 @@ def cmd_measure(
     return results
 
 
+def _check_run_counts(repetitions: int, warmups: int) -> None:
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be at least 1, got {repetitions}")
+    if warmups < 0:
+        raise ValueError(f"warmups must be at least 0, got {warmups}")
+
+
 def _median_run_ms(binary: str, path: int, repetitions: int, warmups: int,
                    cwd: Optional[str] = None,
                    env: Optional[Dict[str, str]] = None) -> Tuple[float, str]:
-    """Median wall time of the timed runs, and the last run's stdout."""
+    """Median wall time of the runs after the warm-ups, and the last run's stdout."""
     argv = [binary, str(path)]
-    for _ in range(max(0, warmups)):
-        _, proc = timed_run(argv, cwd=cwd, env=env)
-        if proc.returncode != 0:
-            raise BenchError(f"benchmark binary failed: exit={proc.returncode} {proc.stderr.strip()[:300]}")
     times = []
-    for _ in range(max(1, repetitions)):
+    for _ in range(warmups + repetitions):
         elapsed, proc = timed_run(argv, cwd=cwd, env=env)
         if proc.returncode != 0:
             raise BenchError(f"benchmark binary failed: exit={proc.returncode} {proc.stderr.strip()[:300]}")
         times.append(elapsed)
-    return statistics.median(times), proc.stdout
+    return statistics.median(times[warmups:]), proc.stdout
 
 
 def cmd_sweep_pgo(
@@ -592,6 +589,7 @@ def cmd_sweep_pgo(
     instrumentation; gcc-style .gcda files land there because the compiler
     runs with that working directory).
     """
+    _check_run_counts(repetitions, warmups)
     manifest = load_manifest(out_dir)
     check_spec(read_spec_file(spec_path), manifest)
     src_files = source_file_names(manifest)

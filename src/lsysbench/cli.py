@@ -8,18 +8,17 @@ from typing import List, Optional
 
 from . import astgen, bench, codegen, grammar
 
-CONTAINER_CHOICES = {
-    "array": "array",
-    "sortedlist": "sortedList",
-    "scalar": "scalar",
-}
+CONTAINER_CHOICES = {kind.lower(): kind for kind in astgen.CONTAINER_KINDS}
 
 
 def _int_list(text: str) -> List[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        values = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
+        values = []
+    if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
 def _checked_path(value: int) -> int:
@@ -55,7 +54,7 @@ def _add_generation_args(parser: argparse.ArgumentParser) -> None:
                        help="rewrite iterations applied to the axiom (default 4)")
     group.add_argument("--container", choices=sorted(CONTAINER_CHOICES), default="array",
                        help="behavior of the generated containers (default array)")
-    group.add_argument("--backend", choices=("c", "go"), default="c",
+    group.add_argument("--backend", choices=codegen.registered_backends(), default="c",
                        help="code emission backend (default c)")
     group.add_argument("--split-files", action="store_true",
                        help="emit one file per generated function")

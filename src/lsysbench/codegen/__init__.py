@@ -1,7 +1,11 @@
 """Source emission for lowered programs, behind a pluggable backend registry.
 
 A backend is any object with an ``emit(program, cfg) -> list[SourceFile]``
-method. Two full backends ship registered out of the box: "c" (C99) and "go".
+method and an ``extension``, the suffix (without the dot) of the files it
+hands to a compiler. Two full backends ship registered out of the box: "c"
+(C99) and "go". Both are a ``base.BraceBackend``; they share its file layout
+and supply only a ``BraceSyntax`` subclass with their runtime text, headers
+and ``main()``.
 Third parties can register either a backend object or a plain dict of
 per-construct format strings, which gets wrapped in a TemplateBackend.
 
@@ -35,18 +39,19 @@ class TemplateBackend:
       call                     -> {callee} {args}
 
     Block placeholders receive already-rendered text with statements joined
-    by spaces. The output is a single file, ``program.<extension>``, with one
-    line per function: ``f<id>: <rendered body>``.
+    by spaces. The output is a single file, ``program.txt``, with one line
+    per function: ``f<id>: <rendered body>``.
     """
 
-    def __init__(self, templates: Dict[str, str], extension: str = "txt"):
+    extension = "txt"
+
+    def __init__(self, templates: Dict[str, str]):
         missing = [key for key in REQUIRED_TEMPLATE_KEYS if key not in templates]
         if missing:
             raise BackendError(
                 "backend template table is missing: %s" % ", ".join(missing)
             )
         self.templates = dict(templates)
-        self.extension = extension
 
     def emit(self, program: astgen.Program, cfg: EmitConfig) -> List[SourceFile]:
         syntax = _TemplateSyntax(self.templates, program.plan.trip_count)
@@ -100,6 +105,8 @@ def register_backend(backend_id: str, backend: Union[object, Dict[str, str]]) ->
         backend = TemplateBackend(backend)
     if not callable(getattr(backend, "emit", None)):
         raise BackendError("backend %r has no emit(program, cfg) method" % backend_id)
+    if not isinstance(getattr(backend, "extension", None), str):
+        raise BackendError("backend %r has no extension" % backend_id)
     _REGISTRY[backend_id] = backend
 
 
@@ -119,11 +126,6 @@ def registered_backends() -> List[str]:
 
 def emit(program: astgen.Program, cfg: EmitConfig) -> List[SourceFile]:
     """Render a program to source files with the configured backend."""
-    if cfg.container_kind is not None and cfg.container_kind != program.plan.container_kind:
-        raise BackendError(
-            "config container %r does not match the planned container %r"
-            % (cfg.container_kind, program.plan.container_kind)
-        )
     return get_backend(cfg.backend).emit(program, cfg)
 
 

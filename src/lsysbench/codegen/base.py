@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import List, Optional
+from typing import List
 
 from .. import astgen
 
@@ -22,7 +22,6 @@ class SourceFile:
 @dataclass
 class EmitConfig:
     backend: str
-    container_kind: Optional[str] = None  # None: echo the program's plan
     split_files: bool = False
     debug_trace: bool = False  # baked default; --debug still works at runtime
 
@@ -89,17 +88,50 @@ def render_block(stmts: List[astgen.Stmt], syntax, depth: int = 0) -> List[str]:
 
 
 class BraceSyntax:
-    """Layout shared by the C-family syntaxes. A non-empty If cond and each
-    non-empty Loop block get their own `{ ... }` scope, so their bindings end
-    with them. Subclasses set `indent`, the headers and `new`/`op`/`call`."""
+    """Files and blocks shared by the C-family backends.
 
+    `files` lays a program out as `main.<extension>` (the runtime, each
+    function that --split-files leaves there, and `main()`), plus one
+    `f<id>.<extension>` per other function under --split-files. Each file
+    starts with the banner. A non-empty If cond and each non-empty Loop
+    block get their own `{ ... }` scope, so their bindings end with them.
+    Subclasses set the templates below, `indent` and `new`/`op`/`call`,
+    and supply `runtime(program, cfg)`, the text of `main.<extension>`
+    before its functions, and, if they have any, `headers`.
+    """
+
+    extension = ""
+    kinds: dict = {}  # container kind -> the backend's runtime parts for it
+    banner = ""     # .format(n=function count, kind=container kind)
+    file_head = ""  # what an f<id> file needs before its function
+    main_fn = ""    # % (PATH_ERROR, entry id)
     fn_head = ""    # % function id; the body follows, then a closing brace
     if_head = ""    # % bit
     loop_head = ""  # % (k, k, trip count, k), k being the loop number
 
-    def __init__(self, kind: str, trip_count: int):
-        self.scalar = kind == "scalar"
-        self.trip_count = trip_count
+    def __init__(self, program: astgen.Program):
+        self.kind = program.plan.container_kind
+        self.scalar = self.kind == "scalar"
+        self.trip_count = program.plan.trip_count
+        self.parts = self.kinds[self.kind]
+
+    def headers(self, program: astgen.Program, banner: str) -> List[SourceFile]:
+        return []
+
+    def files(self, program: astgen.Program, cfg: EmitConfig) -> List[SourceFile]:
+        inline, alone = program.functions, []
+        if cfg.split_files:
+            inline = [program.entry]
+            alone = [fn for fn in program.functions if fn.id != program.entry_id]
+        banner = self.banner.format(n=len(program.functions), kind=self.kind)
+        main = [banner, self.runtime(program, cfg)] + [self.function(fn) for fn in inline]
+        main.append(self.main_fn % (PATH_ERROR, program.entry_id))
+        files = self.headers(program, banner)
+        files.append(SourceFile("main." + self.extension, "\n".join(main)))
+        for fn in alone:
+            text = "\n".join([banner, self.file_head, self.function(fn)])
+            files.append(SourceFile("f%d.%s" % (fn.id, self.extension), text))
+        return files
 
     def function(self, fn: astgen.FunctionDef) -> str:
         lines = [self.fn_head % fn.id] + render_block(fn.body, self, 1)
@@ -121,3 +153,16 @@ class BraceSyntax:
             if blk:
                 parts += [self.indent + "{", blk, self.indent + "}"]
         return parts + ["}"]
+
+
+class BraceBackend:
+    """A backend that lays out each program with a fresh `syntax(program)`."""
+
+    syntax = BraceSyntax
+
+    @property
+    def extension(self) -> str:
+        return self.syntax.extension
+
+    def emit(self, program: astgen.Program, cfg: EmitConfig) -> List[SourceFile]:
+        return self.syntax(program).files(program, cfg)

@@ -18,12 +18,11 @@ functions that do receive objects keep a per-binding "allocated here" flag.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import List, Set
 
 from .. import astgen
-from .base import PATH_ERROR, BraceSyntax, EmitConfig, SourceFile
-
-_BANNER = "/* Generated benchmark program: {n} function(s), {kind} container. */"
+from .base import BraceBackend, BraceSyntax, EmitConfig, SourceFile
 
 _HEADER_COMMON = """\
 #ifndef LS_RUNTIME_H
@@ -33,8 +32,7 @@ _HEADER_COMMON = """\
 #include <stdint.h>
 """
 
-_HEADER_STRUCTS = {
-    "array": """\
+_OBJ_ARRAY = """\
 typedef struct {
     uint64_t id;
     int64_t *vals;
@@ -42,13 +40,9 @@ typedef struct {
     size_t cap;
 } ls_obj;
 
-typedef struct {
-    ls_obj **items;
-    size_t len;
-    size_t consumed;
-} ls_params;
-""",
-    "sortedList": """\
+"""
+
+_OBJ_SORTED = """\
 typedef struct ls_node {
     int64_t val;
     struct ls_node *next;
@@ -60,22 +54,18 @@ typedef struct {
     size_t len;
 } ls_obj;
 
-typedef struct {
-    ls_obj **items;
-    size_t len;
-    size_t consumed;
-} ls_params;
-""",
-    "scalar": """\
-typedef struct {
-    int64_t *items;
-    size_t len;
-    size_t consumed;
-} ls_params;
-""",
-}
+"""
 
-_HEADER_PROTOS_HEAP = """\
+# % the parameter element type, as in _KINDS
+_HEADER_PARAMS = """\
+typedef struct {
+    %s*items;
+    size_t len;
+    size_t consumed;
+} ls_params;
+"""
+
+_HEADER_PROTOS = """\
 extern int ls_debug;
 extern uint64_t ls_checksum;
 extern uint64_t ls_next_id;
@@ -83,7 +73,10 @@ extern uint64_t ls_rng_state;
 
 uint64_t ls_rng_next(void);
 void ls_log(int opcode, const char *kind, uint64_t var, int64_t val, int64_t res);
-ls_params ls_make_params(ls_obj **items, size_t len);
+ls_params ls_make_params(%s*items, size_t len);
+"""
+
+_PROTOS_HEAP = """\
 /* Callees borrow their parameters. ls_new hands out the next unconsumed
  * parameter (*fresh = 0) or allocates a new object (*fresh = 1); fresh may be
  * NULL. Only the block that allocated an object calls ls_free on it. */
@@ -94,15 +87,7 @@ void ls_remove(ls_obj *obj, int64_t val);
 void ls_contains(ls_obj *obj, int64_t val);
 """
 
-_HEADER_PROTOS_SCALAR = """\
-extern int ls_debug;
-extern uint64_t ls_checksum;
-extern uint64_t ls_next_id;
-extern uint64_t ls_rng_state;
-
-uint64_t ls_rng_next(void);
-void ls_log(int opcode, const char *kind, uint64_t var, int64_t val, int64_t res);
-ls_params ls_make_params(int64_t *items, size_t len);
+_PROTOS_SCALAR = """\
 int64_t ls_new(ls_params *data, uint64_t slot);
 void ls_insert(int64_t *var, uint64_t slot, int64_t val);
 void ls_remove(int64_t *var, uint64_t slot, int64_t val);
@@ -130,7 +115,7 @@ void ls_log(int opcode, const char *kind, uint64_t var, int64_t val, int64_t res
 """
 
 _IMPL_PARAMS = """\
-ls_params ls_make_params(%sitems, size_t len)
+ls_params ls_make_params(%s*items, size_t len)
 {
     ls_params params;
     params.items = items;
@@ -327,35 +312,16 @@ void ls_contains(int64_t var, uint64_t slot, int64_t val)
 """
 
 
-def _runtime_header(program: astgen.Program, kind: str) -> str:
-    parts = [
-        _BANNER.format(n=len(program.functions), kind=kind),
-        _HEADER_COMMON,
-        _HEADER_STRUCTS[kind],
-        _HEADER_PROTOS_SCALAR if kind == "scalar" else _HEADER_PROTOS_HEAP,
-    ]
-    protos = "".join(
-        "void f%d(ls_params data, uint64_t path);\n" % fn.id for fn in program.functions
-    )
-    parts.append(protos)
-    parts.append("#endif /* LS_RUNTIME_H */\n")
-    return "\n".join(parts)
+_Kind = namedtuple("_Kind", "param structs protos impl")
 
-
-def _globals_block(seed: int, debug_trace: bool) -> str:
-    return (
-        "int ls_debug = %d;\n" % (1 if debug_trace else 0)
-        + "uint64_t ls_checksum = UINT64_C(14695981039346656037);\n"
-        + "uint64_t ls_next_id = UINT64_C(1);\n"
-        + "uint64_t ls_rng_state = UINT64_C(%d);\n" % seed
-    )
-
-
-def _runtime_impl(kind: str) -> str:
-    if kind == "scalar":
-        return "\n".join([_IMPL_COMMON, _IMPL_PARAMS % "int64_t *", _IMPL_SCALAR])
-    body = _IMPL_ARRAY if kind == "array" else _IMPL_SORTED
-    return "\n".join([_IMPL_COMMON, _IMPL_PARAMS % "ls_obj **", body, _IMPL_NEW_HEAP])
+# A kind's parameter element type, object structs, prototypes and runtime.
+_KINDS = {
+    "array": _Kind("ls_obj *", _OBJ_ARRAY, _PROTOS_HEAP,
+                   _IMPL_ARRAY + "\n" + _IMPL_NEW_HEAP),
+    "sortedList": _Kind("ls_obj *", _OBJ_SORTED, _PROTOS_HEAP,
+                        _IMPL_SORTED + "\n" + _IMPL_NEW_HEAP),
+    "scalar": _Kind("int64_t ", "", _PROTOS_SCALAR, _IMPL_SCALAR),
+}
 
 
 def _callees_passed_objects(program: astgen.Program) -> Set[int]:
@@ -368,18 +334,89 @@ def _callees_passed_objects(program: astgen.Program) -> Set[int]:
     }
 
 
-class _CSyntax(BraceSyntax):
-    """`borrows`: some call passes objects to the function, so a binding may
-    alias a parameter and is freed only if its `ls_new` allocated."""
+_MAIN_INCLUDES = """\
+#include <errno.h>
+#include <inttypes.h>
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
 
+#include "runtime.h"
+"""
+
+
+class _CSyntax(BraceSyntax):
+    """`borrows`: some call passes objects to the function being rendered,
+    so a binding may alias a parameter and is freed only if its `ls_new`
+    allocated."""
+
+    extension = "c"
+    kinds = _KINDS
+    banner = "/* Generated benchmark program: {n} function(s), {kind} container. */"
+    file_head = '#include "runtime.h"\n'
+    main_fn = """\
+int main(int argc, char **argv)
+{
+    uint64_t path = 0;
+    int got_path = 0;
+    char *end;
+    int i;
+    for (i = 1; i < argc; i++) {
+        if (strcmp(argv[i], "--debug") == 0) {
+            ls_debug = 1;
+        } else if (!got_path) {
+            errno = 0;
+            path = strtoull(argv[i], &end, 10);
+            if (argv[i][0] < '0' || argv[i][0] > '9' || *end != '\\0' || errno == ERANGE) {
+                fprintf(stderr, "%s\\n", argv[i]);
+                return 2;
+            }
+            got_path = 1;
+        }
+    }
+    f%d(ls_make_params(NULL, 0), path);
+    printf("CHECKSUM %%" PRIu64 "\\n", ls_checksum);
+    return 0;
+}
+"""
     indent = "    "
     fn_head = "void f%d(ls_params data, uint64_t path)\n{\n    (void)data;\n    (void)path;"
     if_head = "if ((path >> %d) & 1) {"
     loop_head = "for (uint64_t ls_i%d = 0; ls_i%d < UINT64_C(%d); ls_i%d++) {"
 
-    def __init__(self, kind: str, trip_count: int, borrows: bool):
-        super().__init__(kind, trip_count)
-        self.borrows = borrows
+    def __init__(self, program: astgen.Program):
+        super().__init__(program)
+        self.borrowers = _callees_passed_objects(program)
+
+    def headers(self, program: astgen.Program, banner: str) -> List[SourceFile]:
+        protos = "".join(
+            "void f%d(ls_params data, uint64_t path);\n" % fn.id for fn in program.functions
+        )
+        text = "\n".join([
+            banner,
+            _HEADER_COMMON,
+            self.parts.structs + _HEADER_PARAMS % self.parts.param,
+            _HEADER_PROTOS % self.parts.param + self.parts.protos,
+            protos,
+            "#endif /* LS_RUNTIME_H */\n",
+        ])
+        return [SourceFile("runtime.h", text)]
+
+    def runtime(self, program: astgen.Program, cfg: EmitConfig) -> str:
+        return "\n".join([
+            _MAIN_INCLUDES,
+            "int ls_debug = %d;\n" % (1 if cfg.debug_trace else 0)
+            + "uint64_t ls_checksum = UINT64_C(14695981039346656037);\n"
+            + "uint64_t ls_next_id = UINT64_C(1);\n"
+            + "uint64_t ls_rng_state = UINT64_C(%d);\n" % program.plan.seed,
+            _IMPL_COMMON,
+            _IMPL_PARAMS % self.parts.param,
+            self.parts.impl,
+        ])
+
+    def function(self, fn: astgen.FunctionDef) -> str:
+        self.borrows = fn.id in self.borrowers
+        return super().function(fn)
 
     def new(self, slot):
         if self.scalar:
@@ -405,90 +442,14 @@ class _CSyntax(BraceSyntax):
     def call(self, callee, slots, k):
         if not slots:
             return ["f%d(ls_make_params(NULL, 0), path);" % callee]
-        elem = "int64_t " if self.scalar else "ls_obj *"
         args = ", ".join("v%d" % s for s in slots)
         return ["{",
-                self.indent + "%sls_args%d[] = { %s };" % (elem, k, args),
+                self.indent + "%sls_args%d[] = { %s };" % (self.parts.param, k, args),
                 self.indent + "f%d(ls_make_params(ls_args%d, %d), path);" % (callee, k, len(slots)),
                 "}"]
 
 
-def _emit_main(entry_id: int) -> str:
-    return (
-        "int main(int argc, char **argv)\n"
-        "{\n"
-        "    uint64_t path = 0;\n"
-        "    int got_path = 0;\n"
-        "    char *end;\n"
-        "    int i;\n"
-        "    for (i = 1; i < argc; i++) {\n"
-        "        if (strcmp(argv[i], \"--debug\") == 0) {\n"
-        "            ls_debug = 1;\n"
-        "        } else if (!got_path) {\n"
-        "            errno = 0;\n"
-        "            path = strtoull(argv[i], &end, 10);\n"
-        "            if (argv[i][0] < '0' || argv[i][0] > '9' || *end != '\\0' || errno == ERANGE) {\n"
-        "                fprintf(stderr, \"%s\\n\", argv[i]);\n"
-        "                return 2;\n"
-        "            }\n"
-        "            got_path = 1;\n"
-        "        }\n"
-        "    }\n"
-        "    f%d(ls_make_params(NULL, 0), path);\n"
-        "    printf(\"CHECKSUM %%\" PRIu64 \"\\n\", ls_checksum);\n"
-        "    return 0;\n"
-        "}\n" % (PATH_ERROR, entry_id)
-    )
-
-
-_MAIN_INCLUDES = """\
-#include <errno.h>
-#include <inttypes.h>
-#include <stdio.h>
-#include <stdlib.h>
-#include <string.h>
-
-#include "runtime.h"
-"""
-
-
-class CBackend:
+class CBackend(BraceBackend):
     """Generates C99 sources."""
 
-    id = "c"
-
-    def emit(self, program: astgen.Program, cfg: EmitConfig) -> List[SourceFile]:
-        kind = program.plan.container_kind
-        trip = program.plan.trip_count
-        banner = _BANNER.format(n=len(program.functions), kind=kind)
-        files = [SourceFile("runtime.h", _runtime_header(program, kind))]
-        borrowers = _callees_passed_objects(program)
-
-        def function_text(fn: astgen.FunctionDef) -> str:
-            return _CSyntax(kind, trip, fn.id in borrowers).function(fn)
-
-        main_parts = [
-            banner,
-            _MAIN_INCLUDES,
-            _globals_block(program.plan.seed, cfg.debug_trace),
-            _runtime_impl(kind),
-        ]
-        if cfg.split_files:
-            main_parts.append(function_text(program.entry))
-            main_parts.append(_emit_main(program.entry_id))
-            files.append(SourceFile("main.c", "\n".join(main_parts)))
-            for fn in program.functions:
-                if fn.id == program.entry_id:
-                    continue
-                text = "\n".join([
-                    banner,
-                    "#include \"runtime.h\"\n",
-                    function_text(fn),
-                ])
-                files.append(SourceFile("f%d.c" % fn.id, text))
-        else:
-            for fn in program.functions:
-                main_parts.append(function_text(fn))
-            main_parts.append(_emit_main(program.entry_id))
-            files.append(SourceFile("main.c", "\n".join(main_parts)))
-        return files
+    syntax = _CSyntax

@@ -12,26 +12,20 @@ compile errors in Go.
 
 from __future__ import annotations
 
-from typing import List
+from collections import namedtuple
 
 from .. import astgen
-from .base import PATH_ERROR, BraceSyntax, EmitConfig, SourceFile
+from .base import BraceBackend, BraceSyntax, EmitConfig
 
-_BANNER = "// Generated benchmark program: {n} function(s), {kind} container."
-
-_STRUCTS = {
-    "array": """\
+_OBJ_ARRAY = """\
 type lsObj struct {
 	id   uint64
 	vals []int64
 }
 
-type lsParams struct {
-	items    []*lsObj
-	consumed int
-}
-""",
-    "sortedList": """\
+"""
+
+_OBJ_SORTED = """\
 type lsNode struct {
 	val  int64
 	next *lsNode
@@ -43,18 +37,15 @@ type lsObj struct {
 	size int
 }
 
+"""
+
+# % the parameter element type, as in _KINDS
+_PARAMS = """\
 type lsParams struct {
-	items    []*lsObj
+	items    []%s
 	consumed int
 }
-""",
-    "scalar": """\
-type lsParams struct {
-	items    []int64
-	consumed int
-}
-""",
-}
+"""
 
 _IMPL_COMMON = """\
 func lsRngNext() uint64 {
@@ -71,11 +62,13 @@ func lsLog(opcode uint64, kind string, varID uint64, val int64, res int64) {
 }
 """
 
-_IMPL_PARAMS_HEAP = """\
-func lsMakeParams(items []*lsObj) lsParams {
+_IMPL_PARAMS = """\
+func lsMakeParams(items []%s) lsParams {
 	return lsParams{items: items}
 }
+"""
 
+_IMPL_NEW_HEAP = """\
 func lsNew(data *lsParams) *lsObj {
 	if data.consumed < len(data.items) {
 		obj := data.items[data.consumed]
@@ -157,10 +150,6 @@ func lsContains(obj *lsObj, val int64) {
 """
 
 _IMPL_SCALAR = """\
-func lsMakeParams(items []int64) lsParams {
-	return lsParams{items: items}
-}
-
 func lsNew(data *lsParams, slot uint64) int64 {
 	if data.consumed < len(data.items) {
 		v := data.items[data.consumed]
@@ -196,74 +185,14 @@ func lsContains(v int64, slot uint64, val int64) {
 """
 
 
-def _globals_block(seed: int, debug_trace: bool) -> str:
-    return (
-        "var lsDebug = %s\n" % ("true" if debug_trace else "false")
-        + "var lsChecksum = uint64(14695981039346656037)\n"
-        + "var lsNextID = uint64(1)\n"
-        + "var lsRngState = uint64(%d)\n" % seed
-    )
+_Kind = namedtuple("_Kind", "param structs impl")
 
-
-def _runtime_impl(kind: str) -> str:
-    if kind == "scalar":
-        return "\n".join([_IMPL_COMMON, _IMPL_SCALAR])
-    body = _IMPL_ARRAY if kind == "array" else _IMPL_SORTED
-    return "\n".join([_IMPL_COMMON, _IMPL_PARAMS_HEAP, body])
-
-
-_GO_OPS = {"insert": "lsInsert", "remove": "lsRemove", "contains": "lsContains"}
-
-
-class _GoSyntax(BraceSyntax):
-    indent = "\t"
-    fn_head = "func f%d(data lsParams, path uint64) {"
-    if_head = "if (path>>%d)&1 == 1 {"
-    loop_head = "for lsI%d := uint64(0); lsI%d < %d; lsI%d++ {"
-
-    def new(self, slot):
-        if self.scalar:
-            return ["v%d := lsNew(&data, %d)" % (slot, slot), "_ = v%d" % slot]
-        return ["v%d := lsNew(&data)" % slot, "_ = v%d" % slot]
-
-    def op(self, name, slot, value):
-        if self.scalar:
-            var = ("v%d" if name == "contains" else "&v%d") % slot
-            return ["%s(%s, %d, %d)" % (_GO_OPS[name], var, slot, value)]
-        return ["%s(v%d, %d)" % (_GO_OPS[name], slot, value)]
-
-    def call(self, callee, slots, k):
-        if slots:
-            elem = "[]int64" if self.scalar else "[]*lsObj"
-            args = "%s{%s}" % (elem, ", ".join("v%d" % s for s in slots))
-        else:
-            args = "nil"
-        return ["f%d(lsMakeParams(%s), path)" % (callee, args)]
-
-
-def _emit_main(entry_id: int) -> str:
-    return (
-        "func main() {\n"
-        "\tpath := uint64(0)\n"
-        "\tgotPath := false\n"
-        "\tfor _, arg := range os.Args[1:] {\n"
-        "\t\tif arg == \"--debug\" {\n"
-        "\t\t\tlsDebug = true\n"
-        "\t\t} else if !gotPath {\n"
-        "\t\t\tv, err := strconv.ParseUint(arg, 10, 64)\n"
-        "\t\t\tif err != nil {\n"
-        "\t\t\t\tfmt.Fprintf(os.Stderr, \"%s\\n\", arg)\n"
-        "\t\t\t\tos.Exit(2)\n"
-        "\t\t\t}\n"
-        "\t\t\tpath = v\n"
-        "\t\t\tgotPath = true\n"
-        "\t\t}\n"
-        "\t}\n"
-        "\tf%d(lsMakeParams(nil), path)\n"
-        "\tfmt.Printf(\"CHECKSUM %%d\\n\", lsChecksum)\n"
-        "}\n" % (PATH_ERROR, entry_id)
-    )
-
+# A kind's parameter element type, object structs and runtime.
+_KINDS = {
+    "array": _Kind("*lsObj", _OBJ_ARRAY, _IMPL_NEW_HEAP + "\n" + _IMPL_ARRAY),
+    "sortedList": _Kind("*lsObj", _OBJ_SORTED, _IMPL_NEW_HEAP + "\n" + _IMPL_SORTED),
+    "scalar": _Kind("int64", "", _IMPL_SCALAR),
+}
 
 _MAIN_IMPORTS = """\
 package main
@@ -276,40 +205,69 @@ import (
 """
 
 
-class GoBackend:
+class _GoSyntax(BraceSyntax):
+    extension = "go"
+    kinds = _KINDS
+    banner = "// Generated benchmark program: {n} function(s), {kind} container."
+    file_head = "package main\n"
+    main_fn = """\
+func main() {
+	path := uint64(0)
+	gotPath := false
+	for _, arg := range os.Args[1:] {
+		if arg == "--debug" {
+			lsDebug = true
+		} else if !gotPath {
+			v, err := strconv.ParseUint(arg, 10, 64)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "%s\\n", arg)
+				os.Exit(2)
+			}
+			path = v
+			gotPath = true
+		}
+	}
+	f%d(lsMakeParams(nil), path)
+	fmt.Printf("CHECKSUM %%d\\n", lsChecksum)
+}
+"""
+    indent = "\t"
+    fn_head = "func f%d(data lsParams, path uint64) {"
+    if_head = "if (path>>%d)&1 == 1 {"
+    loop_head = "for lsI%d := uint64(0); lsI%d < %d; lsI%d++ {"
+
+    def runtime(self, program: astgen.Program, cfg: EmitConfig) -> str:
+        return "\n".join([
+            _MAIN_IMPORTS,
+            "var lsDebug = %s\n" % ("true" if cfg.debug_trace else "false")
+            + "var lsChecksum = uint64(14695981039346656037)\n"
+            + "var lsNextID = uint64(1)\n"
+            + "var lsRngState = uint64(%d)\n" % program.plan.seed,
+            self.parts.structs + _PARAMS % self.parts.param,
+            _IMPL_COMMON,
+            _IMPL_PARAMS % self.parts.param,
+            self.parts.impl,
+        ])
+
+    def new(self, slot):
+        if self.scalar:
+            return ["v%d := lsNew(&data, %d)" % (slot, slot), "_ = v%d" % slot]
+        return ["v%d := lsNew(&data)" % slot, "_ = v%d" % slot]
+
+    def op(self, name, slot, value):
+        if self.scalar:
+            var = ("v%d" if name == "contains" else "&v%d") % slot
+            return ["ls%s(%s, %d, %d)" % (name.capitalize(), var, slot, value)]
+        return ["ls%s(v%d, %d)" % (name.capitalize(), slot, value)]
+
+    def call(self, callee, slots, k):
+        args = "nil"
+        if slots:
+            args = "[]%s{%s}" % (self.parts.param, ", ".join("v%d" % s for s in slots))
+        return ["f%d(lsMakeParams(%s), path)" % (callee, args)]
+
+
+class GoBackend(BraceBackend):
     """Generates Go sources (single package main)."""
 
-    id = "go"
-
-    def emit(self, program: astgen.Program, cfg: EmitConfig) -> List[SourceFile]:
-        kind = program.plan.container_kind
-        syntax = _GoSyntax(kind, program.plan.trip_count)
-        banner = _BANNER.format(n=len(program.functions), kind=kind)
-
-        main_parts = [
-            banner,
-            _MAIN_IMPORTS,
-            _globals_block(program.plan.seed, cfg.debug_trace),
-            _STRUCTS[kind],
-            _runtime_impl(kind),
-        ]
-        files = []
-        if cfg.split_files:
-            main_parts.append(syntax.function(program.entry))
-            main_parts.append(_emit_main(program.entry_id))
-            files.append(SourceFile("main.go", "\n".join(main_parts)))
-            for fn in program.functions:
-                if fn.id == program.entry_id:
-                    continue
-                text = "\n".join([
-                    banner,
-                    "package main\n",
-                    syntax.function(fn),
-                ])
-                files.append(SourceFile("f%d.go" % fn.id, text))
-        else:
-            for fn in program.functions:
-                main_parts.append(syntax.function(fn))
-            main_parts.append(_emit_main(program.entry_id))
-            files.append(SourceFile("main.go", "\n".join(main_parts)))
-        return files
+    syntax = _GoSyntax

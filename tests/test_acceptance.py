@@ -252,7 +252,8 @@ def test_criterion_08_generation_determinism(tmp_path, capsys):
                 digest = hashlib.sha256()
                 for name in sorted(os.listdir(out)):
                     digest.update(name.encode())
-                    digest.update(open(os.path.join(out, name), "rb").read())
+                    with open(os.path.join(out, name), "rb") as fh:
+                        digest.update(fh.read())
                 hashes.append(digest.hexdigest())
             assert hashes[0] == hashes[1]
         capsys.readouterr()

@@ -238,7 +238,8 @@ def test_check_corrupted_source_reports_mismatch(spec_file, tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "trace-mismatch" in printed
     assert "first divergence at event" in printed
-    rows = [json.loads(line) for line in open(report, encoding="utf-8")]
+    with open(report, encoding="utf-8") as fh:
+        rows = [json.loads(line) for line in fh]
     assert rows[0]["status"] == "trace-mismatch"
 
 
@@ -265,6 +266,29 @@ def test_check_checksum_only_mode(spec_file, tmp_path, capsys):
         ok = cmd_check(spec_file, out, CC_STRICT, paths=[0, 1], checksum_only=True)
     assert ok is True
     assert "pass" in capsys.readouterr().out
+
+
+@needs_c
+def test_check_checksum_only_ignores_a_baked_in_trace(spec_file, tmp_path, capsys):
+    # A --debug-trace build prints its trace without --debug; checksum-only
+    # mode compares the CHECKSUM line alone.
+    out = str(tmp_path / "out")
+    gen_quiet(spec_file, out, 4, default_plan(),
+              codegen.EmitConfig(backend="c", debug_trace=True))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ok = cmd_check(spec_file, out, CC_STRICT, paths=[0, 1], checksum_only=True)
+        assert ok is True, capsys.readouterr().out
+        assert cmd_check(spec_file, out, CC_STRICT, paths=[1]) is True
+    with open(os.path.join(out, "main.c"), encoding="utf-8") as fh:
+        text = fh.read()
+    with open(os.path.join(out, "main.c"), "w", encoding="utf-8") as fh:
+        fh.write(text.replace("ls_contains(v", "ls_remove(v", 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cmd_check(spec_file, out, CC_STRICT, paths=[1], checksum_only=True) is False
+    printed = capsys.readouterr().out
+    assert "first divergence at event 0: got 'CHECKSUM " in printed
 
 
 @needs_c
@@ -359,7 +383,8 @@ def test_measure_two_flag_sets_two_rows(spec_file, tmp_path, capsys):
     assert rows[0]["flags"] == "-O0"
     assert rows[1]["flags"] == "-O2"
     assert rows[0]["checksum"] == rows[1]["checksum"]
-    json_rows = [json.loads(line) for line in open(json_path, encoding="utf-8")]
+    with open(json_path, encoding="utf-8") as fh:
+        json_rows = [json.loads(line) for line in fh]
     assert len(json_rows) == 2
     assert len(json_rows[0]) == len(bench.MEASUREMENT_COLUMNS)
 
@@ -409,6 +434,41 @@ def test_measure_path1_checks_against_the_manifest_checksum(spec_file, tmp_path,
     capsys.readouterr()
     assert not m.failed, m.error
     assert m.checksum == interpret(program, oracle.ExecConfig(path=2))[1].checksum
+
+
+@pytest.mark.parametrize("repetitions, warmups, message", [
+    (0, 3, "repetitions must be at least 1, got 0"),
+    (-2, 3, "repetitions must be at least 1, got -2"),
+    (10, -4, "warmups must be at least 0, got -4"),
+])
+def test_measure_and_sweep_reject_bad_run_counts(repetitions, warmups, message,
+                                                 spec_file, tmp_path, monkeypatch):
+    out = str(tmp_path / "out")
+    gen_quiet(spec_file, out, 4, default_plan(), codegen.EmitConfig(backend="c"))
+
+    def no_compile(*args, **kwargs):
+        raise AssertionError("compiled despite a bad run count")
+
+    monkeypatch.setattr(bench, "start_compile", no_compile)
+    with pytest.raises(ValueError, match=message):
+        cmd_measure(spec_file, out, CC_FLAGS, flag_sets=[""],
+                    repetitions=repetitions, warmups=warmups)
+    with pytest.raises(ValueError, match=message):
+        cmd_sweep_pgo(spec_file, out, "a", "b", "c", sweep=SweepConfig([1]),
+                      repetitions=repetitions, warmups=warmups)
+
+
+def test_median_run_ms_discards_the_warmups(monkeypatch):
+    elapsed = iter([100.0, 90.0, 1.0, 3.0, 2.0])
+    calls = []
+
+    def fake_run(argv, cwd=None, env=None):
+        calls.append(argv)
+        return next(elapsed), subprocess.CompletedProcess(argv, 0, "CHECKSUM %d\n" % len(calls), "")
+
+    monkeypatch.setattr(bench, "timed_run", fake_run)
+    assert bench._median_run_ms("prog", 5, repetitions=3, warmups=2) == (2.0, "CHECKSUM 5\n")
+    assert calls == [["prog", "5"]] * 5
 
 
 def test_measure_unknown_compiler_marks_rows_failed(spec_file, tmp_path, capsys):

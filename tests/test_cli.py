@@ -118,6 +118,38 @@ def test_path_flags_reject_values_outside_64_bits(command, flag, value, capsys):
     assert vars(args)[flag[2:].replace("-", "_")] in (2**64 - 1, [2**64 - 1])
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("check", "--paths", ""),
+    ("check", "--paths", ","),
+    ("check", "--seeds", ""),
+    ("check", "--seeds", " , "),
+    ("sweep-pgo", "--bits", ""),
+])
+def test_list_flags_reject_empty_lists(command, flag, value, capsys):
+    # An empty list would check nothing and pass, or fall back to a default.
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(USAGE_PREFIXES[command] + [flag, value])
+    assert excinfo.value.code == 2
+    assert "expected comma-separated integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("measure", "--repetitions", "0"),
+    ("measure", "--warmups", "-4"),
+    ("sweep-pgo", "--repetitions", "0"),
+    ("sweep-pgo", "--warmups", "-1"),
+])
+def test_run_count_flags_reject_values_that_were_clamped(
+        command, flag, value, spec_file, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert run_cli(["gen", spec_file, "--out", out]) == 0
+    capsys.readouterr()
+    argv = USAGE_PREFIXES[command] + ["--out", out, flag, value]
+    argv[1] = spec_file
+    assert run_cli(argv) == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, extra", [
     ("check", []),
     ("measure", ["--no-oracle-check"]),

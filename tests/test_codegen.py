@@ -1,4 +1,6 @@
+import hashlib
 import os
+import random
 import re
 import warnings
 
@@ -10,6 +12,7 @@ from helpers import (
     compile_c,
     find_c_compiler,
     find_go_compiler,
+    random_seq_nonempty,
     run_binary,
     write_files,
 )
@@ -78,16 +81,20 @@ def test_unknown_backend_error_names_known_ones():
         emit(program, EmitConfig(backend="fortran"))
 
 
-def test_container_mismatch_rejected():
-    program = small_program("array")
-    with pytest.raises(BackendError, match="container"):
-        emit(program, EmitConfig(backend="c", container_kind="scalar"))
+def test_every_kind_has_a_runtime_and_every_backend_an_extension():
+    for module in (codegen.c, codegen.go):
+        assert sorted(module._KINDS) == sorted(astgen.CONTAINER_KINDS), module.__name__
+    for backend_id in registered_backends():
+        extension = codegen.get_backend(backend_id).extension
+        assert extension and not extension.startswith("."), backend_id
 
+    class NoExtension:
+        def emit(self, program, cfg):
+            return []
 
-def test_container_echo_accepted():
-    program = small_program("array")
-    files = emit(program, EmitConfig(backend="c", container_kind="array"))
-    assert files
+    with pytest.raises(BackendError, match="extension"):
+        register_backend("no-extension", NoExtension())
+    assert "no-extension" not in registered_backends()
 
 
 def test_template_backend_round_trip():
@@ -407,3 +414,45 @@ def test_source_file_is_frozen():
     f = SourceFile("a.c", "x")
     with pytest.raises(Exception):
         f.contents = "y"
+
+
+# ---------------------------------------------------------------------------
+# every emitter option, pinned by one digest
+
+DIGEST_SPECS = ([(CALL_CHURN_SPEC, g) for g in (3, 5, 8)]
+                + [(CONTAINER_STRESS_SPEC, g) for g in (4, 7)])
+# (files, sha256) of everything the test below emits.
+EMITTED_FILES_DIGEST = (2424, "1c2664eebb7b088187ebd0331b116f4352c07929bc0747012e081eeba509cb3a")
+
+
+def digest_programs(kind, seed):
+    for spec_text, generations in DIGEST_SPECS:
+        derived = grammar.derive(grammar.parse_spec(spec_text), generations)
+        yield astgen.lower(derived, astgen.OperandPlan(seed=seed, container_kind=kind))
+    rng = random.Random(2718)
+    for _ in range(12):
+        seq = random_seq_nonempty(rng, depth=3)
+        yield astgen.lower(seq, astgen.OperandPlan(seed=seed, container_kind=kind))
+
+
+def test_emitted_sources_digest_is_pinned():
+    # The golden fixtures pin single-file, non-debug output of one program;
+    # this pins both layouts and both debug defaults on larger programs.
+    digest = hashlib.sha256()
+    files = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for kind in astgen.CONTAINER_KINDS:
+            for seed in (0, 7):
+                for program in digest_programs(kind, seed):
+                    for backend in ("c", "go"):
+                        for split in (False, True):
+                            for debug in (False, True):
+                                cfg = EmitConfig(backend=backend, split_files=split,
+                                                 debug_trace=debug)
+                                for f in emit(program, cfg):
+                                    digest.update(f.relative_path.encode() + b"\0")
+                                    digest.update(f.contents.encode() + b"\0")
+                                    files += 1
+    assert files == EMITTED_FILES_DIGEST[0]
+    assert digest.hexdigest() == EMITTED_FILES_DIGEST[1]
