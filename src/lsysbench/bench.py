@@ -380,6 +380,8 @@ def cmd_check(
     Returns True when every (seed, path) combination passes. Failure
     categories: compile-failure, runtime-failure, trace-mismatch.
     """
+    if not paths:  # else no binary runs and the check passes vacuously
+        raise BenchError("check needs at least one PATH")
     manifest = load_manifest(out_dir)
     spec_text = read_spec_file(spec_path)
     check_spec(spec_text, manifest)

@@ -29,7 +29,6 @@ CHECKSUM_PRIME = 1099511628211
 OPCODES = {"new": 1, "insert": 2, "remove": 3, "contains": 4}
 # event = opcode << 48 | var << 32 | val << 16 | res, low 16 bits of each field
 _OP_SHIFT, _VAR_SHIFT, _VAL_SHIFT, _FIELD = 48, 32, 16, 0xFFFF
-_OP_NAMES = {code: op for op, code in OPCODES.items()}
 
 
 class OracleInvariantError(RuntimeError):
@@ -77,6 +76,15 @@ def checksum_update(cs: int, op: str, var: int, val: int, res: int) -> int:
 
 def format_trace_event(event: TraceEvent) -> str:
     return f"OP kind={event.op} var={event.var} val={event.val} res={event.res}"
+
+
+class _Line(str):
+    """A statement's trace line by format_trace_event, var and res left as %s."""
+
+    def __new__(cls, op: str, val: int) -> _Line:
+        line = super().__new__(cls, format_trace_event(TraceEvent(op, "%s", val, "%s")) + "\n")
+        line.op, line.val = op, val
+        return line
 
 
 def _broken(message: str):
@@ -127,11 +135,8 @@ class _Frame:
         self.owned = 0  # objects this frame allocated and has not freed
 
 
-def interpret(
-    program: Program,
-    cfg: Optional[ExecConfig] = None,
-    verify_ownership: bool = False,
-) -> Tuple[List[TraceEvent], RunStats]:
+def interpret(program: Program, cfg: Optional[ExecConfig] = None,
+              verify_ownership: bool = False) -> Tuple[List[TraceEvent], RunStats]:
     """Run the entry function; returns (trace, stats).
 
     The trace list is populated only when cfg.debug_trace is set; the
@@ -155,36 +160,42 @@ def interpret(
     Each call compiles the program into closures, one per statement, block
     and function, each function on its first call; nothing is kept between
     calls. Compiling settles the container kind, each If's arm (the arm not
-    taken is never compiled), the slots each block binds, the static bits of
-    each checksum event, and whether events are traced. A Call to an inert
-    callee, one whose body through nested If/Loop/Call has no New, Insert,
-    Remove or Contains and passes no slots, compiles to its argument checks
-    alone: it would emit nothing and allocate nothing.
+    taken is never compiled), the slots each block binds, and each event's
+    static part: its checksum bits and, when traced, its trace line, built
+    by format_trace_event with var and res left open. A traced event makes
+    no object: it appends its line, var and res to one flat list, which is
+    decoded into TraceEvents after the run (run_to_text formats it instead).
+    A Call to an inert callee, one whose body through nested If/Loop/Call
+    has no New, Insert, Remove or Contains and passes no slots, compiles to
+    its argument checks alone: it would emit nothing and allocate nothing.
     """
-    cfg = cfg or ExecConfig()
+    records, stats = _run(program, cfg or ExecConfig(), verify_ownership)
+    return [TraceEvent(line.op, var, line.val, res)
+            for line, var, res in zip(*[iter(records)] * 3)], stats
+
+
+def _run(program: Program, cfg: ExecConfig, verify_ownership: bool) -> Tuple[list, RunStats]:
+    """interpret's run; returns (records, stats), records flat as (line, var, res)*."""
     plan = program.plan
     scalar = plan.container_kind == "scalar"
     path = cfg.path & _MASK64
     live: Dict[int, HeapObject] = {}
     ids = itertools.count(1)
     max_live = 0
-    trace: List[TraceEvent] = []
-    counts = dict.fromkeys(_OP_NAMES, 0)
+    traced = cfg.debug_trace
+    records: list = []
+    record = records.extend
+    counts = dict.fromkeys(OPCODES.values(), 0)
     cs = CHECKSUM_OFFSET
     compiled: Dict[int, Callable[[list], None]] = {}
     inert: Dict[int, bool] = {}
 
-    def emit(hi: int, var: int, val: int, res: int) -> None:
-        nonlocal cs  # hi: the event's opcode and val bits, fixed per statement
+    def emit(hi: int, line: Optional[_Line], var: int, res: int) -> None:
+        nonlocal cs  # hi and line: the event's opcode and val, fixed per statement
         cs = ((cs * CHECKSUM_PRIME) & _MASK64) ^ hi ^ ((var & _FIELD) << _VAR_SHIFT) ^ (res & _FIELD)
         counts[hi >> _OP_SHIFT] += 1
-
-    if cfg.debug_trace:
-        fold = emit
-
-        def emit(hi: int, var: int, val: int, res: int) -> None:
-            fold(hi, var, val, res)
-            trace.append(TraceEvent(_OP_NAMES[hi >> _OP_SHIFT], var, val, res))
+        if traced:
+            record((line, var, res))
 
     def alloc(f: _Frame) -> HeapObject:
         nonlocal max_live
@@ -209,7 +220,7 @@ def interpret(
         # only a slot's first binding in a block is saved for the block's
         # exit; a same-block rebinding drops the old object unfreed (a leak
         # the generator never emits; hand-built programs can)
-        hi = checksum_update(0, "new", 0, 0, 0)
+        hi, line = checksum_update(0, "new", 0, 0, 0), _Line("new", 0) if traced else None
 
         def op(f: _Frame) -> None:
             alias = next(f.params, None)  # a value copy in scalar
@@ -217,12 +228,12 @@ def interpret(
             if first:
                 f.saved.append(f.slots[slot])
             f.slots[slot] = value
-            emit(hi, ident(value, slot), 0, 1 if alias is None else 0)
+            emit(hi, line, ident(value, slot), 1 if alias is None else 0)
         return op
 
     def operand_op(st):
-        slot, value = st.slot, st.value
-        hi = checksum_update(0, type(st).__name__.lower(), 0, value, 0)
+        slot, value, kind = st.slot, st.value, type(st).__name__.lower()
+        hi, line = checksum_update(0, kind, 0, value, 0), _Line(kind, value) if traced else None
         if scalar:
             step, result = _SCALAR_OPS[type(st)]
 
@@ -231,7 +242,7 @@ def interpret(
                 if v is None:
                     _unusable(v, slot)
                 f.slots[slot] = v + step
-                emit(hi, slot, value, result(v))
+                emit(hi, line, slot, result(v))
             return op
         act = _MULTISET_OPS[type(st)]
 
@@ -239,7 +250,7 @@ def interpret(
             obj = f.slots[slot]
             if obj is None or obj.id not in live:
                 _unusable(obj, slot)
-            emit(hi, obj.id, value, act(obj, value))
+            emit(hi, line, obj.id, act(obj, value))
         return op
 
     def check_args(f: _Frame, avail: List[int]) -> None:
@@ -328,13 +339,8 @@ def interpret(
         return run
 
     function(program.entry_id)([])
-    stats = RunStats(
-        op_counts={op: counts[code] for op, code in OPCODES.items()},
-        max_live=max_live,
-        live_at_exit=len(live),
-        checksum=cs,
-    )
-    return trace, stats
+    op_counts = {op: counts[code] for op, code in OPCODES.items()}
+    return records, RunStats(op_counts, max_live, live_at_exit=len(live), checksum=cs)
 
 
 def verify_no_leaks(stats: RunStats) -> bool:
@@ -342,9 +348,13 @@ def verify_no_leaks(stats: RunStats) -> bool:
 
 
 def run_to_text(program: Program, cfg: Optional[ExecConfig] = None) -> str:
-    """Exactly what a compiled backend binary prints for this run."""
+    """Exactly what a compiled backend binary prints for this run. A traced
+    run fills each recorded event's line with its var and res, once; it
+    makes no TraceEvent. An untraced run prints the checksum alone."""
     cfg = cfg or ExecConfig()
-    trace, stats = interpret(program, cfg)
-    lines = [format_trace_event(e) + "\n" for e in trace]
+    if not cfg.debug_trace:  # via interpret, so a hook on it counts untraced runs
+        return f"CHECKSUM {interpret(program, cfg)[1].checksum}\n"
+    records, stats = _run(program, cfg, False)
+    lines = [line % (var, res) for line, var, res in zip(*[iter(records)] * 3)]
     lines.append(f"CHECKSUM {stats.checksum}\n")
     return "".join(lines)

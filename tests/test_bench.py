@@ -353,6 +353,16 @@ def test_check_kills_the_compile_when_the_oracle_fails(spec_file, tmp_path, monk
     assert children[0].returncode is not None  # reaped, not left running
 
 
+def test_check_refuses_an_empty_path_list_before_compiling(spec_file, tmp_path, monkeypatch):
+    out = str(tmp_path / "out")
+    gen_quiet(spec_file, out, 3, default_plan(), codegen.EmitConfig(backend="c"))
+    compiles = []
+    monkeypatch.setattr(bench, "start_compile", lambda *args, **kwargs: compiles.append(args))
+    with pytest.raises(BenchError, match="at least one PATH"):
+        cmd_check(spec_file, out, "cc {in} -o {out}", paths=[])
+    assert compiles == []
+
+
 # ---------------------------------------------------------------------------
 # measure
 

@@ -569,3 +569,19 @@ def test_oracle_results_digest_is_pinned():
                 assert run_record(program, path, verify_ownership=True) == record
             digest.update(record.encode())
     assert digest.hexdigest() == ORACLE_DIGEST
+
+
+def test_run_to_text_matches_the_formatted_trace_and_untraced_runs_match():
+    # run_to_text formats its own records; it must print exactly what
+    # format_trace_event makes of interpret's trace, and tracing must not
+    # change the checksum or any statistic
+    for program in digest_programs():
+        for path in (0, 1, U64):
+            trace, stats = interpret(program, ExecConfig(path=path, debug_trace=True))
+            want = "".join(format_trace_event(e) + "\n" for e in trace)
+            want += f"CHECKSUM {stats.checksum}\n"
+            assert run_to_text(program, ExecConfig(path=path, debug_trace=True)) == want
+            untraced, plain = interpret(program, ExecConfig(path=path))
+            assert untraced == []
+            assert (plain.checksum, plain.op_counts, plain.max_live, plain.live_at_exit) == (
+                stats.checksum, stats.op_counts, stats.max_live, stats.live_at_exit)
