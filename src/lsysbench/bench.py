@@ -125,7 +125,9 @@ def build_manifest(
     emit_cfg: codegen.EmitConfig,
     program: astgen.Program,
     files: Sequence[codegen.SourceFile],
+    total_ops: int,
 ) -> dict:
+    """The manifest of a generated program; total_ops is count_ops(program)."""
     checksum_path1 = oracle.interpret(program, oracle.ExecConfig(path=1))[1].checksum
     return {
         "schema": MANIFEST_SCHEMA,
@@ -141,7 +143,7 @@ def build_manifest(
         "debugTrace": emit_cfg.debug_trace,
         "functionCount": len(program.functions),
         "entryId": program.entry_id,
-        "totalOps": count_ops(program),
+        "totalOps": total_ops,
         "files": sorted(f.relative_path for f in files),
         "oracleChecksumPath1": checksum_path1,
     }
@@ -219,18 +221,63 @@ def render_template(template: str, mapping: Dict[str, str]) -> List[str]:
     return argv
 
 
+def _kill_group(child: subprocess.Popen) -> None:
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(child.pid, signal.SIGKILL)
+
+
+def _start(
+    argv: List[str],
+    cwd: Optional[str] = None,
+    env: Optional[Dict[str, str]] = None,
+) -> Callable[..., Tuple[float, subprocess.CompletedProcess]]:
+    """Start argv in a process group of its own and return its finisher.
+
+    ``finish()`` reaps the child and returns ``(ms, CompletedProcess)`` with
+    str output, timed from the start to the reap; ``finish(cancel=True)``
+    kills the child first. A kill, also one after an interrupted wait,
+    reaches the whole group, so that no child of the child (cc1, as, ld) is
+    left behind. stdout and stderr go to temporary files, which a large
+    trace crosses faster than a pipe.
+    """
+    out, err = tempfile.TemporaryFile("w+"), tempfile.TemporaryFile("w+")
+    start = time.perf_counter()
+    try:
+        child = subprocess.Popen(argv, cwd=cwd, env=env, stdout=out, stderr=err,
+                                 start_new_session=True)
+    except BaseException as exc:
+        out.close()
+        err.close()
+        if not isinstance(exc, OSError):
+            raise
+        failed = subprocess.CompletedProcess(argv, returncode=127, stdout="", stderr=str(exc))
+        return lambda cancel=False: ((time.perf_counter() - start) * 1000.0, failed)
+
+    def finish(cancel: bool = False) -> Tuple[float, subprocess.CompletedProcess]:
+        with out, err:
+            try:
+                if cancel:
+                    _kill_group(child)
+                child.wait()
+            finally:
+                if child.returncode is None:  # interrupted: leave no child behind
+                    _kill_group(child)
+                    child.wait()
+            elapsed_ms = (time.perf_counter() - start) * 1000.0
+            out.seek(0)
+            err.seek(0)
+            return elapsed_ms, subprocess.CompletedProcess(
+                argv, child.returncode, out.read(), err.read())
+
+    return finish
+
+
 def timed_run(
     argv: List[str],
     cwd: Optional[str] = None,
     env: Optional[Dict[str, str]] = None,
 ) -> Tuple[float, subprocess.CompletedProcess]:
-    start = time.perf_counter()
-    try:
-        proc = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True)
-    except OSError as exc:
-        proc = subprocess.CompletedProcess(argv, returncode=127, stdout="", stderr=str(exc))
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return elapsed_ms, proc
+    return _start(argv, cwd, env)()
 
 
 def start_compile(
@@ -240,43 +287,11 @@ def start_compile(
     out_binary: str,
     flags: Optional[str] = None,
 ) -> Callable[..., Tuple[float, subprocess.CompletedProcess]]:
-    """Start a compile in the background and return its finisher.
-
-    ``finish()`` reaps the compiler and returns ``(ms, CompletedProcess)``
-    timed from the start; ``finish(cancel=True)`` kills it first. The
-    compiler runs in a process group of its own, so that a kill also reaches
-    the children of a compiler driver (cc1, as, ld).
-    """
+    """Start a compile in the background and return its finisher (see _start)."""
     mapping = {"in": " ".join(src_files), "out": out_binary}
     if flags is not None:
         mapping["flags"] = flags
-    argv = render_template(cc_template, mapping)
-    start = time.perf_counter()
-    try:
-        child = subprocess.Popen(argv, cwd=src_dir, stdout=subprocess.PIPE,
-                                 stderr=subprocess.PIPE, text=True, start_new_session=True)
-    except OSError as exc:
-        failed = subprocess.CompletedProcess(argv, returncode=127, stdout="", stderr=str(exc))
-        return lambda cancel=False: ((time.perf_counter() - start) * 1000.0, failed)
-
-    def kill() -> None:
-        with contextlib.suppress(ProcessLookupError):
-            os.killpg(child.pid, signal.SIGKILL)
-
-    def finish(cancel: bool = False) -> Tuple[float, subprocess.CompletedProcess]:
-        with child:
-            try:
-                if cancel:
-                    kill()
-                stdout, stderr = child.communicate()
-            finally:
-                if child.returncode is None:  # interrupted: leave no compiler behind
-                    kill()
-                    child.wait()
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        return elapsed_ms, subprocess.CompletedProcess(argv, child.returncode, stdout, stderr)
-
-    return finish
+    return _start(render_template(cc_template, mapping), cwd=src_dir)
 
 
 def compile_sources(
@@ -339,7 +354,8 @@ def cmd_gen(
     """Generate sources and a manifest; returns the manifest (None if empty)."""
     spec_text = read_spec_file(spec_path)
     program = build_program(spec_text, generations, plan)
-    if count_ops(program) == 0:
+    total_ops = count_ops(program)
+    if total_ops == 0:
         print(
             "warning: derivation contains no behavioral operations; nothing to emit",
             file=sys.stderr,
@@ -347,7 +363,8 @@ def cmd_gen(
         return None
     files = codegen.emit(program, emit_cfg)
     spec_name = os.path.basename(spec_path)
-    manifest = build_manifest(spec_name, spec_text, generations, plan, emit_cfg, program, files)
+    manifest = build_manifest(spec_name, spec_text, generations, plan, emit_cfg, program, files,
+                              total_ops)
     write_source_files(files, out_dir)
     with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
         fh.write(manifest_to_json(manifest))
@@ -376,7 +393,9 @@ def cmd_check(
     """Compile the emitted program and diff each run against the oracle.
 
     The compile runs in the background while the oracle computes the
-    expected trace of every PATH; a failure there kills the compile.
+    expected trace of every PATH; then it is reaped and the binary runs at
+    each PATH. An oracle failure or an interrupt kills the compile or the
+    running binary with its process group.
     Returns True when every (seed, path) combination passes. Failure
     categories: compile-failure, runtime-failure, trace-mismatch.
     """

@@ -21,22 +21,25 @@ def _int_list(text: str) -> List[int]:
     return values
 
 
-def _checked_path(value: int) -> int:
-    # The emitted binaries read PATH as an unsigned 64-bit integer.
-    if not 0 <= value < 1 << astgen.PATH_BITS:
-        raise argparse.ArgumentTypeError(f"PATH must be in [0, 2^64), got {value}")
+def _checked_u64(what: str, value: int) -> int:
+    # The emitted programs read PATH, and bake in the planner seed, as
+    # unsigned 64-bit integers.
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"{what} must be in [0, 2^64), got {value}")
     return value
 
 
-def _path_value(text: str) -> int:
-    try:
-        return _checked_path(int(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+def _u64_value(what: str):
+    def parse(text: str) -> int:
+        try:
+            return _checked_u64(what, int(text))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return parse
 
 
-def _path_list(text: str) -> List[int]:
-    return [_checked_path(value) for value in _int_list(text)]
+def _u64_list(what: str):
+    return lambda text: [_checked_u64(what, value) for value in _int_list(text)]
 
 
 def _common_parser() -> argparse.ArgumentParser:
@@ -48,7 +51,7 @@ def _common_parser() -> argparse.ArgumentParser:
 
 def _add_generation_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("generation parameters")
-    group.add_argument("--seed", type=int, default=0,
+    group.add_argument("--seed", type=_u64_value("seed"), default=0,
                        help="operand planner seed (default 0)")
     group.add_argument("--generations", type=int, default=4,
                        help="rewrite iterations applied to the axiom (default 4)")
@@ -96,9 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--cc", required=True, metavar="TEMPLATE",
                          help="compile command with {in} and {out} placeholders, "
                               "e.g. 'gcc -std=c99 -O0 {in} -o {out}'")
-    p_check.add_argument("--paths", type=_path_list, default=[0, 1], metavar="P1,P2,...",
+    p_check.add_argument("--paths", type=_u64_list("PATH"), default=[0, 1], metavar="P1,P2,...",
                          help="PATH values to run (default 0,1)")
-    p_check.add_argument("--seeds", type=_int_list, default=None, metavar="S1,S2,...",
+    p_check.add_argument("--seeds", type=_u64_list("seed"), default=None, metavar="S1,S2,...",
                          help="extra planner seeds to regenerate and check "
                               "(default: the manifest's seed, using the on-disk sources)")
     p_check.add_argument("--checksum-only", action="store_true",
@@ -119,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="timed repetitions per flag set (default 10)")
     p_measure.add_argument("--warmups", type=int, default=3,
                            help="discarded warm-up runs (default 3)")
-    p_measure.add_argument("--path", type=_path_value, default=1,
+    p_measure.add_argument("--path", type=_u64_value("PATH"), default=1,
                            help="PATH value for the timed runs (default 1)")
     p_measure.add_argument("--size-cmd", metavar="TEMPLATE",
                            help="command with {bin} whose first output line is a byte "
@@ -138,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="instrumented compile command ({in}/{out})")
     p_sweep.add_argument("--cc-opt", required=True, metavar="TEMPLATE",
                          help="profile-consuming compile command ({in}/{out})")
-    p_sweep.add_argument("--train-path", type=_path_value, default=1,
+    p_sweep.add_argument("--train-path", type=_u64_value("PATH"), default=1,
                          help="PATH value for the training run (default 1)")
     p_sweep.add_argument("--bits", type=_int_list, default=None, metavar="I1,I2,...",
                          help="bit counts i; each runs PATH = 2^i - 1 "

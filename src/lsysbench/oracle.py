@@ -6,7 +6,6 @@ emitted program must reproduce bit for bit.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -41,12 +40,14 @@ class ExecConfig:
     debug_trace: bool = False
 
 
-@dataclass
 class HeapObject:
-    id: int
-    owner: _Frame  # the frame that allocated it, and the only one to free it
-    size: int = 0
-    counts: Dict[int, int] = field(default_factory=dict)
+    __slots__ = ("id", "owner", "size", "counts")
+
+    def __init__(self, id: int, owner: _Frame):
+        self.id = id
+        self.owner = owner  # the frame that allocated it, and the only one to free it
+        self.size = 0
+        self.counts: Dict[int, int] = {}
 
 
 class TraceEvent(NamedTuple):
@@ -180,77 +181,80 @@ def _run(program: Program, cfg: ExecConfig, verify_ownership: bool) -> Tuple[lis
     scalar = plan.container_kind == "scalar"
     path = cfg.path & _MASK64
     live: Dict[int, HeapObject] = {}
-    ids = itertools.count(1)
-    max_live = 0
+    last_id = max_live = 0
     traced = cfg.debug_trace
     records: list = []
     record = records.extend
-    counts = dict.fromkeys(OPCODES.values(), 0)
+    counts = [0] * (max(OPCODES.values()) + 1)
     cs = CHECKSUM_OFFSET
     compiled: Dict[int, Callable[[list], None]] = {}
     inert: Dict[int, bool] = {}
 
-    def emit(hi: int, line: Optional[_Line], var: int, res: int) -> None:
-        nonlocal cs  # hi and line: the event's opcode and val, fixed per statement
-        cs = ((cs * CHECKSUM_PRIME) & _MASK64) ^ hi ^ ((var & _FIELD) << _VAR_SHIFT) ^ (res & _FIELD)
-        counts[hi >> _OP_SHIFT] += 1
-        if traced:
-            record((line, var, res))
-
-    def alloc(f: _Frame) -> HeapObject:
-        nonlocal max_live
-        obj = HeapObject(next(ids), f)
-        live[obj.id] = obj
-        max_live = max(max_live, len(live))
-        f.owned += 1
-        return obj
-
-    def free(f: _Frame, obj: HeapObject) -> None:
-        if obj.owner is f:  # a borrowed object is left to its owner
-            if live.pop(obj.id, None) is None:
-                _broken(f"use of freed object {obj.id}")
-            f.owned -= 1
-
-    if scalar:
-        fresh, ident, release = (lambda f: 0), (lambda value, slot: slot), (lambda f, value: None)
-    else:
-        fresh, ident, release = alloc, (lambda value, slot: value.id), free
-
+    # Each op closure below folds its event into cs, counts and, when traced,
+    # records; hi (opcode and val) and line are fixed per statement.
     def new(slot: int, first: bool):
         # only a slot's first binding in a block is saved for the block's
         # exit; a same-block rebinding drops the old object unfreed (a leak
         # the generator never emits; hand-built programs can)
         hi, line = checksum_update(0, "new", 0, 0, 0), _Line("new", 0) if traced else None
+        code = OPCODES["new"]
 
         def op(f: _Frame) -> None:
-            alias = next(f.params, None)  # a value copy in scalar
-            value = fresh(f) if alias is None else alias
+            nonlocal cs, last_id, max_live
+            value = next(f.params, None)  # a value copy in scalar
+            res = 0
+            if value is None:
+                res = 1
+                if scalar:
+                    value = 0
+                else:
+                    last_id += 1
+                    value = live[last_id] = HeapObject(last_id, f)
+                    if len(live) > max_live:
+                        max_live = len(live)
+                    f.owned += 1
             if first:
                 f.saved.append(f.slots[slot])
             f.slots[slot] = value
-            emit(hi, line, ident(value, slot), 1 if alias is None else 0)
+            var = slot if scalar else value.id
+            cs = ((cs * CHECKSUM_PRIME) & _MASK64) ^ hi ^ ((var & _FIELD) << _VAR_SHIFT) ^ res
+            counts[code] += 1
+            if traced:
+                record((line, var, res))
         return op
 
     def operand_op(st):
         slot, value, kind = st.slot, st.value, type(st).__name__.lower()
         hi, line = checksum_update(0, kind, 0, value, 0), _Line(kind, value) if traced else None
+        code = OPCODES[kind]
         if scalar:
             step, result = _SCALAR_OPS[type(st)]
+            var_bits = (slot & _FIELD) << _VAR_SHIFT
 
             def op(f: _Frame) -> None:
+                nonlocal cs
                 v = f.slots[slot]
                 if v is None:
                     _unusable(v, slot)
                 f.slots[slot] = v + step
-                emit(hi, line, slot, result(v))
+                res = result(v)
+                cs = ((cs * CHECKSUM_PRIME) & _MASK64) ^ hi ^ var_bits ^ (res & _FIELD)
+                counts[code] += 1
+                if traced:
+                    record((line, slot, res))
             return op
         act = _MULTISET_OPS[type(st)]
 
         def op(f: _Frame) -> None:
+            nonlocal cs
             obj = f.slots[slot]
             if obj is None or obj.id not in live:
                 _unusable(obj, slot)
-            emit(hi, line, obj.id, act(obj, value))
+            var, res = obj.id, act(obj, value)
+            cs = ((cs * CHECKSUM_PRIME) & _MASK64) ^ hi ^ ((var & _FIELD) << _VAR_SHIFT) ^ (res & _FIELD)
+            counts[code] += 1
+            if traced:
+                record((line, var, res))
         return op
 
     def check_args(f: _Frame, avail: List[int]) -> None:
@@ -282,7 +286,11 @@ def _run(program: Program, cfg: ExecConfig, verify_ownership: bool) -> Tuple[lis
             for op in seq:
                 op(f)
             for slot in unbind:
-                release(f, f.slots[slot])
+                obj = f.slots[slot]
+                if not scalar and obj.owner is f:  # a borrowed object is left to its owner
+                    if live.pop(obj.id, None) is None:
+                        _broken(f"use of freed object {obj.id}")
+                    f.owned -= 1
                 f.slots[slot] = f.saved.pop()
         return run
 
@@ -349,12 +357,13 @@ def verify_no_leaks(stats: RunStats) -> bool:
 
 def run_to_text(program: Program, cfg: Optional[ExecConfig] = None) -> str:
     """Exactly what a compiled backend binary prints for this run. A traced
-    run fills each recorded event's line with its var and res, once; it
-    makes no TraceEvent. An untraced run prints the checksum alone."""
+    run joins the recorded events' lines into one template and fills every
+    var and res with one %; it makes no TraceEvent. An untraced run prints
+    the checksum alone."""
     cfg = cfg or ExecConfig()
     if not cfg.debug_trace:  # via interpret, so a hook on it counts untraced runs
         return f"CHECKSUM {interpret(program, cfg)[1].checksum}\n"
     records, stats = _run(program, cfg, False)
-    lines = [line % (var, res) for line, var, res in zip(*[iter(records)] * 3)]
-    lines.append(f"CHECKSUM {stats.checksum}\n")
-    return "".join(lines)
+    template = "".join(records[::3])
+    del records[::3]
+    return template % tuple(records) + f"CHECKSUM {stats.checksum}\n"

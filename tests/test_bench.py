@@ -1,8 +1,11 @@
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import os
+import random
+import signal
 import subprocess
 import time
 import warnings
@@ -324,6 +327,29 @@ def test_check_compiles_while_the_oracle_runs(spec_file, tmp_path, monkeypatch):
     assert events == (["compile", "build"] + tail + ["build", "emit", "compile"] + tail)
 
 
+def exited(pid, timeout=5.0):
+    """Whether pid exits within timeout: it is gone, or a zombie left to init."""
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            os.kill(pid, 0)
+            with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+                if fh.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    return True
+        except (ProcessLookupError, FileNotFoundError):
+            return True
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+
+
+def recorded_pids(pid_file):
+    if not os.path.exists(pid_file):
+        return []
+    with open(pid_file, encoding="utf-8") as fh:
+        return [int(line) for line in fh.read().split()]
+
+
 def test_check_kills_the_compile_when_the_oracle_fails(spec_file, tmp_path, monkeypatch):
     out = str(tmp_path / "out")
     gen_quiet(spec_file, out, 4, default_plan(), codegen.EmitConfig(backend="c"))
@@ -340,9 +366,10 @@ def test_check_kills_the_compile_when_the_oracle_fails(spec_file, tmp_path, monk
 
     monkeypatch.setattr(subprocess, "Popen", RecordedPopen)
     monkeypatch.setattr(oracle, "run_to_text", broken_oracle)
-    # the shell forks sleep, so only a kill of the whole process group
-    # closes the pipes that the compile's output is read from
-    cc = "sh -c 'sleep 30; exit 0' {in} {out}"
+    # the shell forks sleep and records its pid, so that the test sees
+    # whether the kill reached the whole process group or only the shell
+    pid_file = str(tmp_path / "pids")
+    cc = "sh -c 'sleep 30 & echo $! > %s; wait' {in} {out}" % pid_file
     start = time.monotonic()
     with pytest.raises(oracle.OracleInvariantError, match="planted failure"), \
             warnings.catch_warnings():
@@ -351,6 +378,67 @@ def test_check_kills_the_compile_when_the_oracle_fails(spec_file, tmp_path, monk
     assert time.monotonic() - start < 10.0
     assert len(children) == 1
     assert children[0].returncode is not None  # reaped, not left running
+    sleeps = recorded_pids(pid_file)
+    assert len(sleeps) == 1
+    assert exited(sleeps[0])  # killed with the shell's group
+
+
+@needs_c
+def test_check_interrupted_at_random_points_kills_every_child(spec_file, tmp_path, monkeypatch):
+    # A timer raises at a random point of the check: while the oracle runs,
+    # while the compile runs (a shell that sleeps, then copies in the
+    # binary), or while the binary runs (a shell that sleeps 30 s). Each
+    # shell records the pid of its sleep.
+    out = str(tmp_path / "out")
+    gen_quiet(spec_file, out, 3, default_plan(), codegen.EmitConfig(backend="c"))
+    children = []
+
+    class RecordedPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            children.append(self)
+
+    class Interrupted(Exception):
+        pass
+
+    def interrupt(signum, frame):
+        raise Interrupted()
+
+    rng = random.Random(2024)
+    oracle_delay = [0.0]
+    real_run_to_text = oracle.run_to_text
+
+    def slow_oracle(*args, **kwargs):
+        time.sleep(oracle_delay[0])
+        return real_run_to_text(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", RecordedPopen)
+    monkeypatch.setattr(oracle, "run_to_text", slow_oracle)
+    pid_file = str(tmp_path / "pids")
+    prog = tmp_path / "prog.sh"
+    prog.write_text("#!/bin/sh\nsleep 30 & echo $! >> %s; wait\n" % pid_file)
+    prog.chmod(0o755)
+    saved = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        for _ in range(12):
+            cc = "sh -c 'sleep %.3f & echo $! >> %s; wait; cp %s \"$0\"' {out}" % (
+                rng.uniform(0, 0.3), pid_file, prog)
+            oracle_delay[0] = rng.uniform(0, 0.03)
+            del children[:]
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(pid_file)
+            start = time.monotonic()
+            with pytest.raises(Interrupted), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                signal.setitimer(signal.ITIMER_REAL, rng.uniform(0, 0.4))
+                cmd_check(spec_file, out, cc, paths=[0, 1, 2])
+            assert time.monotonic() - start < 10.0  # no 30 s binary ran to its end
+            assert len(children) <= 2  # the compile, and the binary at one PATH at most
+            assert all(child.returncode is not None for child in children)  # reaped
+            assert all(exited(pid) for pid in recorded_pids(pid_file))  # sleeps killed too
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, saved)
 
 
 def test_check_refuses_an_empty_path_list_before_compiling(spec_file, tmp_path, monkeypatch):

@@ -118,6 +118,23 @@ def test_path_flags_reject_values_outside_64_bits(command, flag, value, capsys):
     assert vars(args)[flag[2:].replace("-", "_")] in (2**64 - 1, [2**64 - 1])
 
 
+@pytest.mark.parametrize("prefix, flag, value", [
+    (["gen", "s.lsys"], "--seed", "18446744073709551616"),
+    (["gen", "s.lsys"], "--seed", "-1"),
+    (USAGE_PREFIXES["check"], "--seeds", "3,18446744073709551616"),
+    (USAGE_PREFIXES["check"], "--seeds", "-1"),
+])
+def test_seed_flags_reject_values_outside_64_bits(prefix, flag, value, capsys):
+    # The emitted C bakes the seed into UINT64_C(...), and Go into uint64(...):
+    # 2^64 does not compile, and neither does a negative value in Go.
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(prefix + [flag, value])
+    assert excinfo.value.code == 2
+    assert "seed must be in [0, 2^64)" in capsys.readouterr().err
+    args = build_parser().parse_args(prefix + [flag, str(2**64 - 1)])
+    assert vars(args)[flag[2:]] in (2**64 - 1, [2**64 - 1])
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("check", "--paths", ""),
     ("check", "--paths", ","),
