@@ -238,14 +238,18 @@ def _start(
     kills the child first. A kill, also one after an interrupted wait,
     reaches the whole group, so that no child of the child (cc1, as, ld) is
     left behind. stdout and stderr go to temporary files, which a large
-    trace crosses faster than a pipe.
+    trace crosses faster than a pipe. An interrupt that arrives inside Popen
+    after the fork kills and reaps the child's group too.
     """
     out, err = tempfile.TemporaryFile("w+"), tempfile.TemporaryFile("w+")
     start = time.perf_counter()
+    child = subprocess.Popen.__new__(subprocess.Popen)  # kept, should __init__ raise
     try:
-        child = subprocess.Popen(argv, cwd=cwd, env=env, stdout=out, stderr=err,
-                                 start_new_session=True)
+        child.__init__(argv, cwd=cwd, env=env, stdout=out, stderr=err, start_new_session=True)
     except BaseException as exc:
+        if getattr(child, "pid", None) is not None and child.returncode is None:
+            _kill_group(child)
+            child.wait()
         out.close()
         err.close()
         if not isinstance(exc, OSError):
@@ -544,13 +548,14 @@ def cmd_measure(
             m.checksum = parse_checksum(stdout)
 
             if size_cmd:
-                argv = render_template(size_cmd, {"bin": binary})
-                _, proc = timed_run(argv)
-                first = proc.stdout.splitlines()[0].strip() if proc.stdout.splitlines() else ""
-                try:
-                    m.text_bytes = int(first)
-                except ValueError:
-                    m.text_bytes = None
+                _, proc = timed_run(render_template(size_cmd, {"bin": binary}))
+                first = (proc.stdout.splitlines() or [""])[0].strip()
+                if proc.returncode != 0 or not first.isdecimal():
+                    m.failed = True
+                    m.error = (f"size command failed: exit={proc.returncode} stdout={first!r} "
+                               f"{proc.stderr.strip()[:300]}")
+                    continue
+                m.text_bytes = int(first)
 
             if expected_checksum is not None and m.checksum != expected_checksum:
                 m.failed = True
@@ -608,7 +613,12 @@ def cmd_sweep_pgo(
     The training binary runs once at train_path; profile data lands in the
     working directory (LLVM_PROFILE_FILE is pointed there for clang-style
     instrumentation; gcc-style .gcda files land there because the compiler
-    runs with that working directory).
+    runs with that working directory). gcc names a .gcda file after the
+    binary it was compiled into, so every binary is compiled as ``prog`` and
+    renamed after: the optimized compile then finds the training profile.
+    An optimized compile that reports a missing profile, a failed profile
+    merge, and a baseline and optimized binary that print different
+    checksums at a swept PATH each raise BenchError.
     """
     _check_run_counts(repetitions, warmups)
     manifest = load_manifest(out_dir)
@@ -620,13 +630,17 @@ def cmd_sweep_pgo(
             shutil.copy(os.path.join(out_dir, name), os.path.join(workdir, name))
 
         def build(template: str, out_name: str) -> str:
-            binary = os.path.join(workdir, out_name)
-            _, proc = compile_sources(template, workdir, src_files, binary)
+            _, proc = compile_sources(template, workdir, src_files, os.path.join(workdir, "prog"))
             if proc.returncode != 0:
                 raise BenchError(
                     f"compile failed for {out_name} (is profile tooling available?): "
                     f"{proc.stderr.strip()[:400]}"
                 )
+            if "missing-profile" in proc.stderr:
+                raise BenchError(f"{out_name} was compiled without its profile: "
+                                 f"{proc.stderr.strip()[:400]}")
+            binary = os.path.join(workdir, out_name)
+            os.rename(os.path.join(workdir, "prog"), binary)
             return binary
 
         base_bin = build(cc_base, "prog-base")
@@ -641,19 +655,23 @@ def cmd_sweep_pgo(
             )
         profraw = os.path.join(workdir, "default.profraw")
         if os.path.exists(profraw) and shutil.which("llvm-profdata"):
-            subprocess.run(
-                ["llvm-profdata", "merge", "-output",
-                 os.path.join(workdir, "default.profdata"), profraw],
-                capture_output=True,
-            )
+            _, proc = timed_run(["llvm-profdata", "merge", "-output",
+                                 os.path.join(workdir, "default.profdata"), profraw])
+            if proc.returncode != 0:
+                raise BenchError(f"llvm-profdata merge failed: exit={proc.returncode} "
+                                 f"{proc.stderr.strip()[:300]}")
 
         opt_bin = build(cc_opt, "prog-opt")
 
         rows: List[Dict[str, object]] = []
         for i in sweep.bit_counts:
             path = SweepConfig.path_of(i)
-            t_ms, _ = _median_run_ms(base_bin, path, repetitions, warmups, cwd=workdir)
-            ti_ms, _ = _median_run_ms(opt_bin, path, repetitions, warmups, cwd=workdir)
+            t_ms, base_out = _median_run_ms(base_bin, path, repetitions, warmups, cwd=workdir)
+            ti_ms, opt_out = _median_run_ms(opt_bin, path, repetitions, warmups, cwd=workdir)
+            base_sum, opt_sum = parse_checksum(base_out), parse_checksum(opt_out)
+            if base_sum is None or base_sum != opt_sum:
+                raise BenchError(f"checksum mismatch at path={path}: baseline printed "
+                                 f"{base_sum}, optimized {opt_sum}")
             ratio = t_ms / ti_ms if ti_ms > 0 else 0.0
             rows.append({
                 "i": i,

@@ -169,6 +169,13 @@ def interpret(program: Program, cfg: Optional[ExecConfig] = None,
     A Call to an inert callee, one whose body through nested If/Loop/Call
     has no New, Insert, Remove or Contains and passes no slots, compiles to
     its argument checks alone: it would emit nothing and allocate nothing.
+
+    A Call that passes no slots does the same every time but for the ids of
+    the objects it allocates, all above last_id at entry. Its first call runs
+    in full and records its own events, a marker per nested no-arg call, its
+    allocations, peak live count and op counts; each later call replays the
+    record with the ids moved up: same events, checksum and statistics. A
+    call that returns with more objects live (a leak) is not recorded.
     """
     records, stats = _run(program, cfg or ExecConfig(), verify_ownership)
     return [TraceEvent(line.op, var, line.val, res)
@@ -189,9 +196,16 @@ def _run(program: Program, cfg: ExecConfig, verify_ownership: bool) -> Tuple[lis
     cs = CHECKSUM_OFFSET
     compiled: Dict[int, Callable[[list], None]] = {}
     inert: Dict[int, bool] = {}
+    memos: Dict[int, tuple] = {}  # fid -> (parts, allocs, peak, counts, base) of its first no-arg call
+    rec: Optional[list] = None  # (line, hi, var, res)* of the no-arg call being recorded
+    chunks: list = []  # its events before each nested no-arg call: (rec, fid, last_id then)
+    interned: Dict[int, int] = {}  # one int per distinct checksum term in the records
+    # vars of traced replays, one shared int each: slot ordinals, then ids as replays need them
+    ids = list(range(max((fn.slot_count for fn in program.functions), default=0)))
 
-    # Each op closure below folds its event into cs, counts and, when traced,
-    # records; hi (opcode and val) and line are fixed per statement.
+    # Each op closure below folds its event into cs, counts, records when
+    # traced and rec while a no-arg call is recorded; hi (opcode and val) and
+    # line are fixed per statement.
     def new(slot: int, first: bool):
         # only a slot's first binding in a block is saved for the block's
         # exit; a same-block rebinding drops the old object unfreed (a leak
@@ -200,7 +214,7 @@ def _run(program: Program, cfg: ExecConfig, verify_ownership: bool) -> Tuple[lis
         code = OPCODES["new"]
 
         def op(f: _Frame) -> None:
-            nonlocal cs, last_id, max_live
+            nonlocal cs, last_id, max_live, rec
             value = next(f.params, None)  # a value copy in scalar
             res = 0
             if value is None:
@@ -221,6 +235,8 @@ def _run(program: Program, cfg: ExecConfig, verify_ownership: bool) -> Tuple[lis
             counts[code] += 1
             if traced:
                 record((line, var, res))
+            if rec is not None:
+                rec += (line, hi, var, res)
         return op
 
     def operand_op(st):
@@ -232,7 +248,7 @@ def _run(program: Program, cfg: ExecConfig, verify_ownership: bool) -> Tuple[lis
             var_bits = (slot & _FIELD) << _VAR_SHIFT
 
             def op(f: _Frame) -> None:
-                nonlocal cs
+                nonlocal cs, rec
                 v = f.slots[slot]
                 if v is None:
                     _unusable(v, slot)
@@ -242,11 +258,13 @@ def _run(program: Program, cfg: ExecConfig, verify_ownership: bool) -> Tuple[lis
                 counts[code] += 1
                 if traced:
                     record((line, slot, res))
+                if rec is not None:
+                    rec += (line, hi, slot, res)
             return op
         act = _MULTISET_OPS[type(st)]
 
         def op(f: _Frame) -> None:
-            nonlocal cs
+            nonlocal cs, rec
             obj = f.slots[slot]
             if obj is None or obj.id not in live:
                 _unusable(obj, slot)
@@ -255,6 +273,8 @@ def _run(program: Program, cfg: ExecConfig, verify_ownership: bool) -> Tuple[lis
             counts[code] += 1
             if traced:
                 record((line, var, res))
+            if rec is not None:
+                rec += (line, hi, var, res)
         return op
 
     def check_args(f: _Frame, avail: List[int]) -> None:
@@ -277,7 +297,54 @@ def _run(program: Program, cfg: ExecConfig, verify_ownership: bool) -> Tuple[lis
         def op(f: _Frame) -> None:
             check_args(f, avail)
             (compiled.get(fid) or function(fid))([f.slots[s] for s in avail])
-        return (lambda f: check_args(f, avail)) if is_inert(fid) else op
+        return (lambda f: check_args(f, avail)) if is_inert(fid) else op if avail else no_arg_call(fid)
+
+    def no_arg_call(fid: int):
+        def op(f: _Frame) -> None:
+            nonlocal cs, last_id, max_live, rec, chunks
+            if rec is not None:  # the call being recorded keeps a marker, not these events
+                chunks.append((rec, fid, last_id))
+                rec = []
+            memo = memos.get(fid)
+            if memo is not None:
+                parts, allocs, peak, delta, base = memo
+                max_live = max(max_live, len(live) + peak)
+                counts[:] = [n + d for n, d in zip(counts, delta)]
+                if traced:  # one int per object id, shared by every event that names it
+                    ids.extend(range(len(ids), last_id + allocs + 1))
+                cs = replay(parts, last_id - base, cs)
+                last_id += allocs
+                return
+            outer, rec, chunks = (rec, chunks), [], []
+            base, entry_live, before, outer_max = last_id, len(live), counts[:], max_live
+            max_live = entry_live
+            (compiled.get(fid) or function(fid))([])
+            own = chunks + [(rec, None, base)]
+            (rec, chunks), peak, max_live = outer, max_live - entry_live, max(max_live, outer_max)
+            if len(live) == entry_live:  # else a leak: its later calls run in full
+                parts = [(ev[0::4] if traced else (),
+                          [interned.setdefault(t, t)
+                           for t in map(lambda hi, res: hi ^ (res & _FIELD), ev[1::4], ev[3::4])],
+                          ev[2::4], ev[3::4] if traced else (), callee, at) for ev, callee, at in own]
+                memos[fid] = (parts, last_id - base, peak, [n - m for n, m in zip(counts, before)], base)
+        return op
+
+    def replay(parts: list, shift: int, c: int) -> int:
+        """Fold a recorded call's events into the checksum c, and record them
+        when traced, with every object id moved by shift; returns c."""
+        for lines, terms, var_ids, ress, callee, at in parts:
+            if traced:
+                for line, term, var, res in zip(lines, terms, var_ids, ress):
+                    var = ids[shift + var]
+                    c = ((c * CHECKSUM_PRIME) & _MASK64) ^ term ^ ((var & _FIELD) << _VAR_SHIFT)
+                    record((line, var, res))
+            else:
+                for term, var in zip(terms, var_ids):
+                    c = ((c * CHECKSUM_PRIME) & _MASK64) ^ term ^ (((shift + var) & _FIELD) << _VAR_SHIFT)
+            if callee is not None:
+                memo = memos[callee]
+                c = replay(memo[0], shift + at - memo[4], c)
+        return c
 
     def scope(seq: list, bound: List[int]):
         unbind = bound[::-1]

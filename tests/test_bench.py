@@ -441,6 +441,29 @@ def test_check_interrupted_at_random_points_kills_every_child(spec_file, tmp_pat
         signal.signal(signal.SIGALRM, saved)
 
 
+def test_a_child_started_by_an_interrupted_popen_is_killed(tmp_path, monkeypatch):
+    # an interrupt can arrive inside Popen after the fork; the child and the
+    # sleep it started must die all the same
+    pid_file = str(tmp_path / "pids")
+    started = []
+
+    class InterruptedPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+            deadline = time.monotonic() + 5.0
+            while not recorded_pids(pid_file) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(subprocess, "Popen", InterruptedPopen)
+    with pytest.raises(KeyboardInterrupt):
+        bench.timed_run(["sh", "-c", "sleep 30 & echo $! >> %s; wait" % pid_file])
+    assert len(started) == 1 and started[0].returncode is not None  # killed and reaped
+    assert recorded_pids(pid_file)
+    assert all(exited(pid) for pid in recorded_pids(pid_file))
+
+
 def test_check_refuses_an_empty_path_list_before_compiling(spec_file, tmp_path, monkeypatch):
     out = str(tmp_path / "out")
     gen_quiet(spec_file, out, 3, default_plan(), codegen.EmitConfig(backend="c"))
@@ -598,6 +621,23 @@ def test_measure_size_cmd_hook(spec_file, tmp_path, capsys):
     assert results[0].text_bytes == results[0].binary_bytes
 
 
+@needs_c
+@pytest.mark.parametrize("size_cmd", ["false {bin}", "echo no-size {bin}"])
+def test_measure_a_failed_size_cmd_marks_the_row_failed(spec_file, tmp_path, capsys, size_cmd):
+    out = str(tmp_path / "out")
+    gen_quiet(spec_file, out, 4, default_plan(), codegen.EmitConfig(backend="c"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        results = cmd_measure(
+            spec_file, out, CC_FLAGS, flag_sets=[""], repetitions=1, warmups=0,
+            size_cmd=size_cmd, oracle_check=False,
+        )
+    capsys.readouterr()
+    assert results[0].failed
+    assert results[0].error.startswith("size command failed")
+    assert results[0].text_bytes is None
+
+
 # ---------------------------------------------------------------------------
 # sweep-pgo
 
@@ -608,7 +648,7 @@ def test_sweep_pgo_schema_and_ratios(spec_file, tmp_path, capsys):
     gen_quiet(spec_file, out, 5, default_plan(), codegen.EmitConfig(backend="c"))
     base = "%s -std=c99 -O2 {in} -o {out}" % C_COMPILER
     train = "%s -std=c99 -O2 -fprofile-generate {in} -o {out}" % C_COMPILER
-    opt = "%s -std=c99 -O2 -fprofile-use {in} -o {out}" % C_COMPILER
+    opt = "%s -std=c99 -O2 -fprofile-use -Werror=missing-profile {in} -o {out}" % C_COMPILER
     csv_path = str(tmp_path / "sweep.csv")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -629,6 +669,57 @@ def test_sweep_pgo_schema_and_ratios(spec_file, tmp_path, capsys):
     with open(csv_path, encoding="utf-8", newline="") as fh:
         parsed = list(csv.DictReader(fh))
     assert len(parsed) == 2
+
+
+def cc_o2(flags=""):
+    return "%s -std=c99 -O2 %s {in} -o {out}" % (C_COMPILER, flags)
+
+
+@needs_c
+def test_sweep_pgo_refuses_an_optimized_binary_built_without_its_profile(
+        spec_file, tmp_path, capsys):
+    # no instrumented training binary, so no profile: gcc only warns
+    if "gcc" not in C_COMPILER:
+        pytest.skip("checks gcc's -Wmissing-profile")
+    out = str(tmp_path / "out")
+    gen_quiet(spec_file, out, 4, default_plan(), codegen.EmitConfig(backend="c"))
+    with pytest.raises(BenchError, match="prog-opt was compiled without its profile"):
+        cmd_sweep_pgo(spec_file, out, cc_o2(), cc_o2(), cc_o2("-fprofile-use"),
+                      sweep=SweepConfig([1]))
+    capsys.readouterr()
+
+
+@needs_c
+def test_sweep_pgo_checks_the_checksums_it_times(spec_file, tmp_path, capsys, monkeypatch):
+    out = str(tmp_path / "out")
+    gen_quiet(spec_file, out, 4, default_plan(), codegen.EmitConfig(backend="c"))
+
+    def fake_median(binary, path, repetitions, warmups, cwd=None, env=None):
+        bad = binary.endswith("prog-opt") and path == 3
+        return 1.0, "CHECKSUM %d\n" % (path + bad)
+
+    monkeypatch.setattr(bench, "_median_run_ms", fake_median)
+    with pytest.raises(BenchError, match="checksum mismatch at path=3: baseline printed 3, "
+                                         "optimized 4"):
+        cmd_sweep_pgo(spec_file, out, cc_o2(), cc_o2(), cc_o2(), sweep=SweepConfig([1, 2]))
+    capsys.readouterr()
+
+
+@needs_c
+def test_sweep_pgo_fails_when_the_profile_merge_fails(spec_file, tmp_path, capsys, monkeypatch):
+    out = str(tmp_path / "out")
+    gen_quiet(spec_file, out, 4, default_plan(), codegen.EmitConfig(backend="c"))
+    tools = tmp_path / "tools"
+    tools.mkdir()
+    fake = tools / "llvm-profdata"
+    fake.write_text("#!/bin/sh\necho 'bad profile data' >&2\nexit 3\n")
+    fake.chmod(0o755)
+    monkeypatch.setenv("PATH", "%s%s%s" % (tools, os.pathsep, os.environ["PATH"]))
+    # a training "compile" that leaves a raw profile where the run would
+    train = "sh -c '%s -std=c99 {in} -o \"$0\" && touch default.profraw' {out}" % C_COMPILER
+    with pytest.raises(BenchError, match="llvm-profdata merge failed: exit=3 bad profile data"):
+        cmd_sweep_pgo(spec_file, out, cc_o2(), train, cc_o2(), sweep=SweepConfig([1]))
+    capsys.readouterr()
 
 
 @needs_c

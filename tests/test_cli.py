@@ -233,7 +233,8 @@ def test_sweep_pgo_subcommand(spec_file, tmp_path, capsys):
         "sweep-pgo", spec_file, "--out", out,
         "--cc-base", "%s -std=c99 -O2 {in} -o {out}" % C_COMPILER,
         "--cc-train", "%s -std=c99 -O2 -fprofile-generate {in} -o {out}" % C_COMPILER,
-        "--cc-opt", "%s -std=c99 -O2 -fprofile-use {in} -o {out}" % C_COMPILER,
+        "--cc-opt", "%s -std=c99 -O2 -fprofile-use -Werror=missing-profile {in} -o {out}"
+        % C_COMPILER,
         "--bits", "1", "--repetitions", "2", "--warmups", "0", "--csv", csv_path,
     ])
     assert code == 0

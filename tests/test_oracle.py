@@ -17,6 +17,7 @@ from lsysbench.astgen import (
     FunctionDef,
     If,
     Insert,
+    Loop,
     New,
     OperandPlan,
     Program,
@@ -374,6 +375,143 @@ def test_inert_callee_leaves_the_heap_as_a_full_call_does():
         trace, stats = runs[0]
         assert [e[0] for e in trace] == ["new", "insert", "new", "insert"]
         assert (stats.max_live, stats.live_at_exit) == ((0, 0) if kind == "scalar" else (2, 0))
+
+
+# ---------------------------------------------------------------------------
+# no-arg calls: the first runs in full, later ones replay its record
+
+def trace_of(trace):
+    return [(e.op, e.var, e.val, e.res) for e in trace]
+
+
+def test_a_leaking_no_arg_callee_runs_in_full_every_call():
+    # each call drops one object unfreed; a replay of the first call would
+    # leave the second call's leaked object out of live
+    callee = FunctionDef(
+        id=0, canonical="new insert new insert",
+        body=[New(0), Insert(0, 5), New(0), Insert(0, 6)], slot_count=1,
+    )
+    entry = FunctionDef(id=1, canonical="CALL() CALL()", body=[Call(0, []), Call(0, [])])
+    program = Program(functions=[callee, entry], entry_id=1)
+    trace, stats = interpret(program, ExecConfig(debug_trace=True))
+    assert trace_of(trace) == [
+        ("new", 1, 0, 1), ("insert", 1, 5, 1), ("new", 2, 0, 1), ("insert", 2, 6, 1),
+        ("new", 3, 0, 1), ("insert", 3, 5, 1), ("new", 4, 0, 1), ("insert", 4, 6, 1),
+    ]
+    assert (stats.max_live, stats.live_at_exit) == (3, 2)
+    assert stats.op_counts == {"new": 4, "insert": 4, "remove": 0, "contains": 0}
+
+
+def test_a_no_arg_callee_peaks_above_what_its_caller_holds():
+    # the callee holds two objects at its peak; its second call comes while
+    # the caller holds two of its own, so the run peaks at four
+    callee = FunctionDef(
+        id=0, canonical="new insert new insert",
+        body=[New(0), Insert(0, 1), New(1), Insert(1, 2)], slot_count=2,
+    )
+    entry = FunctionDef(
+        id=1, canonical="CALL() new new CALL() insert",
+        body=[Call(0, []), New(0), New(1), Call(0, []), Insert(1, 3)], slot_count=2,
+    )
+    program = Program(functions=[callee, entry], entry_id=1)
+    for verify in (False, True):
+        trace, stats = interpret(program, ExecConfig(debug_trace=True), verify_ownership=verify)
+        assert trace_of(trace) == [
+            ("new", 1, 0, 1), ("insert", 1, 1, 1), ("new", 2, 0, 1), ("insert", 2, 2, 1),
+            ("new", 3, 0, 1), ("new", 4, 0, 1),
+            ("new", 5, 0, 1), ("insert", 5, 1, 1), ("new", 6, 0, 1), ("insert", 6, 2, 1),
+            ("insert", 4, 3, 1),
+        ]
+        assert (stats.max_live, stats.live_at_exit) == (4, 0)
+
+
+def test_a_scalar_no_arg_callee_traces_its_slot_ordinals_every_call():
+    callee = FunctionDef(
+        id=0, canonical="new insert new contains",
+        body=[New(0), Insert(0, 3), New(1), Contains(1, 4)], slot_count=2,
+    )
+    entry = FunctionDef(
+        id=1, canonical="new CALL() CALL() remove",
+        body=[New(0), Call(0, []), Call(0, []), Remove(0, 5)], slot_count=1,
+    )
+    program = Program(functions=[callee, entry], entry_id=1,
+                      plan=OperandPlan(container_kind="scalar"))
+    trace, stats = interpret(program, ExecConfig(debug_trace=True))
+    call = [("new", 0, 0, 1), ("insert", 0, 3, 1), ("new", 1, 0, 1), ("contains", 1, 4, 1)]
+    assert trace_of(trace) == [("new", 0, 0, 1), *call, *call, ("remove", 0, 5, 0)]
+    assert (stats.max_live, stats.live_at_exit) == (0, 0)
+
+
+def test_ownership_verification_catches_a_leak_in_a_nested_no_arg_callee():
+    leaky = FunctionDef(id=0, canonical="new new", body=[New(0), New(0)], slot_count=1)
+    middle = FunctionDef(id=1, canonical="new CALL()", body=[New(0), Call(0, [])], slot_count=1)
+    entry = FunctionDef(id=2, canonical="CALL() CALL()", body=[Call(1, []), Call(1, [])])
+    program = Program(functions=[leaky, middle, entry], entry_id=2)
+    trace, stats = interpret(program, ExecConfig(debug_trace=True))
+    assert [e.var for e in trace] == [1, 2, 3, 4, 5, 6]
+    assert (stats.max_live, stats.live_at_exit) == (4, 2)
+    with pytest.raises(OracleInvariantError, match="function 0 returns with 1 objects"):
+        interpret(program, verify_ownership=True)
+
+
+# 66,049 calls of fn1, each allocating two objects, one in a nested no-arg
+# call: the ids pass 2^16, where the checksum keeps only their low 16 bits
+WIDE_TRIPS = 257
+WIDE_CHECKSUM = 4542564313840993984
+
+
+def test_replayed_ids_past_two_to_the_sixteen():
+    inner = FunctionDef(id=0, canonical="new contains", body=[New(0), Contains(0, 7)],
+                        slot_count=1)
+    outer = FunctionDef(id=1, canonical="new insert CALL()",
+                        body=[New(0), Insert(0, 7), Call(0, [])], slot_count=1)
+    entry = FunctionDef(id=2, canonical="LOOP(LOOP(CALL()))",
+                        body=[Loop(body=[Loop(body=[Call(1, [])])])])
+    program = Program(functions=[inner, outer, entry], entry_id=2,
+                      plan=OperandPlan(trip_count=WIDE_TRIPS))
+    calls = WIDE_TRIPS ** 2
+    cs = CHECKSUM_OFFSET
+    for k in range(calls):
+        a = 2 * k + 1
+        for op, var, val, res in (("new", a, 0, 1), ("insert", a, 7, 1),
+                                  ("new", a + 1, 0, 1), ("contains", a + 1, 7, 0)):
+            cs = checksum_update(cs, op, var, val, res)
+    assert cs == WIDE_CHECKSUM
+    _, stats = interpret(program)
+    assert (stats.checksum, stats.max_live, stats.live_at_exit) == (cs, 2, 0)
+    assert stats.op_counts == {"new": 2 * calls, "insert": calls, "remove": 0,
+                               "contains": calls}
+    lines = run_to_text(program, ExecConfig(debug_trace=True)).splitlines()
+    assert len(lines) == 4 * calls + 1
+    assert lines[-5:] == [
+        f"OP kind=new var={2 * calls - 1} val=0 res=1",
+        f"OP kind=insert var={2 * calls - 1} val=7 res=1",
+        f"OP kind=new var={2 * calls} val=0 res=1",
+        f"OP kind=contains var={2 * calls} val=7 res=0",
+        f"CHECKSUM {cs}",
+    ]
+
+
+# sha256 over churn g=10 at PATHs 0, 1 and 2^64-1 on every container kind:
+# the traced text run_to_text prints, and the untraced checksum, op counts,
+# max_live and live_at_exit. Churn is almost all no-arg calls, so this pins
+# replayed results.
+CHURN_DIGEST = "965e5d72189e53a3c47b158fbcb28092f519430da24b2b80566ab52caab9acaa"
+
+
+def test_churn_results_digest_is_pinned():
+    seq = derive(parse_spec(CALL_CHURN_SPEC), 10)
+    digest = hashlib.sha256()
+    for kind in CONTAINER_KINDS:
+        with warnings.catch_warnings():  # dropped nonterminals
+            warnings.simplefilter("ignore")
+            program = lower(seq, OperandPlan(seed=7, container_kind=kind))
+        for path in (0, 1, U64):
+            digest.update(run_to_text(program, ExecConfig(path=path, debug_trace=True)).encode())
+            _, stats = interpret(program, ExecConfig(path=path))
+            digest.update(repr((stats.checksum, list(stats.op_counts.items()),
+                                stats.max_live, stats.live_at_exit)).encode())
+    assert digest.hexdigest() == CHURN_DIGEST
 
 
 def test_no_leaks_random_programs_all_containers():
