@@ -102,8 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--paths", type=_u64_list("PATH"), default=[0, 1], metavar="P1,P2,...",
                          help="PATH values to run (default 0,1)")
     p_check.add_argument("--seeds", type=_u64_list("seed"), default=None, metavar="S1,S2,...",
-                         help="extra planner seeds to regenerate and check "
-                              "(default: the manifest's seed, using the on-disk sources)")
+                         help="planner seeds to regenerate and check, in place of the "
+                              "manifest's seed (default: the manifest's seed, using the "
+                              "on-disk sources)")
     p_check.add_argument("--checksum-only", action="store_true",
                          help="compare only the CHECKSUM line instead of full traces")
     p_check.add_argument("--report", metavar="FILE",
@@ -202,7 +203,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (grammar.SpecError, bench.BenchError, codegen.BackendError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # an unreadable spec or an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, Iterator, Mapping, Tuple, Union
 
 TERMINAL_KINDS = ("new", "insert", "remove", "contains")
 CONSTRUCT_KINDS = ("IF", "LOOP", "CALL")
@@ -265,30 +266,40 @@ def rewrite_once(spec: LSystemSpec, seq: ItemSeq) -> ItemSeq:
 
 
 def derive(spec: LSystemSpec, generations: int, max_items: int = DEFAULT_ITEM_CAP) -> ItemSeq:
-    """Apply rewrite_once `generations` times to the axiom."""
+    """Apply rewrite_once `generations` times to the axiom. Every
+    generation's item count is worked out from the productions first, so a
+    derivation above max_items fails before anything is rewritten."""
     if generations < 0:
         raise ValueError("generations must be >= 0")
-    seq = spec.axiom
-    for gen in range(generations):
-        seq = rewrite_once(spec, seq)
-        n = total_items(seq)
+    sizes: Dict[str, int] = {}  # nonterminal -> items it has become by this generation
+    for gen in range(1, generations + 1):
+        sizes = {lhs: total_items(rhs, sizes) for lhs, rhs in spec.productions.items()}
+        n = total_items(spec.axiom, sizes)
         if n > max_items:
             raise DerivationLimitError(
-                f"generation {gen + 1} has {n} items, above the cap of {max_items}"
+                f"generation {gen} has {n} items, above the cap of {max_items}"
             )
+    seq = spec.axiom
+    for _ in range(generations):
+        seq = rewrite_once(spec, seq)
     return seq
 
 
 # ---------------------------------------------------------------------------
 # inspection helpers
 
-def total_items(seq: ItemSeq) -> int:
+def total_items(seq: ItemSeq, sizes: Mapping[str, int] = MappingProxyType({})) -> int:
+    """Items in seq, nested ones included; a nonterminal counts as
+    sizes[name] items, 1 if absent."""
     n = 0
     for item in seq.items:
+        if isinstance(item, NonTerminal):
+            n += sizes.get(item.name, 1)
+            continue
         n += 1
         if isinstance(item, Construct):
             for b in item.blocks:
-                n += total_items(b)
+                n += total_items(b, sizes)
     return n
 
 

@@ -18,7 +18,6 @@ from .astgen import (
     New,
     Program,
     Remove,
-    iter_statements,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -136,8 +135,7 @@ class _Frame:
         self.owned = 0  # objects this frame allocated and has not freed
 
 
-def interpret(program: Program, cfg: Optional[ExecConfig] = None,
-              verify_ownership: bool = False) -> Tuple[List[TraceEvent], RunStats]:
+def interpret(program: Program, cfg: Optional[ExecConfig] = None) -> Tuple[List[TraceEvent], RunStats]:
     """Run the entry function; returns (trace, stats).
 
     The trace list is populated only when cfg.debug_trace is set; the
@@ -150,39 +148,37 @@ def interpret(program: Program, cfg: Optional[ExecConfig] = None,
     allocated it, as in the emitted C runtime: a block's exit frees each
     slot it bound whose object its frame owns, so loop-iteration locals are
     freed every iteration and borrowed objects are left to their owner.
-    Every run raises on an op on a freed object or on a second free; with
-    verify_ownership, a call also raises if it returns with objects it
-    allocated still live (a binding dropped unfreed).
+    Every run raises on an op on a freed object, on a second free, and on a
+    return that leaves objects its function allocated still live.
 
     Scalar mode has no heap: slots are plain integer variables, parameters
     are passed by value and consumed as copies, and the trace's var field is
     the per-function slot ordinal instead of an allocation id.
 
     Each call compiles the program into closures, one per statement, block
-    and function, each function on its first call; nothing is kept between
-    calls. Compiling settles the container kind, each If's arm (the arm not
-    taken is never compiled), the slots each block binds, and each event's
+    and function, each function at its first call site; nothing is kept
+    between calls. Compiling settles all that does not depend on container
+    contents: the container kind, each If's arm (the arm not taken is never
+    compiled), the slots each block binds, the op counts, and each event's
     static part: its checksum bits and, when traced, its trace line, built
-    by format_trace_event with var and res left open. A traced event makes
-    no object: it appends its line, var and res to one flat list, which is
-    decoded into TraceEvents after the run (run_to_text formats it instead).
-    A Call to an inert callee, one whose body through nested If/Loop/Call
-    has no New, Insert, Remove or Contains and passes no slots, compiles to
-    its argument checks alone: it would emit nothing and allocate nothing.
+    by format_trace_event with var and res left open. A Call to a callee
+    that compiles to nothing checks its arguments alone. A traced event
+    makes no object: it appends its line, var and res to one flat list,
+    which is decoded into TraceEvents after the run (run_to_text formats it
+    instead).
 
     A Call that passes no slots does the same every time but for the ids of
     the objects it allocates, all above last_id at entry. Its first call runs
     in full and records its own events, a marker per nested no-arg call, its
-    allocations, peak live count and op counts; each later call replays the
-    record with the ids moved up: same events, checksum and statistics. A
-    call that returns with more objects live (a leak) is not recorded.
+    allocations and peak live count; each later call replays the record with
+    the ids moved up: same events, checksum and statistics.
     """
-    records, stats = _run(program, cfg or ExecConfig(), verify_ownership)
+    records, stats = _run(program, cfg or ExecConfig())
     return [TraceEvent(line.op, var, line.val, res)
             for line, var, res in zip(*[iter(records)] * 3)], stats
 
 
-def _run(program: Program, cfg: ExecConfig, verify_ownership: bool) -> Tuple[list, RunStats]:
+def _run(program: Program, cfg: ExecConfig) -> Tuple[list, RunStats]:
     """interpret's run; returns (records, stats), records flat as (line, var, res)*."""
     plan = program.plan
     scalar = plan.container_kind == "scalar"
@@ -192,26 +188,24 @@ def _run(program: Program, cfg: ExecConfig, verify_ownership: bool) -> Tuple[lis
     traced = cfg.debug_trace
     records: list = []
     record = records.extend
-    counts = [0] * (max(OPCODES.values()) + 1)
     cs = CHECKSUM_OFFSET
-    compiled: Dict[int, Callable[[list], None]] = {}
-    inert: Dict[int, bool] = {}
-    memos: Dict[int, tuple] = {}  # fid -> (parts, allocs, peak, counts, base) of its first no-arg call
+    # fid -> (its runner, None if it compiles to nothing; its op counts per call by opcode)
+    compiled: Dict[int, Tuple[Optional[Callable[[list], None]], List[int]]] = {}
+    memos: Dict[int, tuple] = {}  # fid -> (parts, allocs, peak, base) of its first no-arg call
     rec: Optional[list] = None  # (line, hi, var, res)* of the no-arg call being recorded
     chunks: list = []  # its events before each nested no-arg call: (rec, fid, last_id then)
     interned: Dict[int, int] = {}  # one int per distinct checksum term in the records
     # vars of traced replays, one shared int each: slot ordinals, then ids as replays need them
     ids = list(range(max((fn.slot_count for fn in program.functions), default=0)))
 
-    # Each op closure below folds its event into cs, counts, records when
-    # traced and rec while a no-arg call is recorded; hi (opcode and val) and
-    # line are fixed per statement.
+    # Each op closure below folds its event into cs, records when traced and
+    # rec while a no-arg call is recorded; hi (opcode and val) and line are
+    # fixed per statement.
     def new(slot: int, first: bool):
         # only a slot's first binding in a block is saved for the block's
-        # exit; a same-block rebinding drops the old object unfreed (a leak
-        # the generator never emits; hand-built programs can)
+        # exit; a same-block rebinding drops the old object unfreed, and its
+        # function's return raises (the generator never emits one)
         hi, line = checksum_update(0, "new", 0, 0, 0), _Line("new", 0) if traced else None
-        code = OPCODES["new"]
 
         def op(f: _Frame) -> None:
             nonlocal cs, last_id, max_live, rec
@@ -232,7 +226,6 @@ def _run(program: Program, cfg: ExecConfig, verify_ownership: bool) -> Tuple[lis
             f.slots[slot] = value
             var = slot if scalar else value.id
             cs = ((cs * CHECKSUM_PRIME) & _MASK64) ^ hi ^ ((var & _FIELD) << _VAR_SHIFT) ^ res
-            counts[code] += 1
             if traced:
                 record((line, var, res))
             if rec is not None:
@@ -242,7 +235,6 @@ def _run(program: Program, cfg: ExecConfig, verify_ownership: bool) -> Tuple[lis
     def operand_op(st):
         slot, value, kind = st.slot, st.value, type(st).__name__.lower()
         hi, line = checksum_update(0, kind, 0, value, 0), _Line(kind, value) if traced else None
-        code = OPCODES[kind]
         if scalar:
             step, result = _SCALAR_OPS[type(st)]
             var_bits = (slot & _FIELD) << _VAR_SHIFT
@@ -255,7 +247,6 @@ def _run(program: Program, cfg: ExecConfig, verify_ownership: bool) -> Tuple[lis
                 f.slots[slot] = v + step
                 res = result(v)
                 cs = ((cs * CHECKSUM_PRIME) & _MASK64) ^ hi ^ var_bits ^ (res & _FIELD)
-                counts[code] += 1
                 if traced:
                     record((line, slot, res))
                 if rec is not None:
@@ -270,7 +261,6 @@ def _run(program: Program, cfg: ExecConfig, verify_ownership: bool) -> Tuple[lis
                 _unusable(obj, slot)
             var, res = obj.id, act(obj, value)
             cs = ((cs * CHECKSUM_PRIME) & _MASK64) ^ hi ^ ((var & _FIELD) << _VAR_SHIFT) ^ (res & _FIELD)
-            counts[code] += 1
             if traced:
                 record((line, var, res))
             if rec is not None:
@@ -283,23 +273,13 @@ def _run(program: Program, cfg: ExecConfig, verify_ownership: bool) -> Tuple[lis
             if arg is None or not scalar and arg.id not in live:
                 _unusable(arg, s)
 
-    def is_inert(fid: int) -> bool:
-        if fid not in inert:
-            inert[fid] = False  # a function on its own call chain is not inert
-            inert[fid] = all(
-                isinstance(st, (If, Loop))
-                or isinstance(st, Call) and not st.available_slots and is_inert(st.callee_id)
-                for st in iter_statements(program.functions[fid].body)
-            )
-        return inert[fid]
-
-    def call(fid: int, avail: List[int]):
+    def call(run: Callable[[list], None], avail: List[int]):
         def op(f: _Frame) -> None:
             check_args(f, avail)
-            (compiled.get(fid) or function(fid))([f.slots[s] for s in avail])
-        return (lambda f: check_args(f, avail)) if is_inert(fid) else op if avail else no_arg_call(fid)
+            run([f.slots[s] for s in avail])
+        return op
 
-    def no_arg_call(fid: int):
+    def no_arg_call(fid: int, run: Callable[[list], None]):
         def op(f: _Frame) -> None:
             nonlocal cs, last_id, max_live, rec, chunks
             if rec is not None:  # the call being recorded keeps a marker, not these events
@@ -307,26 +287,24 @@ def _run(program: Program, cfg: ExecConfig, verify_ownership: bool) -> Tuple[lis
                 rec = []
             memo = memos.get(fid)
             if memo is not None:
-                parts, allocs, peak, delta, base = memo
+                parts, allocs, peak, base = memo
                 max_live = max(max_live, len(live) + peak)
-                counts[:] = [n + d for n, d in zip(counts, delta)]
                 if traced:  # one int per object id, shared by every event that names it
                     ids.extend(range(len(ids), last_id + allocs + 1))
                 cs = replay(parts, last_id - base, cs)
                 last_id += allocs
                 return
             outer, rec, chunks = (rec, chunks), [], []
-            base, entry_live, before, outer_max = last_id, len(live), counts[:], max_live
+            base, entry_live, outer_max = last_id, len(live), max_live
             max_live = entry_live
-            (compiled.get(fid) or function(fid))([])
+            run([])  # a call that leaks raises here, so every record is leak-free
             own = chunks + [(rec, None, base)]
             (rec, chunks), peak, max_live = outer, max_live - entry_live, max(max_live, outer_max)
-            if len(live) == entry_live:  # else a leak: its later calls run in full
-                parts = [(ev[0::4] if traced else (),
-                          [interned.setdefault(t, t)
-                           for t in map(lambda hi, res: hi ^ (res & _FIELD), ev[1::4], ev[3::4])],
-                          ev[2::4], ev[3::4] if traced else (), callee, at) for ev, callee, at in own]
-                memos[fid] = (parts, last_id - base, peak, [n - m for n, m in zip(counts, before)], base)
+            parts = [(ev[0::4] if traced else (),
+                      [interned.setdefault(t, t)
+                       for t in map(lambda hi, res: hi ^ (res & _FIELD), ev[1::4], ev[3::4])],
+                      ev[2::4], ev[3::4] if traced else (), callee, at) for ev, callee, at in own]
+            memos[fid] = (parts, last_id - base, peak, base)
         return op
 
     def replay(parts: list, shift: int, c: int) -> int:
@@ -342,8 +320,8 @@ def _run(program: Program, cfg: ExecConfig, verify_ownership: bool) -> Tuple[lis
                 for term, var in zip(terms, var_ids):
                     c = ((c * CHECKSUM_PRIME) & _MASK64) ^ term ^ (((shift + var) & _FIELD) << _VAR_SHIFT)
             if callee is not None:
-                memo = memos[callee]
-                c = replay(memo[0], shift + at - memo[4], c)
+                inner, _, _, base = memos[callee]
+                c = replay(inner, shift + at - base, c)
         return c
 
     def scope(seq: list, bound: List[int]):
@@ -370,56 +348,66 @@ def _run(program: Program, cfg: ExecConfig, verify_ownership: bool) -> Tuple[lis
                     op(f)
         return run
 
-    def block(stmts) -> list:
-        """The closures of one block. A block that binds no slot has nothing
-        to release at its exit, so its closures join its parent's list."""
+    def block(stmts, tally: List[int], n: int) -> list:
+        """The closures of one block, which runs n times per call of its
+        function; adds n per op to tally. A block that binds no slot has
+        nothing to release at its exit, so its closures join its parent's."""
         seq: list = []
         bound: List[int] = []  # slots first bound in this block, in order
         for st in stmts:
             if isinstance(st, New):
+                tally[OPCODES["new"]] += n
                 first = st.slot not in bound
                 seq.append(new(st.slot, first))
                 if first:
                     bound.append(st.slot)
             elif isinstance(st, (Insert, Remove, Contains)):
+                tally[OPCODES[type(st).__name__.lower()]] += n
                 seq.append(operand_op(st))
             elif isinstance(st, If):
                 arm = st.then if (path >> st.bit_index) & 1 else st.orelse
-                seq += block(st.cond) + block(arm or [])
+                seq += block(st.cond, tally, n) + block(arm or [], tally, n)
             elif isinstance(st, Loop):
-                body = block(st.cond) + block(st.body)
-                if body:  # else only empty blocks and inert calls: nothing to repeat
+                trips = n * plan.trip_count
+                body = block(st.cond, tally, trips) + block(st.body, tally, trips)
+                if body:
                     seq.append(loop(body))
             elif isinstance(st, Call):
-                if st.available_slots or not is_inert(st.callee_id):
-                    seq.append(call(st.callee_id, list(st.available_slots)))
+                run, counts = function(st.callee_id)
+                tally[:] = [t + n * c for t, c in zip(tally, counts)]
+                avail = list(st.available_slots)
+                if run:
+                    seq.append(call(run, avail) if avail else no_arg_call(st.callee_id, run))
+                elif avail:  # nothing to run, but the arguments are still checked
+                    seq.append(lambda f, avail=avail: check_args(f, avail))
             else:
                 seq.append(lambda f, st=st: _broken(f"unknown statement {st!r}"))
         return [scope(seq, bound)] if bound else seq
 
     def function(fid: int):
-        fn = program.functions[fid]
-        body = block(fn.body)
+        """compiled[fid], made at the function's first call site."""
+        if fid not in compiled:
+            fn = program.functions[fid]
+            tally = [0] * (max(OPCODES.values()) + 1)
+            body = block(fn.body, tally, 1)
 
-        def run(params: list) -> None:
-            f = _Frame(fn.slot_count, params)
-            for op in body:
-                op(f)
-            if verify_ownership and f.owned:
-                _broken(
-                    f"ownership broken: function {fid} returns with "
-                    f"{f.owned} objects it allocated still live"
-                )
-        compiled[fid] = run
-        return run
+            def run(params: list) -> None:
+                f = _Frame(fn.slot_count, params)
+                for op in body:
+                    op(f)
+                if f.owned:
+                    _broken(
+                        f"ownership broken: function {fid} returns with "
+                        f"{f.owned} objects it allocated still live"
+                    )
+            compiled[fid] = (run if body else None), tally
+        return compiled[fid]
 
-    function(program.entry_id)([])
-    op_counts = {op: counts[code] for op, code in OPCODES.items()}
+    run, tally = function(program.entry_id)
+    if run:
+        run([])
+    op_counts = {op: tally[code] for op, code in OPCODES.items()}
     return records, RunStats(op_counts, max_live, live_at_exit=len(live), checksum=cs)
-
-
-def verify_no_leaks(stats: RunStats) -> bool:
-    return stats.live_at_exit == 0
 
 
 def run_to_text(program: Program, cfg: Optional[ExecConfig] = None) -> str:
@@ -430,7 +418,7 @@ def run_to_text(program: Program, cfg: Optional[ExecConfig] = None) -> str:
     cfg = cfg or ExecConfig()
     if not cfg.debug_trace:  # via interpret, so a hook on it counts untraced runs
         return f"CHECKSUM {interpret(program, cfg)[1].checksum}\n"
-    records, stats = _run(program, cfg, False)
+    records, stats = _run(program, cfg)
     template = "".join(records[::3])
     del records[::3]
     return template % tuple(records) + f"CHECKSUM {stats.checksum}\n"

@@ -135,9 +135,7 @@ def test_criterion_04_oracle_leak_freedom():
                 plan = astgen.OperandPlan(seed=1, container_kind=kind)
                 planned = astgen.plan_operands(program, plan)
                 for path in paths:
-                    stats = oracle.interpret(
-                        planned, oracle.ExecConfig(path=path), verify_ownership=True
-                    )[1]
+                    stats = oracle.interpret(planned, oracle.ExecConfig(path=path))[1]
                     assert stats.live_at_exit == 0
 
         for generations in (4, 5, 6, 7):
@@ -145,9 +143,7 @@ def test_criterion_04_oracle_leak_freedom():
             for kind in astgen.CONTAINER_KINDS:
                 program = quiet_lower(derived, astgen.OperandPlan(seed=0, container_kind=kind))
                 for path in paths:
-                    stats = oracle.interpret(
-                        program, oracle.ExecConfig(path=path), verify_ownership=True
-                    )[1]
+                    stats = oracle.interpret(program, oracle.ExecConfig(path=path))[1]
                     assert stats.live_at_exit == 0
 
 

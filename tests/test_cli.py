@@ -63,6 +63,14 @@ def test_gen_missing_spec_file_is_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_gen_unreadable_spec_or_unwritable_out_is_error(spec_file, tmp_path, capsys):
+    # a directory as the spec, and an --out below a file
+    for argv in (["gen", str(tmp_path), "--out", str(tmp_path / "out")],
+                 ["gen", spec_file, "--out", os.path.join(spec_file, "x")]):
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_gen_bad_spec_reports_position(tmp_path, capsys):
     spec = tmp_path / "bad.lsys"
     spec.write_text("A = IF(insert\n")

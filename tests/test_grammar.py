@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from helpers import CONTAINER_STRESS_SPEC, FAN_OUT_INIT_SPEC, random_seq
+from helpers import CALL_CHURN_SPEC, CONTAINER_STRESS_SPEC, FAN_OUT_INIT_SPEC, random_seq
+from lsysbench import grammar
 from lsysbench.grammar import (
     Construct,
     DerivationLimitError,
@@ -175,6 +176,31 @@ def test_derive_item_cap():
     with pytest.raises(DerivationLimitError):
         derive(spec, 30, max_items=10_000)
     assert len(derive(spec, 3, max_items=10_000)) == 16
+
+
+def test_derive_refuses_an_oversized_derivation_before_rewriting(monkeypatch):
+    calls = []
+    real = grammar.rewrite_once
+    monkeypatch.setattr(grammar, "rewrite_once", lambda *a: calls.append(1) or real(*a))
+    spec = parse_spec(CONTAINER_STRESS_SPEC)
+    with pytest.raises(DerivationLimitError,
+                       match="generation 11 has 24571 items, above the cap of 10000"):
+        derive(spec, 40, max_items=10_000)
+    assert calls == []
+
+
+def test_derive_item_counts_are_exact_before_rewriting():
+    # every generation of these specs is larger than the one before, so a
+    # cap one below a generation's size is first crossed there
+    specs = (CONTAINER_STRESS_SPEC, CALL_CHURN_SPEC,
+             "A = X IF(A, B)\nB = LOOP(A, new B) insert\n")
+    for text in specs:
+        spec = parse_spec(text)
+        for g in range(1, 8):
+            n = total_items(derive(spec, g))
+            assert len(derive(spec, g, max_items=n)) > 0
+            with pytest.raises(DerivationLimitError, match=f"generation {g} has {n} items"):
+                derive(spec, g, max_items=n - 1)
 
 
 def test_derive_negative_generations():

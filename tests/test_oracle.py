@@ -35,7 +35,6 @@ from lsysbench.oracle import (
     format_trace_event,
     interpret,
     run_to_text,
-    verify_no_leaks,
 )
 
 U64 = (1 << 64) - 1
@@ -146,7 +145,7 @@ def test_empty_program():
     assert trace == []
     assert stats.max_live == 0
     assert stats.checksum == CHECKSUM_OFFSET
-    assert verify_no_leaks(stats)
+    assert stats.live_at_exit == 0
     assert run_to_text(lower_text("")) == f"CHECKSUM {CHECKSUM_OFFSET}\n"
 
 
@@ -250,12 +249,12 @@ def test_cond_locals_not_visible_to_materialized_operand():
 def test_hand_built_rebinding_leaks():
     # same-block slot rebinding drops the first object without freeing it;
     # the generator never emits this, so it only arises in hand-built
-    # programs like this one
+    # programs like this one, and the function's return reports it
     fn = FunctionDef(id=0, canonical="new new", body=[New(0), New(0)], slot_count=1)
     program = Program(functions=[fn], entry_id=0)
-    _, stats = interpret(program)
-    assert stats.live_at_exit == 1
-    assert not verify_no_leaks(stats)
+    with pytest.raises(OracleInvariantError,
+                       match="ownership broken: function 0 returns with 1 objects"):
+        interpret(program)
 
 
 def test_unbound_slot_use_aborts():
@@ -286,7 +285,7 @@ def test_ownership_verification_catches_a_leaked_rebinding():
     fn = FunctionDef(id=0, canonical="new new", body=[New(0), New(0)], slot_count=1)
     program = Program(functions=[fn], entry_id=0)
     with pytest.raises(OracleInvariantError, match="ownership broken"):
-        interpret(program, verify_ownership=True)
+        interpret(program)
 
 
 def test_callee_borrows_the_callers_object():
@@ -294,18 +293,15 @@ def test_callee_borrows_the_callers_object():
     # caller sees that insert, and only the caller frees the object
     for kind in ("array", "sortedList"):
         program = lower_text("new CALL(new insert) insert contains", container_kind=kind)
-        for verify in (False, True):
-            trace, stats = interpret(
-                program, ExecConfig(debug_trace=True), verify_ownership=verify
-            )
-            assert [(e.op, e.var, e.res) for e in trace[:4]] == [
-                ("new", 1, 1),
-                ("new", 1, 0),
-                ("insert", 1, 1),
-                ("insert", 1, 2),  # size 2: the callee's insert is visible
-            ]
-            assert [(e.op, e.var) for e in trace[4:]] == [("contains", 1)]
-            assert (stats.max_live, stats.live_at_exit) == (1, 0)
+        trace, stats = interpret(program, ExecConfig(debug_trace=True))
+        assert [(e.op, e.var, e.res) for e in trace[:4]] == [
+            ("new", 1, 1),
+            ("new", 1, 0),
+            ("insert", 1, 1),
+            ("insert", 1, 2),  # size 2: the callee's insert is visible
+        ]
+        assert [(e.op, e.var) for e in trace[4:]] == [("contains", 1)]
+        assert (stats.max_live, stats.live_at_exit) == (1, 0)
 
 
 def test_callee_rebinding_a_borrowed_slot_frees_only_its_own_object():
@@ -317,9 +313,7 @@ def test_callee_rebinding_a_borrowed_slot_frees_only_its_own_object():
         body=[New(0), Call(0, [0]), Insert(0, 7)], slot_count=1,
     )
     program = Program(functions=[callee, entry], entry_id=1)
-    trace, stats = interpret(
-        program, ExecConfig(debug_trace=True), verify_ownership=True
-    )
+    trace, stats = interpret(program, ExecConfig(debug_trace=True))
     assert [(e.op, e.var, e.res) for e in trace] == [
         ("new", 1, 1),
         ("new", 1, 0),
@@ -333,10 +327,9 @@ def test_ownership_verification_catches_a_leak_inside_a_callee():
     callee = FunctionDef(id=0, canonical="new new", body=[New(0), New(0)], slot_count=1)
     entry = FunctionDef(id=1, canonical="CALL()", body=[Call(0, [])], slot_count=0)
     program = Program(functions=[callee, entry], entry_id=1)
-    _, stats = interpret(program)
-    assert stats.live_at_exit == 1
-    with pytest.raises(OracleInvariantError, match="ownership broken"):
-        interpret(program, verify_ownership=True)
+    with pytest.raises(OracleInvariantError,
+                       match="ownership broken: function 0 returns with 1 objects"):
+        interpret(program)
 
 
 def inert_chain(entry_body, entry_slots=1):
@@ -366,15 +359,26 @@ def test_inert_callee_leaves_the_heap_as_a_full_call_does():
             program.functions[1] = FunctionDef(
                 id=1, canonical="fn1", body=fn1_body, slot_count=1
             )
-            for verify in (False, True):
-                trace, stats = interpret(
-                    program, ExecConfig(debug_trace=True), verify_ownership=verify
-                )
-                runs.append(([(e.op, e.var, e.val, e.res) for e in trace], stats))
+            trace, stats = interpret(program, ExecConfig(debug_trace=True))
+            runs.append(([(e.op, e.var, e.val, e.res) for e in trace], stats))
         assert all(run == runs[0] for run in runs)
         trace, stats = runs[0]
         assert [e[0] for e in trace] == ["new", "insert", "new", "insert"]
         assert (stats.max_live, stats.live_at_exit) == ((0, 0) if kind == "scalar" else (2, 0))
+
+
+def test_a_callee_empty_at_this_path_still_checks_its_arguments():
+    # the callee's ops sit in one If arm: at PATH 0 it has nothing to run,
+    # at PATH 1 it runs; either way the unbound argument is caught
+    arm = If(cond=[], then=[New(0), Insert(0, 9)], bit_index=0, bit_index_raw=0)
+    callee = FunctionDef(id=0, canonical="IF(,new insert)", body=[arm], slot_count=1)
+    entry = FunctionDef(id=1, canonical="CALL()", body=[Call(0, [0])], slot_count=1)
+    for kind in CONTAINER_KINDS:
+        program = Program(functions=[callee, entry], entry_id=1,
+                          plan=OperandPlan(container_kind=kind))
+        for path in (0, 1):
+            with pytest.raises(OracleInvariantError, match="use of unbound slot 0"):
+                interpret(program, ExecConfig(path=path))
 
 
 # ---------------------------------------------------------------------------
@@ -385,21 +389,18 @@ def trace_of(trace):
 
 
 def test_a_leaking_no_arg_callee_runs_in_full_every_call():
-    # each call drops one object unfreed; a replay of the first call would
-    # leave the second call's leaked object out of live
+    # each call would drop one object unfreed; the first call's return
+    # raises, so no leaking call is ever recorded for replay
     callee = FunctionDef(
         id=0, canonical="new insert new insert",
         body=[New(0), Insert(0, 5), New(0), Insert(0, 6)], slot_count=1,
     )
     entry = FunctionDef(id=1, canonical="CALL() CALL()", body=[Call(0, []), Call(0, [])])
     program = Program(functions=[callee, entry], entry_id=1)
-    trace, stats = interpret(program, ExecConfig(debug_trace=True))
-    assert trace_of(trace) == [
-        ("new", 1, 0, 1), ("insert", 1, 5, 1), ("new", 2, 0, 1), ("insert", 2, 6, 1),
-        ("new", 3, 0, 1), ("insert", 3, 5, 1), ("new", 4, 0, 1), ("insert", 4, 6, 1),
-    ]
-    assert (stats.max_live, stats.live_at_exit) == (3, 2)
-    assert stats.op_counts == {"new": 4, "insert": 4, "remove": 0, "contains": 0}
+    for cfg in (ExecConfig(), ExecConfig(debug_trace=True)):
+        with pytest.raises(OracleInvariantError,
+                           match="ownership broken: function 0 returns with 1 objects"):
+            interpret(program, cfg)
 
 
 def test_a_no_arg_callee_peaks_above_what_its_caller_holds():
@@ -414,15 +415,14 @@ def test_a_no_arg_callee_peaks_above_what_its_caller_holds():
         body=[Call(0, []), New(0), New(1), Call(0, []), Insert(1, 3)], slot_count=2,
     )
     program = Program(functions=[callee, entry], entry_id=1)
-    for verify in (False, True):
-        trace, stats = interpret(program, ExecConfig(debug_trace=True), verify_ownership=verify)
-        assert trace_of(trace) == [
-            ("new", 1, 0, 1), ("insert", 1, 1, 1), ("new", 2, 0, 1), ("insert", 2, 2, 1),
-            ("new", 3, 0, 1), ("new", 4, 0, 1),
-            ("new", 5, 0, 1), ("insert", 5, 1, 1), ("new", 6, 0, 1), ("insert", 6, 2, 1),
-            ("insert", 4, 3, 1),
-        ]
-        assert (stats.max_live, stats.live_at_exit) == (4, 0)
+    trace, stats = interpret(program, ExecConfig(debug_trace=True))
+    assert trace_of(trace) == [
+        ("new", 1, 0, 1), ("insert", 1, 1, 1), ("new", 2, 0, 1), ("insert", 2, 2, 1),
+        ("new", 3, 0, 1), ("new", 4, 0, 1),
+        ("new", 5, 0, 1), ("insert", 5, 1, 1), ("new", 6, 0, 1), ("insert", 6, 2, 1),
+        ("insert", 4, 3, 1),
+    ]
+    assert (stats.max_live, stats.live_at_exit) == (4, 0)
 
 
 def test_a_scalar_no_arg_callee_traces_its_slot_ordinals_every_call():
@@ -447,11 +447,10 @@ def test_ownership_verification_catches_a_leak_in_a_nested_no_arg_callee():
     middle = FunctionDef(id=1, canonical="new CALL()", body=[New(0), Call(0, [])], slot_count=1)
     entry = FunctionDef(id=2, canonical="CALL() CALL()", body=[Call(1, []), Call(1, [])])
     program = Program(functions=[leaky, middle, entry], entry_id=2)
-    trace, stats = interpret(program, ExecConfig(debug_trace=True))
-    assert [e.var for e in trace] == [1, 2, 3, 4, 5, 6]
-    assert (stats.max_live, stats.live_at_exit) == (4, 2)
-    with pytest.raises(OracleInvariantError, match="function 0 returns with 1 objects"):
-        interpret(program, verify_ownership=True)
+    for cfg in (ExecConfig(), ExecConfig(debug_trace=True)):
+        with pytest.raises(OracleInvariantError,
+                           match="ownership broken: function 0 returns with 1 objects"):
+            interpret(program, cfg)
 
 
 # 66,049 calls of fn1, each allocating two objects, one in a nested no-arg
@@ -521,10 +520,8 @@ def test_no_leaks_random_programs_all_containers():
         for kind in ("array", "sortedList", "scalar"):
             program = lower(seq, OperandPlan(seed=1, container_kind=kind))
             for path in (0, 1, U64):
-                _, stats = interpret(
-                    program, ExecConfig(path=path), verify_ownership=True
-                )
-                assert verify_no_leaks(stats)
+                _, stats = interpret(program, ExecConfig(path=path))
+                assert stats.live_at_exit == 0
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +614,22 @@ def test_monotone_op_growth_over_generations():
     assert all(a < b for a, b in zip(totals, totals[1:]))
 
 
+def test_op_counts_equal_the_traced_events_at_every_trip_count():
+    # op counts come from the compile (loops multiply by the trip count,
+    # calls add their callee's counts); they must match what the run does
+    rng = random.Random(8642)
+    seqs = [random_seq_nonempty(rng, depth=4, max_len=4) for _ in range(25)]
+    for seq in seqs:
+        for trips in (1, 2, 3):
+            for kind in CONTAINER_KINDS:
+                program = lower(seq, OperandPlan(seed=2, trip_count=trips, container_kind=kind))
+                for path in (0, 1, U64):
+                    trace, stats = interpret(program, ExecConfig(path=path, debug_trace=True))
+                    ops = [e.op for e in trace]
+                    assert stats.op_counts == {op: ops.count(op) for op in stats.op_counts}
+                    assert sorted(stats.op_counts) == sorted(("new", "insert", "remove", "contains"))
+
+
 def test_interpret_deterministic_and_pure():
     program = lower_container_stress(4, seed=0)
     r1 = interpret(program, ExecConfig(path=5, debug_trace=True))
@@ -689,10 +702,8 @@ def digest_programs():
                 yield lower(seq, OperandPlan(seed=3, container_kind=kind))
 
 
-def run_record(program, path, verify_ownership=False):
-    trace, stats = interpret(
-        program, ExecConfig(path=path, debug_trace=True), verify_ownership
-    )
+def run_record(program, path):
+    trace, stats = interpret(program, ExecConfig(path=path, debug_trace=True))
     events = [(e.op, e.var, e.val, e.res) for e in trace]
     return repr((events, stats.checksum, list(stats.op_counts.items()),
                  stats.max_live, stats.live_at_exit))
@@ -700,12 +711,9 @@ def run_record(program, path, verify_ownership=False):
 
 def test_oracle_results_digest_is_pinned():
     digest = hashlib.sha256()
-    for i, program in enumerate(digest_programs()):
+    for program in digest_programs():
         for path in (0, 1, U64):
-            record = run_record(program, path)
-            if i % 9 == 0:  # ownership verification leaves every result unchanged
-                assert run_record(program, path, verify_ownership=True) == record
-            digest.update(record.encode())
+            digest.update(run_record(program, path).encode())
     assert digest.hexdigest() == ORACLE_DIGEST
 
 
