@@ -31,7 +31,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import BinaryIO, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import astgen, codegen, grammar, oracle
 
@@ -226,10 +226,16 @@ def _kill_group(child: subprocess.Popen) -> None:
         os.killpg(child.pid, signal.SIGKILL)
 
 
+def _reread(fh) -> str:
+    fh.seek(0)
+    return fh.read()
+
+
 def _start(
     argv: List[str],
     cwd: Optional[str] = None,
     env: Optional[Dict[str, str]] = None,
+    stdout: Optional[BinaryIO] = None,
 ) -> Callable[..., Tuple[float, subprocess.CompletedProcess]]:
     """Start argv in a process group of its own and return its finisher.
 
@@ -238,10 +244,13 @@ def _start(
     kills the child first. A kill, also one after an interrupted wait,
     reaches the whole group, so that no child of the child (cc1, as, ld) is
     left behind. stdout and stderr go to temporary files, which a large
-    trace crosses faster than a pipe. An interrupt that arrives inside Popen
-    after the fork kills and reaps the child's group too.
+    trace crosses faster than a pipe. A caller's ``stdout`` file receives
+    the output instead and stays open for the caller to read; the
+    CompletedProcess's stdout is then "". An interrupt that arrives inside Popen after the
+    fork kills and reaps the child's group too.
     """
-    out, err = tempfile.TemporaryFile("w+"), tempfile.TemporaryFile("w+")
+    out = tempfile.TemporaryFile("w+") if stdout is None else stdout
+    err = tempfile.TemporaryFile("w+")
     start = time.perf_counter()
     child = subprocess.Popen.__new__(subprocess.Popen)  # kept, should __init__ raise
     try:
@@ -250,7 +259,8 @@ def _start(
         if getattr(child, "pid", None) is not None and child.returncode is None:
             _kill_group(child)
             child.wait()
-        out.close()
+        if stdout is None:
+            out.close()
         err.close()
         if not isinstance(exc, OSError):
             raise
@@ -258,7 +268,7 @@ def _start(
         return lambda cancel=False: ((time.perf_counter() - start) * 1000.0, failed)
 
     def finish(cancel: bool = False) -> Tuple[float, subprocess.CompletedProcess]:
-        with out, err:
+        with (out if stdout is None else contextlib.nullcontext()), err:
             try:
                 if cancel:
                     _kill_group(child)
@@ -268,10 +278,8 @@ def _start(
                     _kill_group(child)
                     child.wait()
             elapsed_ms = (time.perf_counter() - start) * 1000.0
-            out.seek(0)
-            err.seek(0)
             return elapsed_ms, subprocess.CompletedProcess(
-                argv, child.returncode, out.read(), err.read())
+                argv, child.returncode, _reread(out) if stdout is None else "", _reread(err))
 
     return finish
 
@@ -280,8 +288,9 @@ def timed_run(
     argv: List[str],
     cwd: Optional[str] = None,
     env: Optional[Dict[str, str]] = None,
+    stdout: Optional[BinaryIO] = None,
 ) -> Tuple[float, subprocess.CompletedProcess]:
-    return _start(argv, cwd, env)()
+    return _start(argv, cwd, env, stdout)()
 
 
 def start_compile(
@@ -378,11 +387,36 @@ def cmd_gen(
     return manifest
 
 
-def _first_divergence(got: List[str], want: List[str]) -> int:
-    for i, (a, b) in enumerate(zip(got, want)):
-        if a != b:
-            return i
-    return min(len(got), len(want))
+def _first_divergence(got: BinaryIO, pieces: Sequence[str]) -> Optional[str]:
+    """Where the output read from got first differs from the pieces joined:
+    a report naming the first unequal line, or None if they are equal.
+
+    Each piece is compared with one read of its size, so neither text is
+    held whole; only an unequal piece is compared again, line by line.
+    Lines are compared with their endings."""
+    event = 0
+    for piece in pieces:
+        start, want = got.tell(), piece.encode()
+        if got.read(len(want)) != want:
+            got.seek(start)
+            for at, want_line in enumerate(piece.splitlines(keepends=True), event):
+                line = got.readline().decode(errors="replace")
+                if line != want_line:
+                    return _mismatch(at, line, want_line)
+        event += piece.count("\n")
+    extra = got.readline().decode(errors="replace")
+    return _mismatch(event, extra, "") if extra else None
+
+
+def _mismatch(event: int, got: str, want: str) -> str:
+    """A report of unequal lines, "" for a missing one. Each is shown
+    without its newline, unless that would make them look equal."""
+    shown = [line.removesuffix("\n") for line in (got, want)]
+    if shown[0] == shown[1]:
+        shown = [got, want]
+    got_at, want_at = (repr(text) if line else "'<missing>'"
+                       for line, text in zip((got, want), shown))
+    return f"first divergence at event {event}: got {got_at}, want {want_at}"
 
 
 def cmd_check(
@@ -442,7 +476,7 @@ def cmd_check(
             try:
                 if program is None:
                     program = build(seed)
-                wants = [oracle.run_to_text(program, oracle.ExecConfig(
+                wants = [oracle.run_to_pieces(program, oracle.ExecConfig(
                     path=path, debug_trace=not checksum_only)) for path in paths]
             except BaseException:
                 finish(cancel=True)
@@ -456,27 +490,24 @@ def cmd_check(
                 argv = [binary, str(path)]
                 if not checksum_only:
                     argv.append("--debug")
-                _, run = timed_run(argv)
-                if run.returncode != 0:
-                    report(seed, path, "runtime-failure",
-                           f"exit={run.returncode} {run.stderr.strip()[:200]}")
-                    ok = False
-                    continue
-                got = run.stdout
-                if checksum_only:  # a --debug-trace build prints its trace anyway
-                    got = "".join(line for line in got.splitlines(keepends=True)
-                                  if line.startswith("CHECKSUM "))
-                if got == want:
+                with tempfile.TemporaryFile() as got:
+                    _, run = timed_run(argv, stdout=got)
+                    if run.returncode != 0:
+                        report(seed, path, "runtime-failure",
+                               f"exit={run.returncode} {run.stderr.strip()[:200]}")
+                        ok = False
+                        continue
+                    got.seek(0)
+                    output = got
+                    if checksum_only:  # a --debug-trace build prints its trace anyway
+                        output = io.BytesIO(b"".join(
+                            line for line in got if line.startswith(b"CHECKSUM ")))
+                    mismatch = _first_divergence(output, want)
+                if mismatch is None:
                     report(seed, path, "pass")
-                    continue
-                got_lines = got.splitlines()
-                want_lines = want.splitlines()
-                idx = _first_divergence(got_lines, want_lines)
-                got_at = got_lines[idx] if idx < len(got_lines) else "<missing>"
-                want_at = want_lines[idx] if idx < len(want_lines) else "<missing>"
-                report(seed, path, "trace-mismatch",
-                       f"first divergence at event {idx}: got {got_at!r}, want {want_at!r}")
-                ok = False
+                else:
+                    report(seed, path, "trace-mismatch", mismatch)
+                    ok = False
     if report_path:
         write_json_lines(rows, report_path)
     print("check: PASS" if ok else "check: FAIL")

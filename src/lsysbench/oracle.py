@@ -27,6 +27,8 @@ CHECKSUM_PRIME = 1099511628211
 OPCODES = {"new": 1, "insert": 2, "remove": 3, "contains": 4}
 # event = opcode << 48 | var << 32 | val << 16 | res, low 16 bits of each field
 _OP_SHIFT, _VAR_SHIFT, _VAL_SHIFT, _FIELD = 48, 32, 16, 0xFFFF
+# trace lines per piece of run_to_pieces' text, ~0.6 MB of churn's
+PIECE_EVENTS = 1 << 14
 
 
 class OracleInvariantError(RuntimeError):
@@ -157,15 +159,16 @@ def interpret(program: Program, cfg: Optional[ExecConfig] = None) -> Tuple[List[
 
     Each call compiles the program into closures, one per statement, block
     and function, each function at its first call site; nothing is kept
-    between calls. Compiling settles all that does not depend on container
-    contents: the container kind, each If's arm (the arm not taken is never
-    compiled), the slots each block binds, the op counts, and each event's
-    static part: its checksum bits and, when traced, its trace line, built
-    by format_trace_event with var and res left open. A Call to a callee
-    that compiles to nothing checks its arguments alone. A traced event
-    makes no object: it appends its line, var and res to one flat list,
-    which is decoded into TraceEvents after the run (run_to_text formats it
-    instead).
+    between calls, and the run frees its closures as it returns or raises,
+    leaving no cycle to the garbage collector. Compiling settles all that
+    does not depend on container contents: the container kind, each If's
+    arm (the arm not taken is never compiled), the slots each block binds,
+    the op counts, and each event's static part: its checksum bits and,
+    when traced, its trace line, built by format_trace_event with var and
+    res left open. A Call to a callee that compiles to nothing checks its
+    arguments alone. A traced event makes no object: it appends its line,
+    var and res to one flat list, which is decoded into TraceEvents after
+    the run (run_to_pieces formats it instead).
 
     A Call that passes no slots does the same every time but for the ids of
     the objects it allocates, all above last_id at entry. Its first call runs
@@ -403,22 +406,42 @@ def _run(program: Program, cfg: ExecConfig) -> Tuple[list, RunStats]:
             compiled[fid] = (run if body else None), tally
         return compiled[fid]
 
-    run, tally = function(program.entry_id)
-    if run:
-        run([])
+    try:
+        run, tally = function(program.entry_id)
+        if run:
+            run([])
+    finally:  # the closures that call themselves hold their own cells: free them now
+        del function, block, replay
     op_counts = {op: tally[code] for op, code in OPCODES.items()}
     return records, RunStats(op_counts, max_live, live_at_exit=len(live), checksum=cs)
 
 
-def run_to_text(program: Program, cfg: Optional[ExecConfig] = None) -> str:
-    """Exactly what a compiled backend binary prints for this run. A traced
-    run joins the recorded events' lines into one template and fills every
-    var and res with one %; it makes no TraceEvent. An untraced run prints
-    the checksum alone."""
+def run_to_pieces(program: Program, cfg: Optional[ExecConfig] = None) -> List[str]:
+    """run_to_text's text in pieces: each of PIECE_EVENTS trace lines but
+    the last, then the CHECKSUM line alone. Each piece joins its recorded
+    lines into one template and fills its vars and res with one %; it makes
+    no TraceEvent. Pieces are formatted from the end of the records, which
+    shrink as the pieces grow, so the run's records and its text are never
+    held whole at once. An untraced run is the CHECKSUM line alone."""
     cfg = cfg or ExecConfig()
     if not cfg.debug_trace:  # via interpret, so a hook on it counts untraced runs
-        return f"CHECKSUM {interpret(program, cfg)[1].checksum}\n"
+        return [f"CHECKSUM {interpret(program, cfg)[1].checksum}\n"]
     records, stats = _run(program, cfg)
-    template = "".join(records[::3])
-    del records[::3]
-    return template % tuple(records) + f"CHECKSUM {stats.checksum}\n"
+    pieces = [f"CHECKSUM {stats.checksum}\n"]
+    size = 3 * PIECE_EVENTS
+    while records:
+        start = (len(records) - 1) // size * size
+        tail = records[start:]
+        del records[start:]
+        template = "".join(tail[::3])
+        del tail[::3]
+        pieces.append(template % tuple(tail))
+    pieces.reverse()
+    return pieces
+
+
+def run_to_text(program: Program, cfg: Optional[ExecConfig] = None) -> str:
+    """Exactly what a compiled backend binary prints for this run: the
+    pieces of run_to_pieces joined. An untraced run prints the checksum
+    alone."""
+    return "".join(run_to_pieces(program, cfg))

@@ -7,7 +7,9 @@ import os
 import random
 import signal
 import subprocess
+import tempfile
 import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -294,6 +296,167 @@ def test_check_checksum_only_ignores_a_baked_in_trace(spec_file, tmp_path, capsy
     assert "first divergence at event 0: got 'CHECKSUM " in printed
 
 
+def splitlines_report(got, want, checksum_only=False):
+    """The mismatch report as check made it from whole texts compared by
+    splitlines(), for the outputs where that report was already right."""
+    if checksum_only:
+        got = "".join(line for line in got.splitlines(keepends=True)
+                      if line.startswith("CHECKSUM "))
+    if got == want:
+        return None
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    idx = next((i for i, (a, b) in enumerate(zip(got_lines, want_lines)) if a != b),
+               min(len(got_lines), len(want_lines)))
+    got_at = got_lines[idx] if idx < len(got_lines) else "<missing>"
+    want_at = want_lines[idx] if idx < len(want_lines) else "<missing>"
+    return f"first divergence at event {idx}: got {got_at!r}, want {want_at!r}"
+
+
+def check_printing(spec_file, out, tmp_path, text, checksum_only=False):
+    """check's report row for a "binary" that prints text at PATH 1."""
+    printed = tmp_path / "printed"
+    printed.write_bytes(text.encode())
+    prog = tmp_path / "prog.sh"
+    prog.write_text("#!/bin/sh\ncat %s\n" % printed)
+    prog.chmod(0o755)
+    report = str(tmp_path / "report.jsonl")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cmd_check(spec_file, out, "cp %s {out}" % prog, paths=[1],
+                  checksum_only=checksum_only, report_path=report)
+    with open(report, encoding="utf-8") as fh:
+        (row,) = [json.loads(line) for line in fh]
+    return row
+
+
+def generated_program(out):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return program_from_manifest(CONTAINER_STRESS_SPEC, load_manifest(out))
+
+
+def traced_lines(program):
+    """The lines of the oracle's traced text at PATH 1."""
+    return oracle.run_to_text(program, oracle.ExecConfig(path=1, debug_trace=True)).splitlines(
+        keepends=True)
+
+
+def test_check_compares_pieces_and_reports_each_divergence_as_before(
+        spec_file, tmp_path, monkeypatch, capsys):
+    # pieces of 3 events: lines 0-2 are the first piece, 3-5 the second
+    monkeypatch.setattr(oracle, "PIECE_EVENTS", 3)
+    out = str(tmp_path / "out")
+    gen_quiet(spec_file, out, 4, default_plan(), codegen.EmitConfig(backend="c"))
+    program = generated_program(out)
+    lines = traced_lines(program)
+    want = "".join(lines)
+    assert len(lines) > 9 and lines[-1].startswith("CHECKSUM ")
+    pieces = oracle.run_to_pieces(program, oracle.ExecConfig(path=1, debug_trace=True))
+    assert [piece.count("\n") for piece in pieces[:2] + pieces[-1:]] == [3, 3, 1]
+    assert check_printing(spec_file, out, tmp_path, want)["status"] == "pass"
+
+    def changed(at, line):
+        return "".join(lines[:at] + [line] + lines[at + 1:])
+
+    cut = len("".join(lines[:5])) + len(lines[5]) // 2
+    cases = {
+        "first event": (changed(0, lines[0].replace(" res=", " res=9")), False),
+        "last event of a piece": (changed(2, lines[2][:-1] + "7\n"), False),
+        "first event of the next piece": (changed(3, lines[3][:-2] + "\n"), False),
+        "CHECKSUM line": (changed(len(lines) - 1, "CHECKSUM 12345\n"), False),
+        "cut off mid-line": (want[:cut], False),
+        "extra output after CHECKSUM": (want + "EXTRA\n", False),
+        "checksum-only, trace baked in": (changed(len(lines) - 1, "CHECKSUM 12345\n"), True),
+    }
+    for name, (text, checksum_only) in cases.items():
+        row = check_printing(spec_file, out, tmp_path, text, checksum_only)
+        expected = splitlines_report(text, lines[-1] if checksum_only else want, checksum_only)
+        assert (row["status"], row["detail"]) == ("trace-mismatch", expected), name
+    capsys.readouterr()
+    assert splitlines_report(cases["last event of a piece"][0], want) == (
+        f"first divergence at event 2: got {lines[2][:-1] + '7'!r}, want {lines[2][:-1]!r}")
+
+
+def test_check_reports_a_line_ending_difference_at_its_event(spec_file, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    gen_quiet(spec_file, out, 4, default_plan(), codegen.EmitConfig(backend="c"))
+    lines = traced_lines(generated_program(out))
+    crlf = check_printing(spec_file, out, tmp_path, "".join(lines).replace("\n", "\r\n"))
+    assert crlf["detail"] == (
+        f"first divergence at event 0: got {lines[0][:-1] + chr(13)!r}, want {lines[0][:-1]!r}")
+    unended = check_printing(spec_file, out, tmp_path, "".join(lines)[:-1])
+    assert unended["detail"] == (f"first divergence at event {len(lines) - 1}: "
+                                 f"got {lines[-1][:-1]!r}, want {lines[-1]!r}")
+    assert crlf["status"] == unended["status"] == "trace-mismatch"
+    capsys.readouterr()
+
+
+def test_check_closes_every_output_file_on_pass_mismatch_and_runtime_failure(
+        spec_file, tmp_path, monkeypatch, capsys):
+    out = str(tmp_path / "out")
+    gen_quiet(spec_file, out, 4, default_plan(), codegen.EmitConfig(backend="c"))
+    files, children = [], []
+    real_temporary_file = tempfile.TemporaryFile
+
+    def temporary_file(*args, **kwargs):
+        files.append(real_temporary_file(*args, **kwargs))
+        return files[-1]
+
+    class RecordedPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            children.append(self)
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+    monkeypatch.setattr(subprocess, "Popen", RecordedPopen)
+    want = tmp_path / "want"
+    want.write_text(oracle.run_to_text(generated_program(out),
+                                       oracle.ExecConfig(path=0, debug_trace=True)))
+    prog = tmp_path / "prog.sh"
+    prog.write_text('#!/bin/sh\ncase "$1" in\n0) cat %s ;;\n1) echo garbage ;;\n'
+                    '*) echo boom >&2; exit 3 ;;\nesac\n' % want)
+    prog.chmod(0o755)
+    report = str(tmp_path / "report.jsonl")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert not cmd_check(spec_file, out, "cp %s {out}" % prog, paths=[0, 1, 2],
+                             report_path=report)
+    capsys.readouterr()
+    with open(report, encoding="utf-8") as fh:
+        rows = [json.loads(line) for line in fh]
+    assert [row["status"] for row in rows] == ["pass", "trace-mismatch", "runtime-failure"]
+    assert rows[2]["detail"] == "exit=3 boom"
+    assert len(children) == 4 and all(child.returncode is not None for child in children)
+    assert len(files) == 8 and all(fh.closed for fh in files)  # stdout and stderr of each
+
+
+@needs_c
+def test_check_never_holds_the_expected_trace_or_the_output_whole(tmp_path, capsys):
+    # Python's peak during check on churn g=10, over its ~3.6 MB trace:
+    # 1.82x comparing piece by piece, 2.47x with the pieces joined or the
+    # output read whole on top, 4.40x with both texts held whole and the
+    # template and arguments of one % beside them
+    spec = tmp_path / "churn.lsys"
+    spec.write_text(CALL_CHURN_SPEC)
+    out = str(tmp_path / "out")
+    gen_quiet(str(spec), out, 10, default_plan(), codegen.EmitConfig(backend="c"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        program = program_from_manifest(CALL_CHURN_SPEC, load_manifest(out))
+        trace = oracle.run_to_text(program, oracle.ExecConfig(path=1, debug_trace=True))
+        trace_bytes = len(trace)
+        del program, trace
+        tracemalloc.start()
+        try:
+            assert cmd_check(str(spec), out, CC_STRICT, paths=[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert trace_bytes > 3_000_000
+    assert peak < 2.2 * trace_bytes, peak / trace_bytes
+
+
 @needs_c
 def test_check_compiles_while_the_oracle_runs(spec_file, tmp_path, monkeypatch):
     out = str(tmp_path / "out")
@@ -315,7 +478,7 @@ def test_check_compiles_while_the_oracle_runs(spec_file, tmp_path, monkeypatch):
     monkeypatch.setattr(bench, "start_compile", start_compile)
     monkeypatch.setattr(bench, "build_program", record("build", bench.build_program))
     monkeypatch.setattr(codegen, "emit", record("emit", codegen.emit))
-    monkeypatch.setattr(oracle, "run_to_text", record("oracle", oracle.run_to_text))
+    monkeypatch.setattr(oracle, "run_to_pieces", record("oracle", oracle.run_to_pieces))
     monkeypatch.setattr(bench, "timed_run", record("run", bench.timed_run))
     paths = [0, 1, 2**63]
     with warnings.catch_warnings():
@@ -365,7 +528,7 @@ def test_check_kills_the_compile_when_the_oracle_fails(spec_file, tmp_path, monk
         raise oracle.OracleInvariantError("planted failure")
 
     monkeypatch.setattr(subprocess, "Popen", RecordedPopen)
-    monkeypatch.setattr(oracle, "run_to_text", broken_oracle)
+    monkeypatch.setattr(oracle, "run_to_pieces", broken_oracle)
     # the shell forks sleep and records its pid, so that the test sees
     # whether the kill reached the whole process group or only the shell
     pid_file = str(tmp_path / "pids")
@@ -391,7 +554,12 @@ def test_check_interrupted_at_random_points_kills_every_child(spec_file, tmp_pat
     # shell records the pid of its sleep.
     out = str(tmp_path / "out")
     gen_quiet(spec_file, out, 3, default_plan(), codegen.EmitConfig(backend="c"))
-    children = []
+    children, files = [], []
+    real_temporary_file = tempfile.TemporaryFile
+
+    def temporary_file(*args, **kwargs):
+        files.append(real_temporary_file(*args, **kwargs))
+        return files[-1]
 
     class RecordedPopen(subprocess.Popen):
         def __init__(self, *args, **kwargs):
@@ -406,14 +574,15 @@ def test_check_interrupted_at_random_points_kills_every_child(spec_file, tmp_pat
 
     rng = random.Random(2024)
     oracle_delay = [0.0]
-    real_run_to_text = oracle.run_to_text
+    real_run_to_pieces = oracle.run_to_pieces
 
     def slow_oracle(*args, **kwargs):
         time.sleep(oracle_delay[0])
-        return real_run_to_text(*args, **kwargs)
+        return real_run_to_pieces(*args, **kwargs)
 
     monkeypatch.setattr(subprocess, "Popen", RecordedPopen)
-    monkeypatch.setattr(oracle, "run_to_text", slow_oracle)
+    monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+    monkeypatch.setattr(oracle, "run_to_pieces", slow_oracle)
     pid_file = str(tmp_path / "pids")
     prog = tmp_path / "prog.sh"
     prog.write_text("#!/bin/sh\nsleep 30 & echo $! >> %s; wait\n" % pid_file)
@@ -424,7 +593,7 @@ def test_check_interrupted_at_random_points_kills_every_child(spec_file, tmp_pat
             cc = "sh -c 'sleep %.3f & echo $! >> %s; wait; cp %s \"$0\"' {out}" % (
                 rng.uniform(0, 0.3), pid_file, prog)
             oracle_delay[0] = rng.uniform(0, 0.03)
-            del children[:]
+            del children[:], files[:]
             with contextlib.suppress(FileNotFoundError):
                 os.remove(pid_file)
             start = time.monotonic()
@@ -435,6 +604,7 @@ def test_check_interrupted_at_random_points_kills_every_child(spec_file, tmp_pat
             assert time.monotonic() - start < 10.0  # no 30 s binary ran to its end
             assert len(children) <= 2  # the compile, and the binary at one PATH at most
             assert all(child.returncode is not None for child in children)  # reaped
+            assert all(fh.closed for fh in files)  # the output files too
             assert all(exited(pid) for pid in recorded_pids(pid_file))  # sleeps killed too
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)

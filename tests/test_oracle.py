@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 import warnings
@@ -511,6 +512,30 @@ def test_churn_results_digest_is_pinned():
             digest.update(repr((stats.checksum, list(stats.op_counts.items()),
                                 stats.max_live, stats.live_at_exit)).encode())
     assert digest.hexdigest() == CHURN_DIGEST
+
+
+def test_runs_leave_no_cyclic_garbage():
+    # everything a run makes is freed by reference counting as it returns,
+    # so the cyclic collector finds nothing and never pauses a later run
+    programs = []
+    for spec, generations in ((CALL_CHURN_SPEC, 8), (CONTAINER_STRESS_SPEC, 6)):
+        seq = derive(parse_spec(spec), generations)
+        for kind in CONTAINER_KINDS:
+            with warnings.catch_warnings():  # dropped nonterminals, wrapped bits
+                warnings.simplefilter("ignore")
+                programs.append(lower(seq, OperandPlan(seed=5, container_kind=kind)))
+    gc.collect()
+    gc.disable()
+    try:
+        for program in programs:
+            for path in (0, 1, U64):
+                for traced in (False, True):
+                    interpret(program, ExecConfig(path=path, debug_trace=traced))
+                    assert gc.collect() == 0
+                    run_to_text(program, ExecConfig(path=path, debug_trace=traced))
+                    assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_no_leaks_random_programs_all_containers():
