@@ -249,26 +249,25 @@ def _start(
     CompletedProcess's stdout is then "". An interrupt that arrives inside Popen after the
     fork kills and reaps the child's group too.
     """
-    out = tempfile.TemporaryFile("w+") if stdout is None else stdout
-    err = tempfile.TemporaryFile("w+")
-    start = time.perf_counter()
-    child = subprocess.Popen.__new__(subprocess.Popen)  # kept, should __init__ raise
-    try:
-        child.__init__(argv, cwd=cwd, env=env, stdout=out, stderr=err, start_new_session=True)
-    except BaseException as exc:
-        if getattr(child, "pid", None) is not None and child.returncode is None:
-            _kill_group(child)
-            child.wait()
-        if stdout is None:
-            out.close()
-        err.close()
-        if not isinstance(exc, OSError):
-            raise
-        failed = subprocess.CompletedProcess(argv, returncode=127, stdout="", stderr=str(exc))
-        return lambda cancel=False: ((time.perf_counter() - start) * 1000.0, failed)
+    with contextlib.ExitStack() as files:  # closed on every way out but a started child
+        out = files.enter_context(tempfile.TemporaryFile("w+")) if stdout is None else stdout
+        err = files.enter_context(tempfile.TemporaryFile("w+"))
+        start = time.perf_counter()
+        child = subprocess.Popen.__new__(subprocess.Popen)  # kept, should __init__ raise
+        try:
+            child.__init__(argv, cwd=cwd, env=env, stdout=out, stderr=err, start_new_session=True)
+        except BaseException as exc:
+            if getattr(child, "pid", None) is not None and child.returncode is None:
+                _kill_group(child)
+                child.wait()
+            if not isinstance(exc, OSError):
+                raise
+            failed = subprocess.CompletedProcess(argv, returncode=127, stdout="", stderr=str(exc))
+            return lambda cancel=False: ((time.perf_counter() - start) * 1000.0, failed)
+        files = files.pop_all()  # the child started: finish() closes them
 
     def finish(cancel: bool = False) -> Tuple[float, subprocess.CompletedProcess]:
-        with (out if stdout is None else contextlib.nullcontext()), err:
+        with files:
             try:
                 if cancel:
                     _kill_group(child)
@@ -315,6 +314,15 @@ def compile_sources(
     flags: Optional[str] = None,
 ) -> Tuple[float, subprocess.CompletedProcess]:
     return start_compile(cc_template, src_dir, src_files, out_binary, flags)()
+
+
+def _exit_report(proc: subprocess.CompletedProcess, failure: Optional[str] = None) -> str:
+    """How every report shows a child: ``exit=<code> <stderr[:400]>``. Given
+    a failure prefix, a nonzero exit raises ``BenchError(f"{failure}: exit=...")``."""
+    report = f"exit={proc.returncode} {proc.stderr.strip()[:400]}"
+    if failure is not None and proc.returncode != 0:
+        raise BenchError(f"{failure}: {report}")
+    return report
 
 
 def parse_checksum(stdout: str) -> Optional[int]:
@@ -457,9 +465,6 @@ def cmd_check(
         where = f"seed={seed}" + ("" if path is None else f" path={path}")
         print(f"[{status}] {where}{tail}")
 
-    def build(seed: int) -> astgen.Program:
-        return build_program(spec_text, manifest["generations"], plan_from_manifest(manifest, seed))
-
     for seed in seed_list:
         with tempfile.TemporaryDirectory(prefix="lsysbench-check-") as workdir:
             # gcc compiles while the oracle computes the expected traces. The
@@ -468,14 +473,14 @@ def cmd_check(
             program = None
             src_dir = out_dir
             if seed != manifest["seed"]:
-                program = build(seed)
+                program = program_from_manifest(spec_text, manifest, seed)
                 write_source_files(codegen.emit(program, emit_cfg), workdir)
                 src_dir = workdir
             binary = os.path.join(workdir, "prog")
             finish = start_compile(cc_template, src_dir, source_file_names(manifest), binary)
             try:
                 if program is None:
-                    program = build(seed)
+                    program = program_from_manifest(spec_text, manifest, seed)
                 wants = [oracle.run_to_pieces(program, oracle.ExecConfig(
                     path=path, debug_trace=not checksum_only)) for path in paths]
             except BaseException:
@@ -483,7 +488,7 @@ def cmd_check(
                 raise
             _, proc = finish()
             if proc.returncode != 0:
-                report(seed, None, "compile-failure", proc.stderr.strip()[:400])
+                report(seed, None, "compile-failure", _exit_report(proc))
                 ok = False
                 continue
             for path, want in zip(paths, wants):
@@ -493,8 +498,7 @@ def cmd_check(
                 with tempfile.TemporaryFile() as got:
                     _, run = timed_run(argv, stdout=got)
                     if run.returncode != 0:
-                        report(seed, path, "runtime-failure",
-                               f"exit={run.returncode} {run.stderr.strip()[:200]}")
+                        report(seed, path, "runtime-failure", _exit_report(run))
                         ok = False
                         continue
                     got.seek(0)
@@ -540,6 +544,8 @@ def cmd_measure(
         expected_checksum = oracle.interpret(program, oracle.ExecConfig(path=path))[1].checksum
 
     src_files = source_file_names(manifest)
+    # a bad template fails the command before any compile, not each row
+    render_template(cc_template, dict.fromkeys(("in", "out", "flags"), "x"))
     results: List[Measurement] = []
     for flags in flag_sets:
         m = Measurement(
@@ -555,42 +561,29 @@ def cmd_measure(
         results.append(m)
         with tempfile.TemporaryDirectory(prefix="lsysbench-measure-") as workdir:
             binary = os.path.join(workdir, "prog")
-            compile_times = []
-            failed_proc = None
-            for _ in range(repetitions):
-                elapsed, proc = compile_sources(cc_template, out_dir, src_files, binary, flags=flags)
-                if proc.returncode != 0:
-                    failed_proc = proc
-                    break
-                compile_times.append(elapsed)
-            if failed_proc is not None:
-                m.failed = True
-                m.error = failed_proc.stderr.strip()[:400]
-                continue
-            m.compile_time_ms = statistics.median(compile_times)
-            m.binary_bytes = os.path.getsize(binary)
-
+            size_argv = render_template(size_cmd, {"bin": binary}) if size_cmd else None
             try:
+                compile_times = []
+                for _ in range(repetitions):
+                    elapsed, proc = compile_sources(cc_template, out_dir, src_files, binary, flags)
+                    _exit_report(proc, "compile failed")
+                    compile_times.append(elapsed)
+                m.compile_time_ms = statistics.median(compile_times)
+                m.binary_bytes = os.path.getsize(binary)
                 m.run_time_ms, stdout = _median_run_ms(binary, path, repetitions, warmups)
-            except BenchError as exc:
-                m.failed = True
-                m.error = str(exc)
-                continue
-            m.checksum = parse_checksum(stdout)
-
-            if size_cmd:
-                _, proc = timed_run(render_template(size_cmd, {"bin": binary}))
-                first = (proc.stdout.splitlines() or [""])[0].strip()
-                if proc.returncode != 0 or not first.isdecimal():
-                    m.failed = True
-                    m.error = (f"size command failed: exit={proc.returncode} stdout={first!r} "
-                               f"{proc.stderr.strip()[:300]}")
-                    continue
-                m.text_bytes = int(first)
-
-            if expected_checksum is not None and m.checksum != expected_checksum:
-                m.failed = True
-                m.error = f"checksum mismatch: got {m.checksum}, oracle {expected_checksum}"
+                m.checksum = parse_checksum(stdout)
+                if size_argv:
+                    _, proc = timed_run(size_argv)
+                    _exit_report(proc, "size command failed")
+                    first = (proc.stdout.splitlines() or [""])[0].strip()
+                    if not first.isdecimal():
+                        raise BenchError(f"size command failed: {first!r} is not a byte count")
+                    m.text_bytes = int(first)
+                if expected_checksum is not None and m.checksum != expected_checksum:
+                    raise BenchError(f"checksum mismatch: got {m.checksum}, "
+                                     f"oracle {expected_checksum}")
+            except BenchError as exc:  # the only place a row fails
+                m.failed, m.error = True, str(exc)
 
     rows = [m.to_row() for m in results]
     csv_text = write_csv(rows, MEASUREMENT_COLUMNS, csv_path)
@@ -621,8 +614,7 @@ def _median_run_ms(binary: str, path: int, repetitions: int, warmups: int,
     times = []
     for _ in range(warmups + repetitions):
         elapsed, proc = timed_run(argv, cwd=cwd, env=env)
-        if proc.returncode != 0:
-            raise BenchError(f"benchmark binary failed: exit={proc.returncode} {proc.stderr.strip()[:300]}")
+        _exit_report(proc, "benchmark binary failed")
         times.append(elapsed)
     return statistics.median(times[warmups:]), proc.stdout
 
@@ -662,14 +654,10 @@ def cmd_sweep_pgo(
 
         def build(template: str, out_name: str) -> str:
             _, proc = compile_sources(template, workdir, src_files, os.path.join(workdir, "prog"))
-            if proc.returncode != 0:
-                raise BenchError(
-                    f"compile failed for {out_name} (is profile tooling available?): "
-                    f"{proc.stderr.strip()[:400]}"
-                )
+            _exit_report(proc, f"compile failed for {out_name} (is profile tooling available?)")
             if "missing-profile" in proc.stderr:
                 raise BenchError(f"{out_name} was compiled without its profile: "
-                                 f"{proc.stderr.strip()[:400]}")
+                                 f"{_exit_report(proc)}")
             binary = os.path.join(workdir, out_name)
             os.rename(os.path.join(workdir, "prog"), binary)
             return binary
@@ -679,18 +667,13 @@ def cmd_sweep_pgo(
 
         env = dict(os.environ)
         env["LLVM_PROFILE_FILE"] = os.path.join(workdir, "default.profraw")
-        _, proc = timed_run([train_bin, str(train_path)], cwd=workdir, env=env)
-        if proc.returncode != 0:
-            raise BenchError(
-                f"training run failed: exit={proc.returncode} {proc.stderr.strip()[:300]}"
-            )
+        _exit_report(timed_run([train_bin, str(train_path)], cwd=workdir, env=env)[1],
+                     "training run failed")
         profraw = os.path.join(workdir, "default.profraw")
         if os.path.exists(profraw) and shutil.which("llvm-profdata"):
             _, proc = timed_run(["llvm-profdata", "merge", "-output",
                                  os.path.join(workdir, "default.profdata"), profraw])
-            if proc.returncode != 0:
-                raise BenchError(f"llvm-profdata merge failed: exit={proc.returncode} "
-                                 f"{proc.stderr.strip()[:300]}")
+            _exit_report(proc, "llvm-profdata merge failed")
 
         opt_bin = build(cc_opt, "prog-opt")
 

@@ -200,10 +200,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 csv_path=args.csv,
             )
             return 0
-    except (grammar.SpecError, bench.BenchError, codegen.BackendError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # an unreadable spec or an unwritable --out
+    # OSError: an unreadable spec or an unwritable --out
+    except (grammar.SpecError, bench.BenchError, codegen.BackendError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

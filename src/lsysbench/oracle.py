@@ -62,7 +62,6 @@ class TraceEvent(NamedTuple):
 class RunStats:
     op_counts: Dict[str, int] = field(default_factory=dict)
     max_live: int = 0
-    live_at_exit: int = 0
     checksum: int = CHECKSUM_OFFSET
 
 
@@ -413,7 +412,7 @@ def _run(program: Program, cfg: ExecConfig) -> Tuple[list, RunStats]:
     finally:  # the closures that call themselves hold their own cells: free them now
         del function, block, replay
     op_counts = {op: tally[code] for op, code in OPCODES.items()}
-    return records, RunStats(op_counts, max_live, live_at_exit=len(live), checksum=cs)
+    return records, RunStats(op_counts, max_live, checksum=cs)
 
 
 def run_to_pieces(program: Program, cfg: Optional[ExecConfig] = None) -> List[str]:

@@ -134,17 +134,15 @@ def test_criterion_04_oracle_leak_freedom():
             for kind in astgen.CONTAINER_KINDS:
                 plan = astgen.OperandPlan(seed=1, container_kind=kind)
                 planned = astgen.plan_operands(program, plan)
-                for path in paths:
-                    stats = oracle.interpret(planned, oracle.ExecConfig(path=path))[1]
-                    assert stats.live_at_exit == 0
+                for path in paths:  # a run that leaves objects live raises
+                    oracle.interpret(planned, oracle.ExecConfig(path=path))
 
         for generations in (4, 5, 6, 7):
             derived = derive_spec(CONTAINER_STRESS_SPEC, generations)
             for kind in astgen.CONTAINER_KINDS:
                 program = quiet_lower(derived, astgen.OperandPlan(seed=0, container_kind=kind))
                 for path in paths:
-                    stats = oracle.interpret(program, oracle.ExecConfig(path=path))[1]
-                    assert stats.live_at_exit == 0
+                    oracle.interpret(program, oracle.ExecConfig(path=path))
 
 
 def _criterion5_matrix():

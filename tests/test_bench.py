@@ -67,6 +67,14 @@ def tree_hash(root):
     return digest.hexdigest()
 
 
+def script_cc(tmp_path, body):
+    """A --cc template that "compiles" to a shell script with this body."""
+    prog = tmp_path / "prog.sh"
+    prog.write_text("#!/bin/sh\n%s\n" % body)
+    prog.chmod(0o755)
+    return "cp %s {out}" % prog
+
+
 # ---------------------------------------------------------------------------
 # gen + manifest
 
@@ -260,6 +268,21 @@ def test_check_compile_failure_category(spec_file, tmp_path, capsys):
         ok = cmd_check(spec_file, out, CC_STRICT, paths=[1])
     assert ok is False
     assert "compile-failure" in capsys.readouterr().out
+
+
+def test_check_compile_failure_detail_is_the_exit_code_and_stderr(spec_file, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    gen_quiet(spec_file, out, 3, default_plan(), codegen.EmitConfig(backend="c"))
+    report = str(tmp_path / "report.jsonl")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert not cmd_check(spec_file, out, "sh -c 'echo no compiler >&2; exit 4' {out}",
+                             paths=[1], report_path=report)
+    capsys.readouterr()
+    with open(report, encoding="utf-8") as fh:
+        rows = [json.loads(line) for line in fh]
+    assert [(row["status"], row["detail"]) for row in rows] == [
+        ("compile-failure", "exit=4 no compiler")]
 
 
 @needs_c
@@ -634,6 +657,22 @@ def test_a_child_started_by_an_interrupted_popen_is_killed(tmp_path, monkeypatch
     assert all(exited(pid) for pid in recorded_pids(pid_file))
 
 
+def test_start_closes_its_first_temp_file_when_the_second_is_interrupted(monkeypatch):
+    files = []
+    real_temporary_file = tempfile.TemporaryFile
+
+    def temporary_file(*args, **kwargs):
+        if files:
+            raise KeyboardInterrupt
+        files.append(real_temporary_file(*args, **kwargs))
+        return files[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+    with pytest.raises(KeyboardInterrupt):
+        bench.timed_run(["true"])
+    assert len(files) == 1 and files[0].closed
+
+
 def test_check_refuses_an_empty_path_list_before_compiling(spec_file, tmp_path, monkeypatch):
     out = str(tmp_path / "out")
     gen_quiet(spec_file, out, 3, default_plan(), codegen.EmitConfig(backend="c"))
@@ -777,6 +816,34 @@ def test_measure_unknown_compiler_marks_rows_failed(spec_file, tmp_path, capsys)
     assert all(m.error for m in results)
 
 
+def test_measure_a_failing_binary_fails_its_row_with_exit_code_and_stderr(
+        spec_file, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    gen_quiet(spec_file, out, 3, default_plan(), codegen.EmitConfig(backend="c"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        results = cmd_measure(spec_file, out, script_cc(tmp_path, "echo boom >&2; exit 3"),
+                              flag_sets=["-O0", "-O2"], repetitions=1, warmups=0)
+    capsys.readouterr()
+    assert [(m.failed, m.error) for m in results] == [
+        (True, "benchmark binary failed: exit=3 boom")] * 2
+    assert all(m.compile_time_ms > 0 and m.run_time_ms == 0 for m in results)
+
+
+@pytest.mark.parametrize("cc, size_cmd", [("cc {foo} {in} -o {out}", None),
+                                          ("cc {in} -o {out}", "size {foo}")])
+def test_measure_refuses_a_bad_template_before_starting_a_child(
+        spec_file, tmp_path, monkeypatch, cc, size_cmd):
+    # a usage error (exit 2), not a failed row
+    out = str(tmp_path / "out")
+    gen_quiet(spec_file, out, 3, default_plan(), codegen.EmitConfig(backend="c"))
+    started = []
+    monkeypatch.setattr(bench, "_start", lambda argv, *args, **kwargs: started.append(argv))
+    with pytest.raises(BenchError, match=r"unknown placeholder \{foo\}"):
+        cmd_measure(spec_file, out, cc, flag_sets=[""], size_cmd=size_cmd)
+    assert started == []
+
+
 @needs_c
 def test_measure_size_cmd_hook(spec_file, tmp_path, capsys):
     out = str(tmp_path / "out")
@@ -889,6 +956,15 @@ def test_sweep_pgo_fails_when_the_profile_merge_fails(spec_file, tmp_path, capsy
     train = "sh -c '%s -std=c99 {in} -o \"$0\" && touch default.profraw' {out}" % C_COMPILER
     with pytest.raises(BenchError, match="llvm-profdata merge failed: exit=3 bad profile data"):
         cmd_sweep_pgo(spec_file, out, cc_o2(), train, cc_o2(), sweep=SweepConfig([1]))
+    capsys.readouterr()
+
+
+def test_sweep_pgo_fails_when_the_training_run_fails(spec_file, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    gen_quiet(spec_file, out, 3, default_plan(), codegen.EmitConfig(backend="c"))
+    cc = script_cc(tmp_path, "echo no profile >&2; exit 3")
+    with pytest.raises(BenchError, match="^training run failed: exit=3 no profile$"):
+        cmd_sweep_pgo(spec_file, out, cc, cc, cc, sweep=SweepConfig([1]))
     capsys.readouterr()
 
 

@@ -189,6 +189,20 @@ def test_derive_refuses_an_oversized_derivation_before_rewriting(monkeypatch):
     assert calls == []
 
 
+def test_default_cap_refuses_what_cannot_fit_in_memory_before_rewriting(monkeypatch):
+    calls = []
+    monkeypatch.setattr(grammar, "rewrite_once", lambda spec, seq: calls.append(1) or seq)
+    stress = parse_spec(CONTAINER_STRESS_SPEC)
+    with pytest.raises(DerivationLimitError, match="generation 18 has 2097147 items"):
+        derive(stress, 18)
+    assert calls == []
+    # stress g=17 (1,572,859 items) and churn g=19 (1,748,648) pass the size
+    # check; the stub rewrites nothing, so nothing that large is built
+    derive(stress, 17)
+    derive(parse_spec(CALL_CHURN_SPEC), 19)
+    assert len(calls) == 17 + 19
+
+
 def test_derive_item_counts_are_exact_before_rewriting():
     # every generation of these specs is larger than the one before, so a
     # cap one below a generation's size is first crossed there

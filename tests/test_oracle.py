@@ -121,7 +121,6 @@ def test_golden_container_stress_gen4_path1():
     assert len(trace) == 73
     assert stats.op_counts == {"new": 25, "insert": 24, "remove": 0, "contains": 24}
     assert stats.max_live == 3
-    assert stats.live_at_exit == 0
     assert stats.checksum == 7821493189685559008
 
 
@@ -131,7 +130,6 @@ def test_golden_container_stress_gen4_path1():
 def test_single_new():
     trace, stats = interpret(lower_text("new"), ExecConfig(debug_trace=True))
     assert [(e.op, e.var, e.val, e.res) for e in trace] == [("new", 1, 0, 1)]
-    assert stats.live_at_exit == 0
     assert stats.max_live == 1
 
 
@@ -146,7 +144,6 @@ def test_empty_program():
     assert trace == []
     assert stats.max_live == 0
     assert stats.checksum == CHECKSUM_OFFSET
-    assert stats.live_at_exit == 0
     assert run_to_text(lower_text("")) == f"CHECKSUM {CHECKSUM_OFFSET}\n"
 
 
@@ -191,7 +188,6 @@ def test_alias_consumes_parameter():
     trace, stats = interpret(program, ExecConfig(debug_trace=True))
     assert [(e.op, e.var, e.res) for e in trace][:2] == [("new", 1, 1), ("new", 1, 0)]
     assert stats.max_live == 1
-    assert stats.live_at_exit == 0
 
 
 def test_params_consumed_in_slot_order():
@@ -202,13 +198,11 @@ def test_params_consumed_in_slot_order():
         ("new", 2, 1),
         ("new", 1, 0),  # aliases the first visible slot's object
     ]
-    assert stats.live_at_exit == 0
 
 
 def test_a_parameter_the_callee_never_binds_stays_with_its_owner():
     program = lower_text("new CALL()")
     _, stats = interpret(program)
-    assert stats.live_at_exit == 0
     assert stats.max_live == 1
 
 
@@ -220,7 +214,6 @@ def test_callee_allocates_fresh_after_params_exhausted():
         ("new", 1, 0),
         ("new", 2, 1),
     ]
-    assert stats.live_at_exit == 0
     assert stats.max_live == 2
 
 
@@ -232,7 +225,6 @@ def test_loop_locals_freed_each_iteration():
     trace, stats = interpret(program, ExecConfig(debug_trace=True))
     assert [(e.op, e.var, e.res) for e in trace] == [("new", 1, 1), ("new", 2, 1)]
     assert stats.max_live == 1
-    assert stats.live_at_exit == 0
 
 
 def test_cond_locals_not_visible_to_materialized_operand():
@@ -244,7 +236,6 @@ def test_cond_locals_not_visible_to_materialized_operand():
         ("new", 2, 1),
         ("insert", 2, 1),
     ]
-    assert stats.live_at_exit == 0
 
 
 def test_hand_built_rebinding_leaks():
@@ -302,7 +293,7 @@ def test_callee_borrows_the_callers_object():
             ("insert", 1, 2),  # size 2: the callee's insert is visible
         ]
         assert [(e.op, e.var) for e in trace[4:]] == [("contains", 1)]
-        assert (stats.max_live, stats.live_at_exit) == (1, 0)
+        assert stats.max_live == 1
 
 
 def test_callee_rebinding_a_borrowed_slot_frees_only_its_own_object():
@@ -321,7 +312,7 @@ def test_callee_rebinding_a_borrowed_slot_frees_only_its_own_object():
         ("new", 2, 1),
         ("insert", 1, 1),
     ]
-    assert (stats.max_live, stats.live_at_exit) == (2, 0)
+    assert stats.max_live == 2
 
 
 def test_ownership_verification_catches_a_leak_inside_a_callee():
@@ -365,7 +356,7 @@ def test_inert_callee_leaves_the_heap_as_a_full_call_does():
         assert all(run == runs[0] for run in runs)
         trace, stats = runs[0]
         assert [e[0] for e in trace] == ["new", "insert", "new", "insert"]
-        assert (stats.max_live, stats.live_at_exit) == ((0, 0) if kind == "scalar" else (2, 0))
+        assert stats.max_live == (0 if kind == "scalar" else 2)
 
 
 def test_a_callee_empty_at_this_path_still_checks_its_arguments():
@@ -423,7 +414,7 @@ def test_a_no_arg_callee_peaks_above_what_its_caller_holds():
         ("new", 5, 0, 1), ("insert", 5, 1, 1), ("new", 6, 0, 1), ("insert", 6, 2, 1),
         ("insert", 4, 3, 1),
     ]
-    assert (stats.max_live, stats.live_at_exit) == (4, 0)
+    assert stats.max_live == 4
 
 
 def test_a_scalar_no_arg_callee_traces_its_slot_ordinals_every_call():
@@ -440,7 +431,7 @@ def test_a_scalar_no_arg_callee_traces_its_slot_ordinals_every_call():
     trace, stats = interpret(program, ExecConfig(debug_trace=True))
     call = [("new", 0, 0, 1), ("insert", 0, 3, 1), ("new", 1, 0, 1), ("contains", 1, 4, 1)]
     assert trace_of(trace) == [("new", 0, 0, 1), *call, *call, ("remove", 0, 5, 0)]
-    assert (stats.max_live, stats.live_at_exit) == (0, 0)
+    assert stats.max_live == 0
 
 
 def test_ownership_verification_catches_a_leak_in_a_nested_no_arg_callee():
@@ -478,7 +469,7 @@ def test_replayed_ids_past_two_to_the_sixteen():
             cs = checksum_update(cs, op, var, val, res)
     assert cs == WIDE_CHECKSUM
     _, stats = interpret(program)
-    assert (stats.checksum, stats.max_live, stats.live_at_exit) == (cs, 2, 0)
+    assert (stats.checksum, stats.max_live) == (cs, 2)
     assert stats.op_counts == {"new": 2 * calls, "insert": calls, "remove": 0,
                                "contains": calls}
     lines = run_to_text(program, ExecConfig(debug_trace=True)).splitlines()
@@ -494,7 +485,8 @@ def test_replayed_ids_past_two_to_the_sixteen():
 
 # sha256 over churn g=10 at PATHs 0, 1 and 2^64-1 on every container kind:
 # the traced text run_to_text prints, and the untraced checksum, op counts,
-# max_live and live_at_exit. Churn is almost all no-arg calls, so this pins
+# max_live, and a 0 where the objects live at exit were counted (a run
+# that leaves any raises). Churn is almost all no-arg calls, so this pins
 # replayed results.
 CHURN_DIGEST = "965e5d72189e53a3c47b158fbcb28092f519430da24b2b80566ab52caab9acaa"
 
@@ -510,7 +502,7 @@ def test_churn_results_digest_is_pinned():
             digest.update(run_to_text(program, ExecConfig(path=path, debug_trace=True)).encode())
             _, stats = interpret(program, ExecConfig(path=path))
             digest.update(repr((stats.checksum, list(stats.op_counts.items()),
-                                stats.max_live, stats.live_at_exit)).encode())
+                                stats.max_live, 0)).encode())
     assert digest.hexdigest() == CHURN_DIGEST
 
 
@@ -546,7 +538,6 @@ def test_no_leaks_random_programs_all_containers():
             program = lower(seq, OperandPlan(seed=1, container_kind=kind))
             for path in (0, 1, U64):
                 _, stats = interpret(program, ExecConfig(path=path))
-                assert stats.live_at_exit == 0
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +561,6 @@ def test_scalar_semantics_hand_checked():
     ]
     # scalar var is the slot ordinal, not an allocation id
     assert all(e.var == 0 for e in trace)
-    assert stats.live_at_exit == 0
     assert stats.max_live == 0
 
 
@@ -703,13 +693,13 @@ def test_heap_containers_match_a_list_model():
             program = Program([fn], entry_id=0, plan=OperandPlan(container_kind=kind))
             trace, stats = interpret(program, ExecConfig(debug_trace=True))
             assert [(e.var, e.val, e.res) for e in trace[2:]] == expected
-            assert stats.live_at_exit == 0
 
 
 # ---------------------------------------------------------------------------
 # pinned results
 
-# sha256 over the trace, checksum, op counts, max_live and live_at_exit of
+# sha256 over the trace, checksum, op counts, max_live and a 0 (where the
+# objects live at exit were counted; a run that leaves any raises) of
 # every run below. It pins the interpreter's results: any change to what a
 # program does under the oracle moves it.
 ORACLE_DIGEST = "f7c87f1846e7c71c3335c5990b7f5356ac0694e89deaa0fd90fbc14ac337b67b"
@@ -731,7 +721,7 @@ def run_record(program, path):
     trace, stats = interpret(program, ExecConfig(path=path, debug_trace=True))
     events = [(e.op, e.var, e.val, e.res) for e in trace]
     return repr((events, stats.checksum, list(stats.op_counts.items()),
-                 stats.max_live, stats.live_at_exit))
+                 stats.max_live, 0))
 
 
 def test_oracle_results_digest_is_pinned():
@@ -754,5 +744,5 @@ def test_run_to_text_matches_the_formatted_trace_and_untraced_runs_match():
             assert run_to_text(program, ExecConfig(path=path, debug_trace=True)) == want
             untraced, plain = interpret(program, ExecConfig(path=path))
             assert untraced == []
-            assert (plain.checksum, plain.op_counts, plain.max_live, plain.live_at_exit) == (
-                stats.checksum, stats.op_counts, stats.max_live, stats.live_at_exit)
+            assert (plain.checksum, plain.op_counts, plain.max_live) == (
+                stats.checksum, stats.op_counts, stats.max_live)
