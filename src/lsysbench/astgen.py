@@ -29,10 +29,13 @@ _MASK64 = (1 << 64) - 1
 
 
 class Lcg:
-    """64-bit linear congruential generator shared with the emitted runtimes.
+    """64-bit linear congruential generator that plans operands.
 
-    One step multiplies by LCG_MULT and adds LCG_INC mod 2^64; the emitted
-    value is the new state shifted right by 33 (top 31 bits).
+    It runs only here: the emitted sources carry each planned operand as a
+    literal, so no generator runs in a compiled binary.
+
+    One step multiplies by LCG_MULT and adds LCG_INC mod 2^64; `next`
+    returns the new state shifted right by 33 (top 31 bits).
     """
 
     def __init__(self, seed: int):

@@ -325,6 +325,13 @@ def _exit_report(proc: subprocess.CompletedProcess, failure: Optional[str] = Non
     return report
 
 
+def _check_built(proc: subprocess.CompletedProcess, binary: str, failure: str) -> None:
+    """Raise ``BenchError`` unless the compile exited 0 and wrote ``binary``."""
+    _exit_report(proc, failure)
+    if not os.path.isfile(binary):
+        raise BenchError(f"{failure}: exit=0 but wrote no binary {binary}")
+
+
 def parse_checksum(stdout: str) -> Optional[int]:
     for line in reversed(stdout.splitlines()):
         if line.startswith("CHECKSUM "):
@@ -566,7 +573,7 @@ def cmd_measure(
                 compile_times = []
                 for _ in range(repetitions):
                     elapsed, proc = compile_sources(cc_template, out_dir, src_files, binary, flags)
-                    _exit_report(proc, "compile failed")
+                    _check_built(proc, binary, "compile failed")
                     compile_times.append(elapsed)
                 m.compile_time_ms = statistics.median(compile_times)
                 m.binary_bytes = os.path.getsize(binary)
@@ -653,13 +660,15 @@ def cmd_sweep_pgo(
             shutil.copy(os.path.join(out_dir, name), os.path.join(workdir, name))
 
         def build(template: str, out_name: str) -> str:
-            _, proc = compile_sources(template, workdir, src_files, os.path.join(workdir, "prog"))
-            _exit_report(proc, f"compile failed for {out_name} (is profile tooling available?)")
+            prog = os.path.join(workdir, "prog")
+            _, proc = compile_sources(template, workdir, src_files, prog)
+            _check_built(proc, prog,
+                         f"compile failed for {out_name} (is profile tooling available?)")
             if "missing-profile" in proc.stderr:
                 raise BenchError(f"{out_name} was compiled without its profile: "
                                  f"{_exit_report(proc)}")
             binary = os.path.join(workdir, out_name)
-            os.rename(os.path.join(workdir, "prog"), binary)
+            os.rename(prog, binary)
             return binary
 
         base_bin = build(cc_base, "prog-base")

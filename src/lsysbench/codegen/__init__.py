@@ -3,15 +3,14 @@
 A backend is any object with an ``emit(program, cfg) -> list[SourceFile]``
 method and an ``extension``, the suffix (without the dot) of the files it
 hands to a compiler. Two full backends ship registered out of the box: "c"
-(C99) and "go". Both are a ``base.BraceBackend``; they share its file layout
-and supply only a ``BraceSyntax`` subclass with their runtime text, headers
-and ``main()``.
+(C99) and "go". Each is a ``base.BraceSyntax`` subclass, registered as is:
+the class shares the file layout and supplies only its runtime text, headers
+and ``main()``, and its ``emit`` classmethod builds one instance per program.
 Third parties can register either a backend object or a plain dict of
 per-construct format strings, which gets wrapped in a TemplateBackend.
 
 All three walk statements with the one walker, ``base.render_block``; each
-language is only a small syntax object that renders single constructs. The
-syntax objects are built per ``emit`` call.
+language is only a small syntax object that renders single constructs.
 
 ``emit`` is pure: it returns file contents and never touches the filesystem.
 """
@@ -132,8 +131,8 @@ def emit(program: astgen.Program, cfg: EmitConfig) -> List[SourceFile]:
 from .c import CBackend  # noqa: E402
 from .go import GoBackend  # noqa: E402
 
-register_backend("c", CBackend())
-register_backend("go", GoBackend())
+register_backend("c", CBackend)
+register_backend("go", GoBackend)
 
 __all__ = [
     "BackendError",

@@ -90,14 +90,16 @@ def render_block(stmts: List[astgen.Stmt], syntax, depth: int = 0) -> List[str]:
 class BraceSyntax:
     """Files and blocks shared by the C-family backends.
 
-    `files` lays a program out as `main.<extension>` (the runtime, each
-    function that --split-files leaves there, and `main()`), plus one
+    A subclass is a backend and is registered as is: the classmethod
+    `emit(program, cfg)` builds one instance per program and returns its
+    `files(cfg)`. Those are `main.<extension>` (the runtime, each function
+    that --split-files leaves there, and `main()`), plus one
     `f<id>.<extension>` per other function under --split-files. Each file
     starts with the banner. A non-empty If cond and each non-empty Loop
     block get their own `{ ... }` scope, so their bindings end with them.
     Subclasses set the templates below, `indent` and `new`/`op`/`call`,
-    and supply `runtime(program, cfg)`, the text of `main.<extension>`
-    before its functions, and, if they have any, `headers`.
+    and supply `runtime(cfg)`, the text of `main.<extension>` before its
+    functions, and, if they have any, `headers(banner)`.
     """
 
     extension = ""
@@ -110,23 +112,32 @@ class BraceSyntax:
     loop_head = ""  # % (k, k, trip count, k), k being the loop number
 
     def __init__(self, program: astgen.Program):
+        self.program = program
         self.kind = program.plan.container_kind
         self.scalar = self.kind == "scalar"
         self.trip_count = program.plan.trip_count
+        if self.kind not in self.kinds:
+            raise BackendError("the %s backend has no runtime for the %r container"
+                               % (self.extension, self.kind))
         self.parts = self.kinds[self.kind]
 
-    def headers(self, program: astgen.Program, banner: str) -> List[SourceFile]:
+    @classmethod
+    def emit(cls, program: astgen.Program, cfg: EmitConfig) -> List[SourceFile]:
+        return cls(program).files(cfg)
+
+    def headers(self, banner: str) -> List[SourceFile]:
         return []
 
-    def files(self, program: astgen.Program, cfg: EmitConfig) -> List[SourceFile]:
+    def files(self, cfg: EmitConfig) -> List[SourceFile]:
+        program = self.program
         inline, alone = program.functions, []
         if cfg.split_files:
             inline = [program.entry]
             alone = [fn for fn in program.functions if fn.id != program.entry_id]
         banner = self.banner.format(n=len(program.functions), kind=self.kind)
-        main = [banner, self.runtime(program, cfg)] + [self.function(fn) for fn in inline]
+        main = [banner, self.runtime(cfg)] + [self.function(fn) for fn in inline]
         main.append(self.main_fn % (PATH_ERROR, program.entry_id))
-        files = self.headers(program, banner)
+        files = self.headers(banner)
         files.append(SourceFile("main." + self.extension, "\n".join(main)))
         for fn in alone:
             text = "\n".join([banner, self.file_head, self.function(fn)])
@@ -153,16 +164,3 @@ class BraceSyntax:
             if blk:
                 parts += [self.indent + "{", blk, self.indent + "}"]
         return parts + ["}"]
-
-
-class BraceBackend:
-    """A backend that lays out each program with a fresh `syntax(program)`."""
-
-    syntax = BraceSyntax
-
-    @property
-    def extension(self) -> str:
-        return self.syntax.extension
-
-    def emit(self, program: astgen.Program, cfg: EmitConfig) -> List[SourceFile]:
-        return self.syntax(program).files(program, cfg)

@@ -22,7 +22,7 @@ from collections import namedtuple
 from typing import List, Set
 
 from .. import astgen
-from .base import BraceBackend, BraceSyntax, EmitConfig, SourceFile
+from .base import BraceSyntax, EmitConfig, SourceFile
 
 _HEADER_COMMON = """\
 #ifndef LS_RUNTIME_H
@@ -69,9 +69,7 @@ _HEADER_PROTOS = """\
 extern int ls_debug;
 extern uint64_t ls_checksum;
 extern uint64_t ls_next_id;
-extern uint64_t ls_rng_state;
 
-uint64_t ls_rng_next(void);
 void ls_log(int opcode, const char *kind, uint64_t var, int64_t val, int64_t res);
 ls_params ls_make_params(%s*items, size_t len);
 """
@@ -95,13 +93,6 @@ void ls_contains(int64_t var, uint64_t slot, int64_t val);
 """
 
 _IMPL_COMMON = """\
-uint64_t ls_rng_next(void)
-{
-    ls_rng_state = ls_rng_state * UINT64_C(6364136228273018565)
-        + UINT64_C(1442695040888963407);
-    return ls_rng_state >> 33;
-}
-
 void ls_log(int opcode, const char *kind, uint64_t var, int64_t val, int64_t res)
 {
     uint64_t event = ((uint64_t)opcode << 48) | ((var & UINT64_C(0xFFFF)) << 32)
@@ -345,10 +336,10 @@ _MAIN_INCLUDES = """\
 """
 
 
-class _CSyntax(BraceSyntax):
-    """`borrows`: some call passes objects to the function being rendered,
-    so a binding may alias a parameter and is freed only if its `ls_new`
-    allocated."""
+class CBackend(BraceSyntax):
+    """Generates C99 sources. `borrows`: some call passes objects to the
+    function being rendered, so a binding may alias a parameter and is freed
+    only if its `ls_new` allocated."""
 
     extension = "c"
     kinds = _KINDS
@@ -388,9 +379,9 @@ int main(int argc, char **argv)
         super().__init__(program)
         self.borrowers = _callees_passed_objects(program)
 
-    def headers(self, program: astgen.Program, banner: str) -> List[SourceFile]:
+    def headers(self, banner: str) -> List[SourceFile]:
         protos = "".join(
-            "void f%d(ls_params data, uint64_t path);\n" % fn.id for fn in program.functions
+            "void f%d(ls_params data, uint64_t path);\n" % fn.id for fn in self.program.functions
         )
         text = "\n".join([
             banner,
@@ -402,13 +393,12 @@ int main(int argc, char **argv)
         ])
         return [SourceFile("runtime.h", text)]
 
-    def runtime(self, program: astgen.Program, cfg: EmitConfig) -> str:
+    def runtime(self, cfg: EmitConfig) -> str:
         return "\n".join([
             _MAIN_INCLUDES,
             "int ls_debug = %d;\n" % (1 if cfg.debug_trace else 0)
             + "uint64_t ls_checksum = UINT64_C(14695981039346656037);\n"
-            + "uint64_t ls_next_id = UINT64_C(1);\n"
-            + "uint64_t ls_rng_state = UINT64_C(%d);\n" % program.plan.seed,
+            + "uint64_t ls_next_id = UINT64_C(1);\n",
             _IMPL_COMMON,
             _IMPL_PARAMS % self.parts.param,
             self.parts.impl,
@@ -447,9 +437,3 @@ int main(int argc, char **argv)
                 self.indent + "%sls_args%d[] = { %s };" % (self.parts.param, k, args),
                 self.indent + "f%d(ls_make_params(ls_args%d, %d), path);" % (callee, k, len(slots)),
                 "}"]
-
-
-class CBackend(BraceBackend):
-    """Generates C99 sources."""
-
-    syntax = _CSyntax

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .. import astgen
-from .base import BraceBackend, BraceSyntax, EmitConfig
+from .base import BraceSyntax, EmitConfig
 
 _OBJ_ARRAY = """\
 type lsObj struct {
@@ -48,11 +47,6 @@ type lsParams struct {
 """
 
 _IMPL_COMMON = """\
-func lsRngNext() uint64 {
-	lsRngState = lsRngState*6364136228273018565 + 1442695040888963407
-	return lsRngState >> 33
-}
-
 func lsLog(opcode uint64, kind string, varID uint64, val int64, res int64) {
 	event := opcode<<48 | (varID&0xFFFF)<<32 | (uint64(val)&0xFFFF)<<16 | uint64(res)&0xFFFF
 	lsChecksum = lsChecksum*1099511628211 ^ event
@@ -205,7 +199,9 @@ import (
 """
 
 
-class _GoSyntax(BraceSyntax):
+class GoBackend(BraceSyntax):
+    """Generates Go sources (single package main)."""
+
     extension = "go"
     kinds = _KINDS
     banner = "// Generated benchmark program: {n} function(s), {kind} container."
@@ -236,13 +232,12 @@ func main() {
     if_head = "if (path>>%d)&1 == 1 {"
     loop_head = "for lsI%d := uint64(0); lsI%d < %d; lsI%d++ {"
 
-    def runtime(self, program: astgen.Program, cfg: EmitConfig) -> str:
+    def runtime(self, cfg: EmitConfig) -> str:
         return "\n".join([
             _MAIN_IMPORTS,
             "var lsDebug = %s\n" % ("true" if cfg.debug_trace else "false")
             + "var lsChecksum = uint64(14695981039346656037)\n"
-            + "var lsNextID = uint64(1)\n"
-            + "var lsRngState = uint64(%d)\n" % program.plan.seed,
+            + "var lsNextID = uint64(1)\n",
             self.parts.structs + _PARAMS % self.parts.param,
             _IMPL_COMMON,
             _IMPL_PARAMS % self.parts.param,
@@ -265,9 +260,3 @@ func main() {
         if slots:
             args = "[]%s{%s}" % (self.parts.param, ", ".join("v%d" % s for s in slots))
         return ["f%d(lsMakeParams(%s), path)" % (callee, args)]
-
-
-class GoBackend(BraceBackend):
-    """Generates Go sources (single package main)."""
-
-    syntax = _GoSyntax

@@ -10,14 +10,6 @@
 int ls_debug = 0;
 uint64_t ls_checksum = UINT64_C(14695981039346656037);
 uint64_t ls_next_id = UINT64_C(1);
-uint64_t ls_rng_state = UINT64_C(0);
-
-uint64_t ls_rng_next(void)
-{
-    ls_rng_state = ls_rng_state * UINT64_C(6364136228273018565)
-        + UINT64_C(1442695040888963407);
-    return ls_rng_state >> 33;
-}
 
 void ls_log(int opcode, const char *kind, uint64_t var, int64_t val, int64_t res)
 {

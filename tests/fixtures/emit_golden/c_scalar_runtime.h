@@ -14,9 +14,7 @@ typedef struct {
 extern int ls_debug;
 extern uint64_t ls_checksum;
 extern uint64_t ls_next_id;
-extern uint64_t ls_rng_state;
 
-uint64_t ls_rng_next(void);
 void ls_log(int opcode, const char *kind, uint64_t var, int64_t val, int64_t res);
 ls_params ls_make_params(int64_t *items, size_t len);
 int64_t ls_new(ls_params *data, uint64_t slot);

@@ -25,9 +25,7 @@ typedef struct {
 extern int ls_debug;
 extern uint64_t ls_checksum;
 extern uint64_t ls_next_id;
-extern uint64_t ls_rng_state;
 
-uint64_t ls_rng_next(void);
 void ls_log(int opcode, const char *kind, uint64_t var, int64_t val, int64_t res);
 ls_params ls_make_params(ls_obj **items, size_t len);
 /* Callees borrow their parameters. ls_new hands out the next unconsumed

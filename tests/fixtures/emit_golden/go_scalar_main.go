@@ -10,16 +10,10 @@ import (
 var lsDebug = false
 var lsChecksum = uint64(14695981039346656037)
 var lsNextID = uint64(1)
-var lsRngState = uint64(0)
 
 type lsParams struct {
 	items    []int64
 	consumed int
-}
-
-func lsRngNext() uint64 {
-	lsRngState = lsRngState*6364136228273018565 + 1442695040888963407
-	return lsRngState >> 33
 }
 
 func lsLog(opcode uint64, kind string, varID uint64, val int64, res int64) {

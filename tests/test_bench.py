@@ -978,3 +978,13 @@ def test_sweep_pgo_missing_tooling_is_explanatory(spec_file, tmp_path, capsys):
         with pytest.raises(BenchError, match="compile failed"):
             cmd_sweep_pgo(spec_file, out, bad, bad, bad, sweep=SweepConfig([1]))
     capsys.readouterr()
+
+
+def test_sweep_pgo_fails_when_a_compile_writes_no_binary(spec_file, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    gen_quiet(spec_file, out, 3, default_plan(), codegen.EmitConfig(backend="c"))
+    with pytest.raises(BenchError, match=r"^compile failed for prog-base .*: "
+                                         r"exit=0 but wrote no binary .*prog$"):
+        cmd_sweep_pgo(spec_file, out, "true {in} {out}", "true {in} {out}", "true {in} {out}",
+                      sweep=SweepConfig([1]))
+    capsys.readouterr()

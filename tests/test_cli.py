@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from helpers import CONTAINER_STRESS_SPEC, STRICT_C_FLAGS, find_c_compiler
-from lsysbench import bench
+from lsysbench import astgen, bench, codegen, grammar
 from lsysbench.cli import build_parser, main
 
 C_COMPILER = find_c_compiler()
@@ -262,6 +262,40 @@ def test_measure_unknown_compiler_exits_nonzero(spec_file, tmp_path, capsys):
                     "--repetitions", "1", "--warmups", "0", "--no-oracle-check"])
     assert code == 1
     capsys.readouterr()
+
+
+def test_measure_a_compile_that_writes_no_binary_fails_its_rows(spec_file, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert run_cli(["gen", spec_file, "--generations", "3", "--out", out]) == 0
+    csv_path = str(tmp_path / "m.csv")
+    code = run_cli(["measure", spec_file, "--out", out, "--cc", "true {in} {out} {flags}",
+                    "--flags=-O0", "--flags=-O2", "--repetitions", "1", "--warmups", "0",
+                    "--csv", csv_path])
+    assert code == 1
+    with open(csv_path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["flags"] for row in rows] == ["-O0", "-O2"]
+    for row in rows:
+        assert row["failed"] == "True"
+        assert row["error"].startswith("compile failed: exit=0 but wrote no binary ")
+        assert row["error"].endswith(os.sep + "prog")
+    capsys.readouterr()
+
+
+def test_a_container_without_a_runtime_is_a_backend_error(spec_file, tmp_path, capsys,
+                                                          monkeypatch):
+    monkeypatch.delitem(codegen.go._KINDS, "scalar")
+    derived = grammar.derive(grammar.parse_spec(CONTAINER_STRESS_SPEC), 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        program = astgen.lower(derived, astgen.OperandPlan(container_kind="scalar"))
+    with pytest.raises(codegen.BackendError, match="the go backend has no runtime for "
+                                                   "the 'scalar' container"):
+        codegen.emit(program, codegen.EmitConfig(backend="go"))
+    code = run_cli(["gen", spec_file, "--backend", "go", "--container", "scalar",
+                    "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: the go backend has no runtime")
 
 
 def test_console_script_entry_point():

@@ -1,7 +1,10 @@
+import contextlib
 import hashlib
 import os
 import random
 import re
+import shutil
+import subprocess
 import warnings
 
 import pytest
@@ -9,6 +12,7 @@ import pytest
 from helpers import (
     CONTAINER_STRESS_SPEC,
     CALL_CHURN_SPEC,
+    STRICT_C_FLAGS,
     compile_c,
     find_c_compiler,
     find_go_compiler,
@@ -58,7 +62,7 @@ def test_builtin_backends_registered():
 
 def test_register_duplicate_id_rejected():
     with pytest.raises(BackendError, match="already registered"):
-        register_backend("c", codegen.CBackend())
+        register_backend("c", codegen.CBackend)
 
 
 def test_register_incomplete_template_dict_lists_gaps():
@@ -331,8 +335,6 @@ def test_c_missing_path_argument_defaults_to_zero(tmp_path):
     binary = str(tmp_path / "prog")
     proc = compile_c(str(tmp_path), c_sources(files), binary, C_COMPILER, ["-O0"])
     assert proc.returncode == 0, proc.stderr
-    import subprocess
-
     bare = subprocess.run([binary], capture_output=True, text=True).stdout
     zero = run_binary(binary, 0, debug=False).stdout
     assert bare == zero
@@ -340,8 +342,6 @@ def test_c_missing_path_argument_defaults_to_zero(tmp_path):
 
 @needs_c
 def test_c_path_argument_accepts_only_64_bit_decimals(tmp_path):
-    import subprocess
-
     program = make_program(CONTAINER_STRESS_SPEC, 4)
     files = emit(program, EmitConfig(backend="c"))
     write_files(files, str(tmp_path))
@@ -357,6 +357,62 @@ def test_c_path_argument_accepts_only_64_bit_decimals(tmp_path):
         assert run.returncode == 2, bad
         assert "CHECKSUM" not in run.stdout, bad
         assert "PATH must be a decimal integer" in run.stderr, bad
+
+
+GXX = shutil.which("g++")
+CXX_FLAGS = ["-x", "c++", "-std=c++17", "-pedantic", "-Wall", "-Wextra", "-Werror", "-O2"]
+SANITIZE_FLAGS = ["-O1", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
+
+
+def assert_builds_match_oracle(compiler_argv, tmp_path):
+    """Build churn g=5 and stress g=4 of every kind, in both layouts, with
+    `compiler_argv`. Each binary must exit 0, write nothing to stderr and
+    print the oracle's trace at PATHs 0, 1 and 2^64-1."""
+    paths = (0, 1, 2**64 - 1)
+    case = 0
+    for spec_text, generations in ((CALL_CHURN_SPEC, 5), (CONTAINER_STRESS_SPEC, 4)):
+        for container in astgen.CONTAINER_KINDS:
+            program = make_program(spec_text, generations, container)
+            # both layouts compile side by side while the oracle runs
+            with contextlib.ExitStack() as running:
+                builds = []
+                for split in (False, True):
+                    case += 1
+                    workdir = tmp_path / ("case%d" % case)
+                    files = emit(program, EmitConfig(backend="c", split_files=split))
+                    write_files(files, str(workdir))
+                    binary = str(workdir / "prog")
+                    argv = compiler_argv + c_sources(files) + ["-o", binary]
+                    builds.append((split, binary, running.enter_context(subprocess.Popen(
+                        argv, cwd=str(workdir), stdout=subprocess.PIPE,
+                        stderr=subprocess.PIPE, text=True))))
+                want = {path: oracle.run_to_text(program, oracle.ExecConfig(
+                    path=path, debug_trace=True)) for path in paths}
+                for split, binary, proc in builds:
+                    _, stderr = proc.communicate()
+                    assert proc.returncode == 0, stderr
+                    for path in paths:
+                        run = run_binary(binary, path, debug=True)
+                        where = (spec_text[:20], generations, container, split, path)
+                        assert (run.returncode, run.stderr) == (0, ""), where
+                        assert run.stdout == want[path], where
+
+
+@pytest.mark.skipif(GXX is None, reason="no g++ found on PATH")
+def test_c_compiles_as_strict_cpp17_and_matches_oracle(tmp_path):
+    # guards the C runtime text against constructs that C++ rejects
+    assert_builds_match_oracle([GXX] + CXX_FLAGS, tmp_path)
+
+
+@needs_c
+def test_c_runs_clean_under_address_and_undefined_sanitizers(tmp_path):
+    trivial = tmp_path / "trivial.c"
+    trivial.write_text("int main(void)\n{\n    return 0;\n}\n")
+    probe = compile_c(str(tmp_path), [str(trivial)], str(tmp_path / "trivial"), C_COMPILER,
+                      SANITIZE_FLAGS)
+    if probe.returncode != 0:
+        pytest.skip("a trivial sanitized build fails: %s" % probe.stderr.strip()[:200])
+    assert_builds_match_oracle([C_COMPILER] + STRICT_C_FLAGS + SANITIZE_FLAGS, tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +448,6 @@ def test_go_sources_are_wellformed_package_main():
 @needs_go
 @pytest.mark.parametrize("container", ["array", "sortedList", "scalar"])
 def test_go_compiles_and_matches_oracle(container, tmp_path):
-    import subprocess
-
     program = make_program(CONTAINER_STRESS_SPEC, 4, container)
     files = emit(program, EmitConfig(backend="go"))
     write_files(files, str(tmp_path))
@@ -422,7 +476,7 @@ def test_source_file_is_frozen():
 DIGEST_SPECS = ([(CALL_CHURN_SPEC, g) for g in (3, 5, 8)]
                 + [(CONTAINER_STRESS_SPEC, g) for g in (4, 7)])
 # (files, sha256) of everything the test below emits.
-EMITTED_FILES_DIGEST = (2424, "1c2664eebb7b088187ebd0331b116f4352c07929bc0747012e081eeba509cb3a")
+EMITTED_FILES_DIGEST = (2424, "91abfe5f83fa3f53266698d93a7dc06e725ae91cac44e26cd1e072f9ab97a4cf")
 
 
 def digest_programs(kind, seed):
