@@ -188,6 +188,21 @@ def program_from_manifest(spec_text: str, manifest: dict, seed: Optional[int] = 
     return build_program(spec_text, manifest["generations"], plan_from_manifest(manifest, seed))
 
 
+def oracle_checksums(spec_text: str, manifest: dict) -> Callable[[int], int]:
+    """The oracle's checksum at a PATH: the manifest's at PATH 1, else
+    oracle.interpret's on the manifest's program, rebuilt at its first use."""
+    program = None
+
+    def at(path: int) -> int:
+        nonlocal program
+        if path == 1:
+            return manifest["oracleChecksumPath1"]
+        if program is None:
+            program = program_from_manifest(spec_text, manifest)
+        return oracle.interpret(program, oracle.ExecConfig(path=path))[1].checksum
+    return at
+
+
 def read_spec_file(spec_path: str) -> str:
     with open(spec_path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -325,11 +340,16 @@ def _exit_report(proc: subprocess.CompletedProcess, failure: Optional[str] = Non
     return report
 
 
-def _check_built(proc: subprocess.CompletedProcess, binary: str, failure: str) -> None:
-    """Raise ``BenchError`` unless the compile exited 0 and wrote ``binary``."""
-    _exit_report(proc, failure)
-    if not os.path.isfile(binary):
-        raise BenchError(f"{failure}: exit=0 but wrote no binary {binary}")
+def _check_built(proc: subprocess.CompletedProcess, binary: str,
+                 failure: Optional[str] = None) -> Optional[str]:
+    """Why the compile did not build ``binary``: its exit report, or that it
+    exited 0 but wrote no binary; None if it did. Given a failure prefix, a
+    compile that did not build it raises ``BenchError(f"{failure}: ...")``."""
+    why = (_exit_report(proc) if proc.returncode != 0
+           else None if os.path.isfile(binary) else f"exit=0 but wrote no binary {binary}")
+    if why is not None and failure is not None:
+        raise BenchError(f"{failure}: {why}")
+    return why
 
 
 def parse_checksum(stdout: str) -> Optional[int]:
@@ -493,9 +513,9 @@ def cmd_check(
             except BaseException:
                 finish(cancel=True)
                 raise
-            _, proc = finish()
-            if proc.returncode != 0:
-                report(seed, None, "compile-failure", _exit_report(proc))
+            failure = _check_built(finish()[1], binary)
+            if failure is not None:
+                report(seed, None, "compile-failure", failure)
                 ok = False
                 continue
             for path, want in zip(paths, wants):
@@ -543,12 +563,7 @@ def cmd_measure(
     manifest = load_manifest(out_dir)
     spec_text = read_spec_file(spec_path)
     check_spec(spec_text, manifest)
-    expected_checksum = None
-    if oracle_check and path == 1:
-        expected_checksum = manifest["oracleChecksumPath1"]
-    elif oracle_check:
-        program = program_from_manifest(spec_text, manifest)
-        expected_checksum = oracle.interpret(program, oracle.ExecConfig(path=path))[1].checksum
+    expected_checksum = oracle_checksums(spec_text, manifest)(path) if oracle_check else None
 
     src_files = source_file_names(manifest)
     # a bad template fails the command before any compile, not each row
@@ -647,12 +662,15 @@ def cmd_sweep_pgo(
     binary it was compiled into, so every binary is compiled as ``prog`` and
     renamed after: the optimized compile then finds the training profile.
     An optimized compile that reports a missing profile, a failed profile
-    merge, and a baseline and optimized binary that print different
-    checksums at a swept PATH each raise BenchError.
+    merge, a baseline that prints other than the oracle's checksum at a
+    swept PATH, and an optimized binary that prints other than the baseline
+    each raise BenchError.
     """
     _check_run_counts(repetitions, warmups)
     manifest = load_manifest(out_dir)
-    check_spec(read_spec_file(spec_path), manifest)
+    spec_text = read_spec_file(spec_path)
+    check_spec(spec_text, manifest)
+    oracle_checksum = oracle_checksums(spec_text, manifest)
     src_files = source_file_names(manifest)
 
     with tempfile.TemporaryDirectory(prefix="lsysbench-pgo-") as workdir:
@@ -692,9 +710,10 @@ def cmd_sweep_pgo(
             t_ms, base_out = _median_run_ms(base_bin, path, repetitions, warmups, cwd=workdir)
             ti_ms, opt_out = _median_run_ms(opt_bin, path, repetitions, warmups, cwd=workdir)
             base_sum, opt_sum = parse_checksum(base_out), parse_checksum(opt_out)
-            if base_sum is None or base_sum != opt_sum:
-                raise BenchError(f"checksum mismatch at path={path}: baseline printed "
-                                 f"{base_sum}, optimized {opt_sum}")
+            for other, name in ((oracle_checksum(path), "oracle"), (opt_sum, "optimized")):
+                if base_sum != other:
+                    raise BenchError(f"checksum mismatch at path={path}: baseline printed "
+                                     f"{base_sum}, {name} {other}")
             ratio = t_ms / ti_ms if ti_ms > 0 else 0.0
             rows.append({
                 "i": i,

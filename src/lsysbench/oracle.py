@@ -25,7 +25,7 @@ _MASK64 = (1 << 64) - 1
 CHECKSUM_OFFSET = 14695981039346656037
 CHECKSUM_PRIME = 1099511628211
 OPCODES = {"new": 1, "insert": 2, "remove": 3, "contains": 4}
-# event = opcode << 48 | var << 32 | val << 16 | res, low 16 bits of each field
+# event = (opcode << 48) + (var << 32) + (val << 16) + res, val and res cut to 16 bits
 _OP_SHIFT, _VAR_SHIFT, _VAL_SHIFT, _FIELD = 48, 32, 16, 0xFFFF
 # trace lines per piece of run_to_pieces' text, ~0.6 MB of churn's
 PIECE_EVENTS = 1 << 14
@@ -66,13 +66,14 @@ class RunStats:
 
 
 def checksum_update(cs: int, op: str, var: int, val: int, res: int) -> int:
+    """cs * PRIME + event mod 2^64: n events map cs to cs * PRIME^n + a term of their own."""
     event = (
         (OPCODES[op] << _OP_SHIFT)
-        | ((var & _FIELD) << _VAR_SHIFT)
-        | ((val & _FIELD) << _VAL_SHIFT)
-        | (res & _FIELD)
+        + (var << _VAR_SHIFT)
+        + ((val & _FIELD) << _VAL_SHIFT)
+        + (res & _FIELD)
     )
-    return ((cs * CHECKSUM_PRIME) & _MASK64) ^ event
+    return (cs * CHECKSUM_PRIME + event) & _MASK64
 
 
 def format_trace_event(event: TraceEvent) -> str:
@@ -171,8 +172,9 @@ def interpret(program: Program, cfg: Optional[ExecConfig] = None) -> Tuple[List[
 
     A Call that passes no slots does the same every time but for the ids of
     the objects it allocates, all above last_id at entry. Its first call runs
-    in full and records its own events, a marker per nested no-arg call, its
-    allocations and peak live count; each later call replays the record with
+    in full and keeps its checksum term, allocations, peak live count and
+    range of trace records. The checksum is a polynomial fold, so a later
+    call is one multiply-add on it, and when traced copies the range with
     the ids moved up: same events, checksum and statistics.
     """
     records, stats = _run(program, cfg or ExecConfig())
@@ -193,16 +195,14 @@ def _run(program: Program, cfg: ExecConfig) -> Tuple[list, RunStats]:
     cs = CHECKSUM_OFFSET
     # fid -> (its runner, None if it compiles to nothing; its op counts per call by opcode)
     compiled: Dict[int, Tuple[Optional[Callable[[list], None]], List[int]]] = {}
-    memos: Dict[int, tuple] = {}  # fid -> (parts, allocs, peak, base) of its first no-arg call
-    rec: Optional[list] = None  # (line, hi, var, res)* of the no-arg call being recorded
-    chunks: list = []  # its events before each nested no-arg call: (rec, fid, last_id then)
-    interned: Dict[int, int] = {}  # one int per distinct checksum term in the records
+    # fid -> (A, base, allocs, peak, start, end) of its first no-arg call: its checksum
+    # term, last_id at entry, objects allocated, peak live above entry, slice of records
+    memos: Dict[int, Tuple[int, int, int, int, int, int]] = {}
     # vars of traced replays, one shared int each: slot ordinals, then ids as replays need them
     ids = list(range(max((fn.slot_count for fn in program.functions), default=0)))
 
-    # Each op closure below folds its event into cs, records when traced and
-    # rec while a no-arg call is recorded; hi (opcode and val) and line are
-    # fixed per statement.
+    # Each op closure below folds its event into cs, and records it when
+    # traced; hi (opcode and val) and line are fixed per statement.
     def new(slot: int, first: bool):
         # only a slot's first binding in a block is saved for the block's
         # exit; a same-block rebinding drops the old object unfreed, and its
@@ -210,7 +210,7 @@ def _run(program: Program, cfg: ExecConfig) -> Tuple[list, RunStats]:
         hi, line = checksum_update(0, "new", 0, 0, 0), _Line("new", 0) if traced else None
 
         def op(f: _Frame) -> None:
-            nonlocal cs, last_id, max_live, rec
+            nonlocal cs, last_id, max_live
             value = next(f.params, None)  # a value copy in scalar
             res = 0
             if value is None:
@@ -227,11 +227,9 @@ def _run(program: Program, cfg: ExecConfig) -> Tuple[list, RunStats]:
                 f.saved.append(f.slots[slot])
             f.slots[slot] = value
             var = slot if scalar else value.id
-            cs = ((cs * CHECKSUM_PRIME) & _MASK64) ^ hi ^ ((var & _FIELD) << _VAR_SHIFT) ^ res
+            cs = (cs * CHECKSUM_PRIME + hi + (var << _VAR_SHIFT) + res) & _MASK64
             if traced:
                 record((line, var, res))
-            if rec is not None:
-                rec += (line, hi, var, res)
         return op
 
     def operand_op(st):
@@ -239,34 +237,30 @@ def _run(program: Program, cfg: ExecConfig) -> Tuple[list, RunStats]:
         hi, line = checksum_update(0, kind, 0, value, 0), _Line(kind, value) if traced else None
         if scalar:
             step, result = _SCALAR_OPS[type(st)]
-            var_bits = (slot & _FIELD) << _VAR_SHIFT
+            hi += slot << _VAR_SHIFT
 
             def op(f: _Frame) -> None:
-                nonlocal cs, rec
+                nonlocal cs
                 v = f.slots[slot]
                 if v is None:
                     _unusable(v, slot)
                 f.slots[slot] = v + step
                 res = result(v)
-                cs = ((cs * CHECKSUM_PRIME) & _MASK64) ^ hi ^ var_bits ^ (res & _FIELD)
+                cs = (cs * CHECKSUM_PRIME + hi + (res & _FIELD)) & _MASK64
                 if traced:
                     record((line, slot, res))
-                if rec is not None:
-                    rec += (line, hi, slot, res)
             return op
         act = _MULTISET_OPS[type(st)]
 
         def op(f: _Frame) -> None:
-            nonlocal cs, rec
+            nonlocal cs
             obj = f.slots[slot]
             if obj is None or obj.id not in live:
                 _unusable(obj, slot)
             var, res = obj.id, act(obj, value)
-            cs = ((cs * CHECKSUM_PRIME) & _MASK64) ^ hi ^ ((var & _FIELD) << _VAR_SHIFT) ^ (res & _FIELD)
+            cs = (cs * CHECKSUM_PRIME + hi + (var << _VAR_SHIFT) + (res & _FIELD)) & _MASK64
             if traced:
                 record((line, var, res))
-            if rec is not None:
-                rec += (line, hi, var, res)
         return op
 
     def check_args(f: _Frame, avail: List[int]) -> None:
@@ -282,49 +276,34 @@ def _run(program: Program, cfg: ExecConfig) -> Tuple[list, RunStats]:
         return op
 
     def no_arg_call(fid: int, run: Callable[[list], None]):
+        # its n events map cs to cs * P^n + A + (d << 32) * C: A is the first call's term,
+        # d how far last_id has moved since (each var moves by d), C the sum of P^k, k < n
+        n = sum(compiled[fid][1])
+        pn = pow(CHECKSUM_PRIME, n, 1 << 64)
+        c = (pow(CHECKSUM_PRIME, n, (CHECKSUM_PRIME - 1) << 64) - 1) // (CHECKSUM_PRIME - 1)
+
         def op(f: _Frame) -> None:
-            nonlocal cs, last_id, max_live, rec, chunks
-            if rec is not None:  # the call being recorded keeps a marker, not these events
-                chunks.append((rec, fid, last_id))
-                rec = []
+            nonlocal cs, last_id, max_live
             memo = memos.get(fid)
             if memo is not None:
-                parts, allocs, peak, base = memo
+                a, base, allocs, peak, start, end = memo
+                d = last_id - base
                 max_live = max(max_live, len(live) + peak)
+                cs = (cs * pn + a + (d << _VAR_SHIFT) * c) & _MASK64
                 if traced:  # one int per object id, shared by every event that names it
                     ids.extend(range(len(ids), last_id + allocs + 1))
-                cs = replay(parts, last_id - base, cs)
+                    events = records[start:end]
+                    events[1::3] = [ids[var + d] for var in events[1::3]]
+                    record(events)
                 last_id += allocs
                 return
-            outer, rec, chunks = (rec, chunks), [], []
-            base, entry_live, outer_max = last_id, len(live), max_live
-            max_live = entry_live
-            run([])  # a call that leaks raises here, so every record is leak-free
-            own = chunks + [(rec, None, base)]
-            (rec, chunks), peak, max_live = outer, max_live - entry_live, max(max_live, outer_max)
-            parts = [(ev[0::4] if traced else (),
-                      [interned.setdefault(t, t)
-                       for t in map(lambda hi, res: hi ^ (res & _FIELD), ev[1::4], ev[3::4])],
-                      ev[2::4], ev[3::4] if traced else (), callee, at) for ev, callee, at in own]
-            memos[fid] = (parts, last_id - base, peak, base)
+            base, outer_max, entry_cs, start = last_id, max_live, cs, len(records)
+            max_live = len(live)
+            run([])  # a call that leaks raises here, so live is back to its size at entry
+            memos[fid] = ((cs - entry_cs * pn) & _MASK64, base, last_id - base,
+                          max_live - len(live), start, len(records))
+            max_live = max(max_live, outer_max)
         return op
-
-    def replay(parts: list, shift: int, c: int) -> int:
-        """Fold a recorded call's events into the checksum c, and record them
-        when traced, with every object id moved by shift; returns c."""
-        for lines, terms, var_ids, ress, callee, at in parts:
-            if traced:
-                for line, term, var, res in zip(lines, terms, var_ids, ress):
-                    var = ids[shift + var]
-                    c = ((c * CHECKSUM_PRIME) & _MASK64) ^ term ^ ((var & _FIELD) << _VAR_SHIFT)
-                    record((line, var, res))
-            else:
-                for term, var in zip(terms, var_ids):
-                    c = ((c * CHECKSUM_PRIME) & _MASK64) ^ term ^ (((shift + var) & _FIELD) << _VAR_SHIFT)
-            if callee is not None:
-                inner, _, _, base = memos[callee]
-                c = replay(inner, shift + at - base, c)
-        return c
 
     def scope(seq: list, bound: List[int]):
         unbind = bound[::-1]
@@ -410,7 +389,7 @@ def _run(program: Program, cfg: ExecConfig) -> Tuple[list, RunStats]:
         if run:
             run([])
     finally:  # the closures that call themselves hold their own cells: free them now
-        del function, block, replay
+        del function, block
     op_counts = {op: tally[code] for op, code in OPCODES.items()}
     return records, RunStats(op_counts, max_live, checksum=cs)
 

@@ -13,9 +13,9 @@ uint64_t ls_next_id = UINT64_C(1);
 
 void ls_log(int opcode, const char *kind, uint64_t var, int64_t val, int64_t res)
 {
-    uint64_t event = ((uint64_t)opcode << 48) | ((var & UINT64_C(0xFFFF)) << 32)
-        | (((uint64_t)val & UINT64_C(0xFFFF)) << 16) | ((uint64_t)res & UINT64_C(0xFFFF));
-    ls_checksum = (ls_checksum * UINT64_C(1099511628211)) ^ event;
+    uint64_t event = ((uint64_t)opcode << 48) + (var << 32)
+        + (((uint64_t)val & UINT64_C(0xFFFF)) << 16) + ((uint64_t)res & UINT64_C(0xFFFF));
+    ls_checksum = ls_checksum * UINT64_C(1099511628211) + event;
     if (ls_debug) {
         printf("OP kind=%s var=%" PRIu64 " val=%" PRId64 " res=%" PRId64 "\n",
                kind, var, val, res);

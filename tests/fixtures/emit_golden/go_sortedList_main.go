@@ -28,8 +28,8 @@ type lsParams struct {
 }
 
 func lsLog(opcode uint64, kind string, varID uint64, val int64, res int64) {
-	event := opcode<<48 | (varID&0xFFFF)<<32 | (uint64(val)&0xFFFF)<<16 | uint64(res)&0xFFFF
-	lsChecksum = lsChecksum*1099511628211 ^ event
+	event := opcode<<48 + varID<<32 + (uint64(val)&0xFFFF)<<16 + uint64(res)&0xFFFF
+	lsChecksum = lsChecksum*1099511628211 + event
 	if lsDebug {
 		fmt.Printf("OP kind=%s var=%d val=%d res=%d\n", kind, varID, val, res)
 	}

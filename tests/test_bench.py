@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import signal
 import subprocess
 import tempfile
@@ -283,6 +284,23 @@ def test_check_compile_failure_detail_is_the_exit_code_and_stderr(spec_file, tmp
         rows = [json.loads(line) for line in fh]
     assert [(row["status"], row["detail"]) for row in rows] == [
         ("compile-failure", "exit=4 no compiler")]
+
+
+def test_check_reports_a_compile_that_writes_no_binary_once(spec_file, tmp_path, capsys):
+    # a compile that exits 0 without a binary is a compile failure, not a
+    # runtime failure at every PATH
+    out = str(tmp_path / "out")
+    gen_quiet(spec_file, out, 3, default_plan(), codegen.EmitConfig(backend="c"))
+    report = str(tmp_path / "report.jsonl")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert not cmd_check(spec_file, out, "true {in} {out}", paths=[1, 2],
+                             report_path=report)
+    capsys.readouterr()
+    with open(report, encoding="utf-8") as fh:
+        rows = [json.loads(line) for line in fh]
+    assert [(row["status"], row["path"]) for row in rows] == [("compile-failure", None)]
+    assert re.fullmatch(r"exit=0 but wrote no binary /.*/prog", rows[0]["detail"])
 
 
 @needs_c
@@ -926,18 +944,47 @@ def test_sweep_pgo_refuses_an_optimized_binary_built_without_its_profile(
     capsys.readouterr()
 
 
+def oracle_sums(out, paths):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        program = program_from_manifest(CONTAINER_STRESS_SPEC, load_manifest(out))
+    return {path: oracle.interpret(program, oracle.ExecConfig(path=path))[1].checksum
+            for path in paths}
+
+
 @needs_c
+@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_sweep_pgo_checks_the_checksums_it_times(spec_file, tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "out")
     gen_quiet(spec_file, out, 4, default_plan(), codegen.EmitConfig(backend="c"))
+    sums = oracle_sums(out, (1, 3))
 
     def fake_median(binary, path, repetitions, warmups, cwd=None, env=None):
         bad = binary.endswith("prog-opt") and path == 3
-        return 1.0, "CHECKSUM %d\n" % (path + bad)
+        return 1.0, "CHECKSUM %d\n" % (sums[path] + bad)
 
     monkeypatch.setattr(bench, "_median_run_ms", fake_median)
-    with pytest.raises(BenchError, match="checksum mismatch at path=3: baseline printed 3, "
-                                         "optimized 4"):
+    with pytest.raises(BenchError, match=f"checksum mismatch at path=3: baseline printed "
+                                         f"{sums[3]}, optimized {sums[3] + 1}$"):
+        cmd_sweep_pgo(spec_file, out, cc_o2(), cc_o2(), cc_o2(), sweep=SweepConfig([1, 2]))
+    capsys.readouterr()
+
+
+@needs_c
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_sweep_pgo_checks_the_baseline_against_the_oracle(spec_file, tmp_path, capsys,
+                                                          monkeypatch):
+    # both builds agree with each other, but not with the oracle, at PATH 3
+    out = str(tmp_path / "out")
+    gen_quiet(spec_file, out, 4, default_plan(), codegen.EmitConfig(backend="c"))
+    sums = oracle_sums(out, (1, 3))
+
+    def fake_median(binary, path, repetitions, warmups, cwd=None, env=None):
+        return 1.0, "CHECKSUM %d\n" % (sums[path] + (path == 3))
+
+    monkeypatch.setattr(bench, "_median_run_ms", fake_median)
+    with pytest.raises(BenchError, match=f"checksum mismatch at path=3: baseline printed "
+                                         f"{sums[3] + 1}, oracle {sums[3]}$"):
         cmd_sweep_pgo(spec_file, out, cc_o2(), cc_o2(), cc_o2(), sweep=SweepConfig([1, 2]))
     capsys.readouterr()
 

@@ -121,7 +121,7 @@ def test_golden_container_stress_gen4_path1():
     assert len(trace) == 73
     assert stats.op_counts == {"new": 25, "insert": 24, "remove": 0, "contains": 24}
     assert stats.max_live == 3
-    assert stats.checksum == 7821493189685559008
+    assert stats.checksum == 2019715006645032050
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +149,14 @@ def test_empty_program():
 
 def test_checksum_single_event_arithmetic():
     # independent recomputation of the folding step
-    event = (1 << 48) | (1 << 32) | (0 << 16) | 1
-    expected = ((CHECKSUM_OFFSET * CHECKSUM_PRIME) & U64) ^ event
+    event = (1 << 48) + (1 << 32) + (0 << 16) + 1
+    expected = (CHECKSUM_OFFSET * CHECKSUM_PRIME + event) & U64
     _, stats = interpret(lower_text("new"))
     assert stats.checksum == expected
     assert checksum_update(CHECKSUM_OFFSET, "new", 1, 0, 1) == expected
+    # var is added whole, not cut to its low 16 bits as val and res are
+    var = (1 << 16) + 5
+    assert checksum_update(0, "new", var, 0, 1) == (1 << 48) + (var << 32) + 1
 
 
 def test_checksum_masks_negative_val():
@@ -446,9 +449,9 @@ def test_ownership_verification_catches_a_leak_in_a_nested_no_arg_callee():
 
 
 # 66,049 calls of fn1, each allocating two objects, one in a nested no-arg
-# call: the ids pass 2^16, where the checksum keeps only their low 16 bits
+# call: the ids pass 2^16, and the checksum adds each id whole
 WIDE_TRIPS = 257
-WIDE_CHECKSUM = 4542564313840993984
+WIDE_CHECKSUM = 6238785972650546556
 
 
 def test_replayed_ids_past_two_to_the_sixteen():
@@ -488,7 +491,7 @@ def test_replayed_ids_past_two_to_the_sixteen():
 # max_live, and a 0 where the objects live at exit were counted (a run
 # that leaves any raises). Churn is almost all no-arg calls, so this pins
 # replayed results.
-CHURN_DIGEST = "965e5d72189e53a3c47b158fbcb28092f519430da24b2b80566ab52caab9acaa"
+CHURN_DIGEST = "e2ed5faf74e8b2ba1a538b274d6f2a6f7646727fd743c3a9232c046f5415207b"
 
 
 def test_churn_results_digest_is_pinned():
@@ -504,6 +507,29 @@ def test_churn_results_digest_is_pinned():
             digest.update(repr((stats.checksum, list(stats.op_counts.items()),
                                 stats.max_live, 0)).encode())
     assert digest.hexdigest() == CHURN_DIGEST
+
+
+def test_checksum_is_the_fold_of_the_printed_trace():
+    # a replayed no-arg call moves the checksum by one multiply-add; it must
+    # land where folding its trace lines one event at a time lands, traced
+    # or not
+    for spec, generations in ([(CALL_CHURN_SPEC, g) for g in range(3, 11)]
+                              + [(CONTAINER_STRESS_SPEC, g) for g in range(4, 9)]):
+        seq = derive(parse_spec(spec), generations)
+        for kind in CONTAINER_KINDS:
+            with warnings.catch_warnings():  # dropped nonterminals, wrapped bits
+                warnings.simplefilter("ignore")
+                program = lower(seq, OperandPlan(seed=7, container_kind=kind))
+            for path in (0, 1, U64):
+                *lines, last = run_to_text(
+                    program, ExecConfig(path=path, debug_trace=True)).splitlines()
+                cs = CHECKSUM_OFFSET
+                for line in lines:
+                    _, op, var, val, res = (field.partition("=")[2] for field in line.split())
+                    cs = checksum_update(cs, op, int(var), int(val), int(res))
+                where = (generations, kind, path)
+                assert last == f"CHECKSUM {cs}", where
+                assert interpret(program, ExecConfig(path=path))[1].checksum == cs, where
 
 
 def test_runs_leave_no_cyclic_garbage():
@@ -702,7 +728,7 @@ def test_heap_containers_match_a_list_model():
 # objects live at exit were counted; a run that leaves any raises) of
 # every run below. It pins the interpreter's results: any change to what a
 # program does under the oracle moves it.
-ORACLE_DIGEST = "f7c87f1846e7c71c3335c5990b7f5356ac0694e89deaa0fd90fbc14ac337b67b"
+ORACLE_DIGEST = "672f9e48192eb2bbe729bc6ce0e33be7698ab90668427c99e2b492357db90b6e"
 
 
 def digest_programs():
