@@ -114,8 +114,8 @@ class OperandPlan:
     container_kind: str = "array"
 
     def __post_init__(self):
-        if self.value_range < 1:
-            raise ValueError("value_range must be >= 1")
+        if not 1 <= self.value_range <= 1 << 31:  # Lcg.next gives 31 bits
+            raise ValueError(f"value_range must be in [1, 2^31], got {self.value_range}")
         if self.trip_count < 1:
             raise ValueError("trip_count must be >= 1")
         if self.container_kind not in CONTAINER_KINDS:

@@ -37,6 +37,10 @@ from . import astgen, codegen, grammar, oracle
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_SCHEMA = "lsysbench/manifest/v1"
+# the manifest keys that check, measure and sweep-pgo read
+_MANIFEST_KEYS = ("specName", "specSha256", "generations", "seed", "valueRange", "tripCount",
+                  "containerKind", "backend", "splitFiles", "debugTrace", "files",
+                  "oracleChecksumPath1")
 
 SWEEP_COLUMNS = ["i", "path", "t_ms", "ti_ms", "ratio"]
 
@@ -159,8 +163,12 @@ def load_manifest(out_dir: str) -> dict:
         raise BenchError(f"no {MANIFEST_NAME} in {out_dir}; run `gen` first")
     with open(path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    if manifest.get("schema") != MANIFEST_SCHEMA:
-        raise BenchError(f"unsupported manifest schema: {manifest.get('schema')!r}")
+    schema = manifest.get("schema") if isinstance(manifest, dict) else None
+    if schema != MANIFEST_SCHEMA:
+        raise BenchError(f"unsupported manifest schema: {schema!r}")
+    for key in _MANIFEST_KEYS:
+        if key not in manifest:
+            raise BenchError(f"{path} lacks {key!r}; run `gen` again")
     return manifest
 
 

@@ -57,14 +57,15 @@ def _add_generation_args(parser: argparse.ArgumentParser) -> None:
                        help="rewrite iterations applied to the axiom (default 4)")
     group.add_argument("--container", choices=sorted(CONTAINER_CHOICES), default="array",
                        help="behavior of the generated containers (default array)")
-    group.add_argument("--backend", choices=codegen.registered_backends(), default="c",
+    group.add_argument("--backend", choices=sorted(codegen.BACKENDS), default="c",
                        help="code emission backend (default c)")
     group.add_argument("--split-files", action="store_true",
                        help="emit one file per generated function")
     group.add_argument("--trip-count", type=int, default=2,
                        help="iterations per LOOP (default 2)")
     group.add_argument("--value-range", type=int, default=1000,
-                       help="operand values are drawn from [0, N) (default 1000)")
+                       help="operand values are drawn from [0, N), N at most 2^31 "
+                            "(default 1000)")
 
 
 def _plan_from_args(args: argparse.Namespace) -> astgen.OperandPlan:

@@ -1,4 +1,5 @@
-"""Shared codegen types and the one statement walker every backend renders with."""
+"""Shared codegen types, and the base class of every backend: its file
+layout and the one statement walker, ``BraceSyntax.render``."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from .. import astgen
 
 
 class BackendError(Exception):
-    """Bad backend registration or emit configuration."""
+    """An unknown backend id, or a program a backend cannot emit."""
 
 
 @dataclass(frozen=True)
@@ -33,73 +34,20 @@ PATH_ERROR = "error: PATH must be a decimal integer in [0, 2^64), got '%s'"
 _OP_NAMES = {astgen.Insert: "insert", astgen.Remove: "remove", astgen.Contains: "contains"}
 
 
-def render_block(stmts: List[astgen.Stmt], syntax, depth: int = 0) -> List[str]:
-    """Render a block with a per-language syntax: an object with an `indent`
-    unit and the methods new(slot), free(slot), op(name, slot, value),
-    if_(bit, cond, then, orelse), loop(k, cond, body) and call(callee,
-    slots, k). Each returns a list of parts: a string is a line at the
-    statement's depth, a list is a child block's rendered lines.
-
-    Each binding is freed, in reverse, as its block ends. Children render in
-    pre-order (If: cond, then, else; Loop: cond, body), If arms one level
-    deeper and Loop blocks two. `k` numbers the loops, and the calls that
-    pass slots, of one walk in pre-order; it is taken before recursing.
-    """
-    loops = count()
-    calls = count()
-
-    def block(stmts: List[astgen.Stmt], depth: int) -> List[str]:
-        if not stmts:
-            return []
-        parts: list = []
-        bound: List[int] = []
-        for st in stmts:
-            name = _OP_NAMES.get(type(st))
-            if name is not None:
-                parts += syntax.op(name, st.slot, st.value)
-            elif isinstance(st, astgen.New):
-                bound.append(st.slot)
-                parts += syntax.new(st.slot)
-            elif isinstance(st, astgen.If):
-                cond = block(st.cond, depth + 1)
-                then = block(st.then, depth + 1)
-                orelse = None if st.orelse is None else block(st.orelse, depth + 1)
-                parts += syntax.if_(st.bit_index, cond, then, orelse)
-            elif isinstance(st, astgen.Loop):
-                k = next(loops)
-                parts += syntax.loop(k, block(st.cond, depth + 2), block(st.body, depth + 2))
-            elif isinstance(st, astgen.Call):
-                k = next(calls) if st.available_slots else None
-                parts += syntax.call(st.callee_id, st.available_slots, k)
-            else:
-                raise BackendError("unknown statement type: %r" % (st,))
-        for slot in reversed(bound):
-            parts += syntax.free(slot)
-        pad = syntax.indent * depth
-        lines: List[str] = []
-        for part in parts:
-            if type(part) is str:
-                lines.append(pad + part)
-            else:
-                lines += part
-        return lines
-
-    return block(stmts, depth)
-
-
 class BraceSyntax:
     """Files and blocks shared by the C-family backends.
 
-    A subclass is a backend and is registered as is: the classmethod
-    `emit(program, cfg)` builds one instance per program and returns its
-    `files(cfg)`. Those are `main.<extension>` (the runtime, each function
-    that --split-files leaves there, and `main()`), plus one
+    A subclass is a backend, listed as is in `codegen.BACKENDS`: the
+    classmethod `emit(program, cfg)` builds one instance per program and
+    returns its `files(cfg)`. Those are `main.<extension>` (the runtime,
+    each function that --split-files leaves there, and `main()`), plus one
     `f<id>.<extension>` per other function under --split-files. Each file
-    starts with the banner. A non-empty If cond and each non-empty Loop
-    block get their own `{ ... }` scope, so their bindings end with them.
-    Subclasses set the templates below, `indent` and `new`/`op`/`call`,
-    and supply `runtime(cfg)`, the text of `main.<extension>` before its
-    functions, and, if they have any, `headers(banner)`.
+    starts with the banner. `render` walks each function's statements. A
+    non-empty If cond and each non-empty Loop block get their own
+    `{ ... }` scope, so their bindings end with them. Subclasses set the
+    templates below, `indent` and `new`/`op`/`call`, and supply
+    `runtime(cfg)`, the text of `main.<extension>` before its functions,
+    and, if they have any, `headers(banner)`.
     """
 
     extension = ""
@@ -145,8 +93,58 @@ class BraceSyntax:
         return files
 
     def function(self, fn: astgen.FunctionDef) -> str:
-        lines = [self.fn_head % fn.id] + render_block(fn.body, self, 1)
+        self.loops, self.calls = count(), count()
+        lines = [self.fn_head % fn.id] + self.render(fn.body, 1)
         return "\n".join(lines) + "\n}\n"
+
+    def render(self, stmts: List[astgen.Stmt], depth: int) -> List[str]:
+        """The lines of a block `depth` indents deep. new(slot), free(slot),
+        op(name, slot, value), if_(bit, cond, then, orelse), loop(k, cond,
+        body) and call(callee, slots, k) each return a statement's parts: a
+        string is a line at the statement's depth, a list is a child block's
+        rendered lines.
+
+        Each binding is freed, in reverse, as its block ends. Children render
+        in pre-order (If: cond, then, else; Loop: cond, body), If arms one
+        level deeper and Loop blocks two. `k` numbers the loops, and the
+        calls that pass slots, of one function in pre-order; it is taken
+        before recursing.
+        """
+        if not stmts:
+            return []
+        parts: list = []
+        bound: List[int] = []
+        for st in stmts:
+            name = _OP_NAMES.get(type(st))
+            if name is not None:
+                parts += self.op(name, st.slot, st.value)
+            elif isinstance(st, astgen.New):
+                bound.append(st.slot)
+                parts += self.new(st.slot)
+            elif isinstance(st, astgen.If):
+                cond = self.render(st.cond, depth + 1)
+                then = self.render(st.then, depth + 1)
+                orelse = None if st.orelse is None else self.render(st.orelse, depth + 1)
+                parts += self.if_(st.bit_index, cond, then, orelse)
+            elif isinstance(st, astgen.Loop):
+                k = next(self.loops)
+                parts += self.loop(k, self.render(st.cond, depth + 2),
+                                   self.render(st.body, depth + 2))
+            elif isinstance(st, astgen.Call):
+                k = next(self.calls) if st.available_slots else None
+                parts += self.call(st.callee_id, st.available_slots, k)
+            else:
+                raise BackendError("unknown statement type: %r" % (st,))
+        for slot in reversed(bound):
+            parts += self.free(slot)
+        pad = self.indent * depth
+        lines: List[str] = []
+        for part in parts:
+            if type(part) is str:
+                lines.append(pad + part)
+            else:
+                lines += part
+        return lines
 
     def free(self, slot):
         return []  # garbage collected, or nothing on the heap

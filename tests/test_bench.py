@@ -140,9 +140,10 @@ def test_load_manifest_missing(tmp_path):
 
 
 def test_load_manifest_bad_schema(tmp_path):
-    (tmp_path / bench.MANIFEST_NAME).write_text(json.dumps({"schema": "nope"}))
-    with pytest.raises(BenchError, match="schema"):
-        load_manifest(str(tmp_path))
+    for manifest in ({"schema": "nope"}, [bench.MANIFEST_SCHEMA]):
+        (tmp_path / bench.MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(BenchError, match="schema"):
+            load_manifest(str(tmp_path))
 
 
 def test_program_from_manifest_rejects_wrong_spec(spec_file, tmp_path):

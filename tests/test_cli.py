@@ -198,6 +198,66 @@ def test_commands_refuse_a_spec_other_than_the_manifests(
     assert "sha256" in capsys.readouterr().err
 
 
+def test_gen_refuses_a_value_range_above_2_to_the_31(spec_file, tmp_path, capsys):
+    # The planner's generator gives 31 bits, so a wider range was capped silently.
+    out = str(tmp_path / "out")
+    argv = ["gen", spec_file, "--generations", "3", "--out", out, "--value-range"]
+    assert run_cli(argv + [str(2**31 + 1)]) == 2
+    assert capsys.readouterr().err.startswith("error: value_range must be in [1, 2^31]")
+    assert not os.path.exists(out)
+    assert run_cli(argv + [str(2**31)]) == 0
+    assert bench.load_manifest(out)["valueRange"] == 2**31
+
+
+def _exit_2_on_edited_manifest(command, edit, spec_file, tmp_path, capsys, monkeypatch):
+    """Run gen, edit its manifest, then run `command` with compiling
+    forbidden; require exit 2 and return stderr."""
+    out = str(tmp_path / "out")
+    assert run_cli(["gen", spec_file, "--generations", "3", "--out", out]) == 0
+    path = os.path.join(out, bench.MANIFEST_NAME)
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    edit(manifest)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+
+    def no_compile(*args, **kwargs):
+        raise AssertionError("compiled from a manifest it should refuse")
+
+    monkeypatch.setattr(bench, "start_compile", no_compile)
+    monkeypatch.setattr(bench, "compile_sources", no_compile)
+    capsys.readouterr()
+    argv = USAGE_PREFIXES[command] + ["--out", out]
+    argv[1] = spec_file
+    assert run_cli(argv) == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key", [
+    ("check", "files"),
+    ("check", "backend"),
+    ("check", "splitFiles"),
+    ("measure", "oracleChecksumPath1"),
+    ("measure", "specName"),
+    ("sweep-pgo", "files"),
+    ("sweep-pgo", "valueRange"),
+])
+def test_commands_refuse_a_manifest_that_lacks_a_key(
+        command, key, spec_file, tmp_path, capsys, monkeypatch):
+    err = _exit_2_on_edited_manifest(command, lambda manifest: manifest.pop(key),
+                                     spec_file, tmp_path, capsys, monkeypatch)
+    assert err.startswith("error: ")
+    assert err.rstrip().endswith(f"lacks {key!r}; run `gen` again")
+
+
+@pytest.mark.parametrize("command", ["check", "measure"])
+def test_commands_refuse_a_manifest_with_an_unknown_backend(
+        command, spec_file, tmp_path, capsys, monkeypatch):
+    err = _exit_2_on_edited_manifest(command, lambda manifest: manifest.update(backend="txt"),
+                                     spec_file, tmp_path, capsys, monkeypatch)
+    assert err.startswith("error: unknown backend 'txt'")
+
+
 @needs_c
 def test_gen_check_measure_round_trip(spec_file, tmp_path, capsys):
     out = str(tmp_path / "out")

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import os
@@ -21,15 +22,8 @@ from helpers import (
     write_files,
 )
 from lsysbench import astgen, codegen, grammar, oracle
-from lsysbench.codegen import (
-    BackendError,
-    EmitConfig,
-    SourceFile,
-    TemplateBackend,
-    emit,
-    register_backend,
-    registered_backends,
-)
+from lsysbench.cli import build_parser
+from lsysbench.codegen import BackendError, EmitConfig, SourceFile, emit
 
 C_COMPILER = find_c_compiler()
 GO_COMPILER = find_go_compiler()
@@ -52,31 +46,15 @@ def small_program(container="array"):
 
 
 # ---------------------------------------------------------------------------
-# registry
+# backends
 
 
 def test_builtin_backends_registered():
-    assert "c" in registered_backends()
-    assert "go" in registered_backends()
-
-
-def test_register_duplicate_id_rejected():
-    with pytest.raises(BackendError, match="already registered"):
-        register_backend("c", codegen.CBackend)
-
-
-def test_register_incomplete_template_dict_lists_gaps():
-    with pytest.raises(BackendError) as excinfo:
-        register_backend("broken", {"new": "n{slot}", "insert": "i{slot}"})
-    message = str(excinfo.value)
-    for key in ("remove", "contains", "if", "loop", "call"):
-        assert key in message
-    assert "broken" not in registered_backends()
-
-
-def test_register_object_without_emit_rejected():
-    with pytest.raises(BackendError, match="emit"):
-        register_backend("no-emit", object())
+    assert sorted(codegen.BACKENDS) == ["c", "go"]
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    backend = next(a for a in commands.choices["gen"]._actions if a.dest == "backend")
+    assert backend.choices == ["c", "go"]
 
 
 def test_unknown_backend_error_names_known_ones():
@@ -88,45 +66,8 @@ def test_unknown_backend_error_names_known_ones():
 def test_every_kind_has_a_runtime_and_every_backend_an_extension():
     for module in (codegen.c, codegen.go):
         assert sorted(module._KINDS) == sorted(astgen.CONTAINER_KINDS), module.__name__
-    for backend_id in registered_backends():
-        extension = codegen.get_backend(backend_id).extension
-        assert extension and not extension.startswith("."), backend_id
-
-    class NoExtension:
-        def emit(self, program, cfg):
-            return []
-
-    with pytest.raises(BackendError, match="extension"):
-        register_backend("no-extension", NoExtension())
-    assert "no-extension" not in registered_backends()
-
-
-def test_template_backend_round_trip():
-    templates = {
-        "new": "new@{slot}",
-        "insert": "ins@{slot}:{value}",
-        "remove": "rem@{slot}:{value}",
-        "contains": "has@{slot}:{value}",
-        "if": "if[{bit}]({cond})({then})({orelse})",
-        "loop": "loop[{trips}]({cond})({body})",
-        "call": "call f{callee} with [{args}]",
-    }
-    register_backend("echo-test", templates)
-    program = make_program("A = new IF(insert, contains) CALL(remove)\n", 1)
-    files = emit(program, EmitConfig(backend="echo-test"))
-    assert len(files) == 1
-    assert files[0].relative_path == "program.txt"
-    text = files[0].contents
-    assert "new@0" in text
-    assert "if[0](ins@" in text
-    assert "call f0 with [0]" in text  # callee gets the lower id; entry slot 0 visible
-    # the bare remove in the callee gets a materialized operand first
-    assert text.startswith("f0: new@0 rem@")
-
-
-def test_template_backend_direct_instantiation_missing_key():
-    with pytest.raises(BackendError, match="loop"):
-        TemplateBackend({k: "" for k in ("new", "insert", "remove", "contains", "if", "call")})
+    for backend_id, backend in codegen.BACKENDS.items():
+        assert backend.extension and not backend.extension.startswith("."), backend_id
 
 
 # ---------------------------------------------------------------------------
