@@ -37,10 +37,12 @@ from . import astgen, codegen, grammar, oracle
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_SCHEMA = "lsysbench/manifest/v1"
-# the manifest keys that check, measure and sweep-pgo read
-_MANIFEST_KEYS = ("specName", "specSha256", "generations", "seed", "valueRange", "tripCount",
-                  "containerKind", "backend", "splitFiles", "debugTrace", "files",
-                  "oracleChecksumPath1")
+# the manifest keys that check, measure and sweep-pgo read, and the JSON type
+# each must have ("files" is a list of str)
+_MANIFEST_KEYS = {"specName": str, "specSha256": str, "generations": int, "seed": int,
+                  "valueRange": int, "tripCount": int, "containerKind": str, "backend": str,
+                  "splitFiles": bool, "debugTrace": bool, "files": list,
+                  "oracleChecksumPath1": int}
 
 SWEEP_COLUMNS = ["i", "path", "t_ms", "ti_ms", "ratio"]
 
@@ -166,9 +168,14 @@ def load_manifest(out_dir: str) -> dict:
     schema = manifest.get("schema") if isinstance(manifest, dict) else None
     if schema != MANIFEST_SCHEMA:
         raise BenchError(f"unsupported manifest schema: {schema!r}")
-    for key in _MANIFEST_KEYS:
+    for key, want in _MANIFEST_KEYS.items():
         if key not in manifest:
             raise BenchError(f"{path} lacks {key!r}; run `gen` again")
+        value = manifest[key]
+        # type(), not isinstance(): a JSON true is no int
+        if type(value) is not want or want is list and any(type(v) is not str for v in value):
+            name = "list of str" if want is list else want.__name__
+            raise BenchError(f"{path}: {key!r} must be {name}, got {value!r}; run `gen` again")
     return manifest
 
 

@@ -9,17 +9,19 @@ generated function is a single call. Sources compile warning-free under
 `-std=c99 -pedantic -Wall -Wextra -Werror` at -O0 through -O3.
 
 Object lifetimes are static: callees borrow their parameters, and only the
-block that allocated an object frees it, when that block exits. A caller's
-binding block always outlives the call, so no reference counts are kept.
-`ls_new` reports whether it allocated; a function that no `Call` passes
-objects to allocates at every `new` and frees its bindings directly, and only
-functions that do receive objects keep a per-binding "allocated here" flag.
+call that allocated an object frees it, when the binding's block exits. A
+caller's binding block always outlives the call, so no reference counts are
+kept. Ids grow, and every object a call borrows was allocated before the call
+began, so `ls_free` tells the two apart by id alone: it frees an object whose
+id is at least the call's `base`, the next id when the call began. For
+lifetimes a heap kind supplies only its structs, `ls_alloc` and `ls_destroy`;
+`ls_new` and `ls_free` are shared.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import List, Set
+from typing import List
 
 from .. import astgen
 from .base import BraceSyntax, EmitConfig, SourceFile
@@ -56,13 +58,13 @@ typedef struct {
 
 """
 
-# % the parameter element type, as in _KINDS
+# % (the parameter element type, as in _KINDS; a heap kind's base member)
 _HEADER_PARAMS = """\
 typedef struct {
     %s*items;
     size_t len;
     size_t consumed;
-} ls_params;
+%s} ls_params;
 """
 
 _HEADER_PROTOS = """\
@@ -76,10 +78,11 @@ ls_params ls_make_params(%s*items, size_t len);
 
 _PROTOS_HEAP = """\
 /* Callees borrow their parameters. ls_new hands out the next unconsumed
- * parameter (*fresh = 0) or allocates a new object (*fresh = 1); fresh may be
- * NULL. Only the block that allocated an object calls ls_free on it. */
-ls_obj *ls_new(ls_params *data, int *fresh);
-void ls_free(ls_obj *obj);
+ * parameter or allocates a new object. Ids grow, so an object the current
+ * call allocated is one whose id is at least data->base, the next id when
+ * the call began; ls_free frees only such an object. */
+ls_obj *ls_new(ls_params *data);
+void ls_free(ls_params *data, ls_obj *obj);
 void ls_insert(ls_obj *obj, int64_t val);
 void ls_remove(ls_obj *obj, int64_t val);
 void ls_contains(ls_obj *obj, int64_t val);
@@ -105,6 +108,7 @@ void ls_log(int opcode, const char *kind, uint64_t var, int64_t val, int64_t res
 }
 """
 
+# % (the parameter element type; a heap kind's base assignment)
 _IMPL_PARAMS = """\
 ls_params ls_make_params(%s*items, size_t len)
 {
@@ -112,12 +116,13 @@ ls_params ls_make_params(%s*items, size_t len)
     params.items = items;
     params.len = len;
     params.consumed = 0;
-    return params;
+%s    return params;
 }
 """
 
-_IMPL_NEW_HEAP = """\
-ls_obj *ls_new(ls_params *data, int *fresh)
+# Shared by the heap kinds; each defines ls_alloc and ls_destroy before it.
+_IMPL_HEAP = """\
+ls_obj *ls_new(ls_params *data)
 {
     ls_obj *obj;
     int made = data->consumed >= data->len;
@@ -127,11 +132,15 @@ ls_obj *ls_new(ls_params *data, int *fresh)
         obj = data->items[data->consumed];
         data->consumed++;
     }
-    if (fresh) {
-        *fresh = made;
-    }
     ls_log(1, "new", obj->id, 0, made);
     return obj;
+}
+
+void ls_free(ls_params *data, ls_obj *obj)
+{
+    if (obj->id >= data->base) {
+        ls_destroy(obj);
+    }
 }
 """
 
@@ -160,7 +169,7 @@ static ls_obj *ls_alloc(void)
     return obj;
 }
 
-void ls_free(ls_obj *obj)
+static void ls_destroy(ls_obj *obj)
 {
     free(obj->vals);
     free(obj);
@@ -215,7 +224,7 @@ static ls_obj *ls_alloc(void)
     return obj;
 }
 
-void ls_free(ls_obj *obj)
+static void ls_destroy(ls_obj *obj)
 {
     ls_node *node = obj->head;
     while (node) {
@@ -308,21 +317,11 @@ _Kind = namedtuple("_Kind", "param structs protos impl")
 # A kind's parameter element type, object structs, prototypes and runtime.
 _KINDS = {
     "array": _Kind("ls_obj *", _OBJ_ARRAY, _PROTOS_HEAP,
-                   _IMPL_ARRAY + "\n" + _IMPL_NEW_HEAP),
+                   _IMPL_ARRAY + "\n" + _IMPL_HEAP),
     "sortedList": _Kind("ls_obj *", _OBJ_SORTED, _PROTOS_HEAP,
-                        _IMPL_SORTED + "\n" + _IMPL_NEW_HEAP),
+                        _IMPL_SORTED + "\n" + _IMPL_HEAP),
     "scalar": _Kind("int64_t ", "", _PROTOS_SCALAR, _IMPL_SCALAR),
 }
-
-
-def _callees_passed_objects(program: astgen.Program) -> Set[int]:
-    """Ids of the functions that some call passes at least one object to."""
-    return {
-        st.callee_id
-        for fn in program.functions
-        for st in astgen.iter_statements(fn.body)
-        if isinstance(st, astgen.Call) and st.available_slots
-    }
 
 
 _MAIN_INCLUDES = """\
@@ -337,9 +336,7 @@ _MAIN_INCLUDES = """\
 
 
 class CBackend(BraceSyntax):
-    """Generates C99 sources. `borrows`: some call passes objects to the
-    function being rendered, so a binding may alias a parameter and is freed
-    only if its `ls_new` allocated."""
+    """Generates C99 sources."""
 
     extension = "c"
     kinds = _KINDS
@@ -375,18 +372,15 @@ int main(int argc, char **argv)
     if_head = "if ((path >> %d) & 1) {"
     loop_head = "for (uint64_t ls_i%d = 0; ls_i%d < UINT64_C(%d); ls_i%d++) {"
 
-    def __init__(self, program: astgen.Program):
-        super().__init__(program)
-        self.borrowers = _callees_passed_objects(program)
-
     def headers(self, banner: str) -> List[SourceFile]:
         protos = "".join(
             "void f%d(ls_params data, uint64_t path);\n" % fn.id for fn in self.program.functions
         )
+        base = "" if self.scalar else "    uint64_t base;\n"
         text = "\n".join([
             banner,
             _HEADER_COMMON,
-            self.parts.structs + _HEADER_PARAMS % self.parts.param,
+            self.parts.structs + _HEADER_PARAMS % (self.parts.param, base),
             _HEADER_PROTOS % self.parts.param + self.parts.protos,
             protos,
             "#endif /* LS_RUNTIME_H */\n",
@@ -394,34 +388,27 @@ int main(int argc, char **argv)
         return [SourceFile("runtime.h", text)]
 
     def runtime(self, cfg: EmitConfig) -> str:
+        base = "" if self.scalar else "    params.base = ls_next_id;\n"
         return "\n".join([
             _MAIN_INCLUDES,
             "int ls_debug = %d;\n" % (1 if cfg.debug_trace else 0)
             + "uint64_t ls_checksum = UINT64_C(14695981039346656037);\n"
             + "uint64_t ls_next_id = UINT64_C(1);\n",
             _IMPL_COMMON,
-            _IMPL_PARAMS % self.parts.param,
+            _IMPL_PARAMS % (self.parts.param, base),
             self.parts.impl,
         ])
-
-    def function(self, fn: astgen.FunctionDef) -> str:
-        self.borrows = fn.id in self.borrowers
-        return super().function(fn)
 
     def new(self, slot):
         if self.scalar:
             return ["int64_t v%d = ls_new(&data, UINT64_C(%d));" % (slot, slot),
                     "(void)v%d;" % slot]
-        if self.borrows:
-            return ["int o%d;" % slot, "ls_obj *v%d = ls_new(&data, &o%d);" % (slot, slot)]
-        return ["ls_obj *v%d = ls_new(&data, NULL);" % slot]
+        return ["ls_obj *v%d = ls_new(&data);" % slot]
 
     def free(self, slot):
         if self.scalar:
             return []
-        if self.borrows:
-            return ["if (o%d) {" % slot, self.indent + "ls_free(v%d);" % slot, "}"]
-        return ["ls_free(v%d);" % slot]
+        return ["ls_free(&data, v%d);" % slot]
 
     def op(self, name, slot, value):
         if self.scalar:

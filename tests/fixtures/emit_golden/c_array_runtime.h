@@ -16,6 +16,7 @@ typedef struct {
     ls_obj **items;
     size_t len;
     size_t consumed;
+    uint64_t base;
 } ls_params;
 
 extern int ls_debug;
@@ -25,10 +26,11 @@ extern uint64_t ls_next_id;
 void ls_log(int opcode, const char *kind, uint64_t var, int64_t val, int64_t res);
 ls_params ls_make_params(ls_obj **items, size_t len);
 /* Callees borrow their parameters. ls_new hands out the next unconsumed
- * parameter (*fresh = 0) or allocates a new object (*fresh = 1); fresh may be
- * NULL. Only the block that allocated an object calls ls_free on it. */
-ls_obj *ls_new(ls_params *data, int *fresh);
-void ls_free(ls_obj *obj);
+ * parameter or allocates a new object. Ids grow, so an object the current
+ * call allocated is one whose id is at least data->base, the next id when
+ * the call began; ls_free frees only such an object. */
+ls_obj *ls_new(ls_params *data);
+void ls_free(ls_params *data, ls_obj *obj);
 void ls_insert(ls_obj *obj, int64_t val);
 void ls_remove(ls_obj *obj, int64_t val);
 void ls_contains(ls_obj *obj, int64_t val);

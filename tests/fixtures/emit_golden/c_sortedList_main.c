@@ -28,6 +28,7 @@ ls_params ls_make_params(ls_obj **items, size_t len)
     params.items = items;
     params.len = len;
     params.consumed = 0;
+    params.base = ls_next_id;
     return params;
 }
 
@@ -43,7 +44,7 @@ static ls_obj *ls_alloc(void)
     return obj;
 }
 
-void ls_free(ls_obj *obj)
+static void ls_destroy(ls_obj *obj)
 {
     ls_node *node = obj->head;
     while (node) {
@@ -97,7 +98,7 @@ void ls_contains(ls_obj *obj, int64_t val)
     ls_log(4, "contains", obj->id, val, (node && node->val == val) ? 1 : 0);
 }
 
-ls_obj *ls_new(ls_params *data, int *fresh)
+ls_obj *ls_new(ls_params *data)
 {
     ls_obj *obj;
     int made = data->consumed >= data->len;
@@ -107,35 +108,36 @@ ls_obj *ls_new(ls_params *data, int *fresh)
         obj = data->items[data->consumed];
         data->consumed++;
     }
-    if (fresh) {
-        *fresh = made;
-    }
     ls_log(1, "new", obj->id, 0, made);
     return obj;
+}
+
+void ls_free(ls_params *data, ls_obj *obj)
+{
+    if (obj->id >= data->base) {
+        ls_destroy(obj);
+    }
 }
 
 void f0(ls_params data, uint64_t path)
 {
     (void)data;
     (void)path;
-    ls_obj *v0 = ls_new(&data, NULL);
+    ls_obj *v0 = ls_new(&data);
     ls_insert(v0, INT64_C(430));
-    ls_free(v0);
+    ls_free(&data, v0);
 }
 
 void f1(ls_params data, uint64_t path)
 {
     (void)data;
     (void)path;
-    int o0;
-    ls_obj *v0 = ls_new(&data, &o0);
+    ls_obj *v0 = ls_new(&data);
     ls_contains(v0, INT64_C(840));
     if ((path >> 0) & 1) {
         ls_insert(v0, INT64_C(12));
     }
-    if (o0) {
-        ls_free(v0);
-    }
+    ls_free(&data, v0);
 }
 
 void f2(ls_params data, uint64_t path)
@@ -143,17 +145,17 @@ void f2(ls_params data, uint64_t path)
     (void)data;
     (void)path;
     f0(ls_make_params(NULL, 0), path);
-    ls_obj *v0 = ls_new(&data, NULL);
+    ls_obj *v0 = ls_new(&data);
     ls_insert(v0, INT64_C(895));
     ls_remove(v0, INT64_C(264));
     ls_contains(v0, INT64_C(513));
     {
-        ls_obj *v1 = ls_new(&data, NULL);
+        ls_obj *v1 = ls_new(&data);
         ls_contains(v0, INT64_C(700));
-        ls_free(v1);
+        ls_free(&data, v1);
     }
     if ((path >> 0) & 1) {
-        ls_obj *v2 = ls_new(&data, NULL);
+        ls_obj *v2 = ls_new(&data);
         ls_insert(v2, INT64_C(475));
         for (uint64_t ls_i0 = 0; ls_i0 < UINT64_C(2); ls_i0++) {
             {
@@ -163,7 +165,7 @@ void f2(ls_params data, uint64_t path)
                 }
             }
         }
-        ls_free(v2);
+        ls_free(&data, v2);
     } else {
         ls_remove(v0, INT64_C(666));
         for (uint64_t ls_i1 = 0; ls_i1 < UINT64_C(2); ls_i1++) {
@@ -177,14 +179,14 @@ void f2(ls_params data, uint64_t path)
     }
     for (uint64_t ls_i2 = 0; ls_i2 < UINT64_C(2); ls_i2++) {
         {
-            ls_obj *v3 = ls_new(&data, NULL);
+            ls_obj *v3 = ls_new(&data);
             ls_contains(v0, INT64_C(797));
-            ls_free(v3);
+            ls_free(&data, v3);
         }
         {
-            ls_obj *v4 = ls_new(&data, NULL);
+            ls_obj *v4 = ls_new(&data);
             ls_insert(v4, INT64_C(258));
-            ls_free(v4);
+            ls_free(&data, v4);
         }
     }
     for (uint64_t ls_i3 = 0; ls_i3 < UINT64_C(2); ls_i3++) {
@@ -196,7 +198,7 @@ void f2(ls_params data, uint64_t path)
         ls_obj *ls_args1[] = { v0 };
         f1(ls_make_params(ls_args1, 1), path);
     }
-    ls_free(v0);
+    ls_free(&data, v0);
 }
 
 int main(int argc, char **argv)

@@ -250,6 +250,23 @@ def test_commands_refuse_a_manifest_that_lacks_a_key(
     assert err.rstrip().endswith(f"lacks {key!r}; run `gen` again")
 
 
+@pytest.mark.parametrize("command, key, value, want", [
+    ("check", "files", 3, "list of str"),
+    ("sweep-pgo", "files", ["main.c", 3], "list of str"),
+    ("check", "generations", "2", "int"),
+    ("measure", "oracleChecksumPath1", "1", "int"),
+    ("measure", "seed", True, "int"),
+    ("check", "splitFiles", 0, "bool"),
+    ("check", "backend", None, "str"),
+])
+def test_commands_refuse_a_manifest_key_of_the_wrong_type(
+        command, key, value, want, spec_file, tmp_path, capsys, monkeypatch):
+    err = _exit_2_on_edited_manifest(command, lambda manifest: manifest.update({key: value}),
+                                     spec_file, tmp_path, capsys, monkeypatch)
+    assert err.startswith("error: ")
+    assert err.rstrip().endswith(f"{key!r} must be {want}, got {value!r}; run `gen` again")
+
+
 @pytest.mark.parametrize("command", ["check", "measure"])
 def test_commands_refuse_a_manifest_with_an_unknown_backend(
         command, spec_file, tmp_path, capsys, monkeypatch):

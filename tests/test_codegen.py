@@ -93,32 +93,26 @@ def test_c_split_layout_is_function_count_plus_one():
     assert set(names[2:]) == expected
 
 
-def test_c_only_functions_passed_objects_flag_ownership():
-    # Callees borrow: a binding is freed by the block that allocated it, so
-    # only functions some call passes objects to need an "allocated here" flag.
-    program = make_program(CALL_CHURN_SPEC, 4)
-    receivers = {st.callee_id for fn in program.functions
-                 for st in astgen.iter_statements(fn.body)
-                 if isinstance(st, astgen.Call) and st.available_slots}
-    assert program.entry_id not in receivers
+@pytest.mark.parametrize("container", ["array", "sortedList"])
+def test_c_frees_every_binding_by_one_id_rule(container):
+    # Callees borrow. Every function binds with ls_new(&data) and ends each
+    # binding with ls_free(&data, v), which frees only what the call
+    # allocated; no function keeps a per-binding ownership flag.
+    program = make_program(CALL_CHURN_SPEC, 4, container)
+    assert any(isinstance(st, astgen.Call) and st.available_slots
+               for fn in program.functions for st in astgen.iter_statements(fn.body))
     files = {f.relative_path: f.contents
              for f in emit(program, EmitConfig(backend="c", split_files=True))}
-    seen = set()
+    runtime = files["main.c"][:files["main.c"].index("\nvoid f%d(" % program.entry_id)]
+    assert runtime.count("obj->id >= data->base") == 1
     for fn in program.functions:
         text = files["main.c" if fn.id == program.entry_id else "f%d.c" % fn.id]
-        body = text[text.index("void f%d(" % fn.id):]
+        start = text.index("void f%d(" % fn.id)
+        body = text[start:text.index("\n}\n", start)]
         news = sum(isinstance(st, astgen.New) for st in astgen.iter_statements(fn.body))
-        if fn.id in receivers:
-            assert body.count("ls_new(&data, &o") == news
-            assert body.count("ls_free(v") == news
-            assert "ls_new(&data, NULL)" not in body
-        else:
-            assert body.count("ls_new(&data, NULL)") == news
-            assert body.count("ls_free(v") == news
-            assert "&o" not in body and "if (o" not in body
-        if news:
-            seen.add(fn.id in receivers)
-    assert seen == {True, False}
+        assert body.count("ls_new(&data)") == news
+        assert body.count("ls_free(&data, v") == news
+        assert not any(form in body for form in ("&o", "if (o", "NULL)"))
     assert not any("refc" in text or "ls_retain" in text for text in files.values())
 
 
@@ -417,7 +411,7 @@ def test_source_file_is_frozen():
 DIGEST_SPECS = ([(CALL_CHURN_SPEC, g) for g in (3, 5, 8)]
                 + [(CONTAINER_STRESS_SPEC, g) for g in (4, 7)])
 # (files, sha256) of everything the test below emits.
-EMITTED_FILES_DIGEST = (2424, "fa7086334be8e7cffda619df4da0b3b352e682e8fc5926656907a5e3061a47bc")
+EMITTED_FILES_DIGEST = (2424, "2ddd29fafcd30a7031f40365d09955b4b859a96cf8c9df3afe96bc5dcc5956df")
 
 
 def digest_programs(kind, seed):
