@@ -116,8 +116,8 @@ class OperandPlan:
     def __post_init__(self):
         if not 1 <= self.value_range <= 1 << 31:  # Lcg.next gives 31 bits
             raise ValueError(f"value_range must be in [1, 2^31], got {self.value_range}")
-        if self.trip_count < 1:
-            raise ValueError("trip_count must be >= 1")
+        if not 1 <= self.trip_count < 1 << 64:  # emitted as a uint64_t constant
+            raise ValueError(f"trip_count must be in [1, 2^64), got {self.trip_count}")
         if self.container_kind not in CONTAINER_KINDS:
             raise ValueError(f"unknown container kind {self.container_kind!r}")
 

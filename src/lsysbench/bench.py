@@ -26,6 +26,7 @@ import shlex
 import shutil
 import signal
 import statistics
+import string
 import subprocess
 import sys
 import tempfile
@@ -575,14 +576,18 @@ def cmd_measure(
 ) -> List[Measurement]:
     """One Measurement row per flag set; failures mark the row, not the batch."""
     _check_run_counts(repetitions, warmups)
+    # a bad template fails the command before any compile, not each row
+    render_template(cc_template, dict.fromkeys(("in", "out", "flags"), "x"))
+    placeholders = {name for _, name, _, _ in string.Formatter().parse(cc_template)}
+    if any(flag_sets) and "flags" not in placeholders:
+        raise BenchError(f"flag sets {list(flag_sets)} given, but the command template "
+                         f"has no {{flags}} placeholder: {cc_template}")
     manifest = load_manifest(out_dir)
     spec_text = read_spec_file(spec_path)
     check_spec(spec_text, manifest)
     expected_checksum = oracle_checksums(spec_text, manifest)(path) if oracle_check else None
 
     src_files = source_file_names(manifest)
-    # a bad template fails the command before any compile, not each row
-    render_template(cc_template, dict.fromkeys(("in", "out", "flags"), "x"))
     results: List[Measurement] = []
     for flags in flag_sets:
         m = Measurement(
@@ -644,13 +649,12 @@ def _check_run_counts(repetitions: int, warmups: int) -> None:
 
 
 def _median_run_ms(binary: str, path: int, repetitions: int, warmups: int,
-                   cwd: Optional[str] = None,
-                   env: Optional[Dict[str, str]] = None) -> Tuple[float, str]:
+                   cwd: Optional[str] = None) -> Tuple[float, str]:
     """Median wall time of the runs after the warm-ups, and the last run's stdout."""
     argv = [binary, str(path)]
     times = []
     for _ in range(warmups + repetitions):
-        elapsed, proc = timed_run(argv, cwd=cwd, env=env)
+        elapsed, proc = timed_run(argv, cwd=cwd)
         _exit_report(proc, "benchmark binary failed")
         times.append(elapsed)
     return statistics.median(times[warmups:]), proc.stdout

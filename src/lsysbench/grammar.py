@@ -20,6 +20,12 @@ NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 # 524,283 items, 467 MB max RSS), so this cap is ~1.8 GB.
 DEFAULT_ITEM_CAP = 2 * 10**6
 
+# Constructs nested inside constructs. The recursive walkers take frames
+# per level (canonical_serialize 4), and gen overflowed Python's stack at
+# 171 levels; the deepest derivation under the item cap (churn g=19) nests
+# 38 deep.
+MAX_NESTING = 128
+
 
 class SpecError(Exception):
     """Malformed spec or sequence."""
@@ -65,9 +71,6 @@ class ItemSeq:
     def __len__(self) -> int:
         return len(self.items)
 
-    def __bool__(self) -> bool:
-        return bool(self.items)
-
 
 @dataclass(frozen=True)
 class LSystemSpec:
@@ -78,99 +81,48 @@ class LSystemSpec:
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[(),]|\S")
-
-
-class _Token:
-    __slots__ = ("text", "line", "col")
-
-    def __init__(self, text: str, line: int, col: int):
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def _tokenize(text: str, line: int, col_offset: int) -> list[_Token]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        tok = _Token(m.group(0), line, col_offset + m.start() + 1)
-        if tok.text not in ("(", ")", ",") and not NAME_RE.fullmatch(tok.text):
-            raise SpecParseError(f"unexpected character {tok.text!r}", tok.line, tok.col)
-        tokens.append(tok)
-    return tokens
-
-
-class _ItemParser:
-    """Recursive-descent parser for item sequences (rule bodies)."""
-
-    def __init__(self, tokens: list[_Token], line: int, end_col: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.line = line
-        self.end_col = end_col
-
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _error(self, message: str, tok: _Token | None = None):
-        if tok is None:
-            raise SpecParseError(message, self.line, self.end_col)
-        raise SpecParseError(message, tok.line, tok.col)
-
-    def parse_seq(self, stop: tuple[str, ...]) -> ItemSeq:
-        items = []
-        while True:
-            tok = self._peek()
-            if tok is None or tok.text in stop:
-                return ItemSeq(tuple(items))
-            items.append(self.parse_item())
-
-    def parse_item(self) -> SymbolItem:
-        tok = self._peek()
-        assert tok is not None
-        self.pos += 1
-        if tok.text in ("(", ")", ","):
-            self._error(f"unexpected {tok.text!r}", tok)
-        if tok.text in TERMINAL_KINDS:
-            return Terminal(tok.text)
-        if tok.text in CONSTRUCT_KINDS:
-            return self.parse_construct(tok)
-        return NonTerminal(tok.text)
-
-    def parse_construct(self, kw: _Token) -> Construct:
-        opener = self._peek()
-        if opener is None or opener.text != "(":
-            self._error(f"{kw.text} requires a parenthesized block list", kw)
-        self.pos += 1
-        blocks = [self.parse_seq(stop=(",", ")"))]
-        while True:
-            tok = self._peek()
-            if tok is None:
-                self._error(f"unterminated {kw.text}(...)")
-            if tok.text == ",":
-                self.pos += 1
-                blocks.append(self.parse_seq(stop=(",", ")")))
-                continue
-            assert tok.text == ")"
-            self.pos += 1
-            break
-        lo, hi = CONSTRUCT_ARITY[kw.text]
-        if not lo <= len(blocks) <= hi:
-            expected = str(lo) if lo == hi else f"{lo} or {hi}"
-            self._error(
-                f"{kw.text} requires {expected} blocks, got {len(blocks)}", kw
-            )
-        return Construct(kw.text, tuple(blocks))
+_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|\S")
 
 
 def parse_items(text: str, line: int = 1, col_offset: int = 0) -> ItemSeq:
     """Parse a bare item sequence (a rule body, or a canonical string)."""
-    parser = _ItemParser(_tokenize(text, line, col_offset), line, col_offset + len(text) + 1)
-    seq = parser.parse_seq(stop=(")",))
-    trailing = parser._peek()
-    if trailing is not None:
-        parser._error(f"unexpected {trailing.text!r}", trailing)
-    return seq
+    tokens = [(m.group(), col_offset + m.start() + 1) for m in _TOKEN_RE.finditer(text)]
+    for tok, col in tokens:
+        if tok not in ("(", ")", ",") and not NAME_RE.fullmatch(tok):
+            raise SpecParseError(f"unexpected character {tok!r}", line, col)
+    tokens.append(("", col_offset + len(text) + 1))  # the end of the text
+    # one entry per open construct: its keyword, column and blocks so far;
+    # the bottom entry holds the top-level sequence as its one block
+    stack = [("", 0, [[]])]
+    pos = 0
+    while True:
+        tok, col = tokens[pos]
+        pos += 1
+        kw, kw_col, blocks = stack[-1]
+        if tok in CONSTRUCT_KINDS:
+            if tokens[pos][0] != "(":
+                raise SpecParseError(f"{tok} requires a parenthesized block list", line, col)
+            pos += 1
+            stack.append((tok, col, [[]]))
+        elif kw and tok == ",":
+            blocks.append([])
+        elif kw and tok == ")":
+            lo, hi = CONSTRUCT_ARITY[kw]
+            if not lo <= len(blocks) <= hi:
+                expected = str(lo) if lo == hi else f"{lo} or {hi}"
+                raise SpecParseError(f"{kw} requires {expected} blocks, got {len(blocks)}",
+                                     line, kw_col)
+            stack.pop()
+            _, _, outer = stack[-1]
+            outer[-1].append(Construct(kw, tuple(ItemSeq(tuple(b)) for b in blocks)))
+        elif tok == "":
+            if kw:
+                raise SpecParseError(f"unterminated {kw}(...)", line, col)
+            return ItemSeq(tuple(blocks[0]))
+        elif tok in ("(", ")", ","):
+            raise SpecParseError(f"unexpected {tok!r}", line, col)
+        else:
+            blocks[-1].append(Terminal(tok) if tok in TERMINAL_KINDS else NonTerminal(tok))
 
 
 def parse_spec(text: str) -> LSystemSpec:
@@ -178,7 +130,6 @@ def parse_spec(text: str) -> LSystemSpec:
     trailing `;`, optional `AXIOM = body` line overriding the first-rule default."""
     productions: Dict[str, ItemSeq] = {}
     axiom: ItemSeq | None = None
-    first_rhs: ItemSeq | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         stripped = line.rstrip()
@@ -205,12 +156,10 @@ def parse_spec(text: str) -> LSystemSpec:
         if lhs in productions:
             raise SpecParseError(f"duplicate production for {lhs!r}", lineno, lhs_col)
         productions[lhs] = rhs
-        if first_rhs is None:
-            first_rhs = rhs
     if axiom is None:
-        if first_rhs is None:
+        if not productions:
             raise SpecParseError("spec has no productions and no AXIOM line", 1, 1)
-        axiom = first_rhs
+        axiom = next(iter(productions.values()))
     return LSystemSpec(axiom=axiom, productions=productions)
 
 
@@ -269,17 +218,27 @@ def rewrite_once(spec: LSystemSpec, seq: ItemSeq) -> ItemSeq:
 
 def derive(spec: LSystemSpec, generations: int, max_items: int = DEFAULT_ITEM_CAP) -> ItemSeq:
     """Apply rewrite_once `generations` times to the axiom. Every
-    generation's item count is worked out from the productions first, so a
-    derivation above max_items fails before anything is rewritten."""
+    generation's item count and nesting depth are worked out from the
+    productions first, so a derivation above max_items or MAX_NESTING fails
+    before anything is rewritten."""
     if generations < 0:
         raise ValueError("generations must be >= 0")
-    sizes: Dict[str, int] = {}  # nonterminal -> items it has become by this generation
+    # nonterminal -> items it has become by this generation, and how deep
+    # the constructs it has become nest
+    sizes: Dict[str, int] = {}
+    depths: Dict[str, int] = {}
     for gen in range(1, generations + 1):
         sizes = {lhs: total_items(rhs, sizes) for lhs, rhs in spec.productions.items()}
+        depths = {lhs: nesting_depth(rhs, depths) for lhs, rhs in spec.productions.items()}
         n = total_items(spec.axiom, sizes)
         if n > max_items:
             raise DerivationLimitError(
                 f"generation {gen} has {n} items, above the cap of {max_items}"
+            )
+        depth = nesting_depth(spec.axiom, depths)
+        if depth > MAX_NESTING:
+            raise DerivationLimitError(
+                f"generation {gen} nests constructs {depth} deep, above the cap of {MAX_NESTING}"
             )
     seq = spec.axiom
     for _ in range(generations):
@@ -303,6 +262,18 @@ def total_items(seq: ItemSeq, sizes: Mapping[str, int] = MappingProxyType({})) -
             for b in item.blocks:
                 n += total_items(b, sizes)
     return n
+
+
+def nesting_depth(seq: ItemSeq, depths: Mapping[str, int] = MappingProxyType({})) -> int:
+    """How deep constructs nest in seq; a nonterminal nests depths[name]
+    deep, 0 if absent."""
+    deepest = 0
+    for item in seq.items:
+        if isinstance(item, NonTerminal):
+            deepest = max(deepest, depths.get(item.name, 0))
+        elif isinstance(item, Construct):
+            deepest = max(deepest, 1 + max(nesting_depth(b, depths) for b in item.blocks))
+    return deepest
 
 
 def count_terminals(seq: ItemSeq) -> Dict[str, int]:

@@ -341,6 +341,9 @@ def test_operand_plan_validation():
         OperandPlan(value_range=0)
     with pytest.raises(ValueError):
         OperandPlan(trip_count=0)
+    with pytest.raises(ValueError, match=r"^trip_count must be in \[1, 2\^64\), got 18446744073709551616$"):
+        OperandPlan(trip_count=2**64)
+    OperandPlan(trip_count=2**64 - 1)
     with pytest.raises(ValueError):
         OperandPlan(container_kind="deque")
 

@@ -839,10 +839,12 @@ def test_measure_a_failing_binary_fails_its_row_with_exit_code_and_stderr(
         spec_file, tmp_path, capsys):
     out = str(tmp_path / "out")
     gen_quiet(spec_file, out, 3, default_plan(), codegen.EmitConfig(backend="c"))
+    # a flag set needs a {flags} field; env holds it in a variable the script ignores
+    cc = "env FLAGS={flags} " + script_cc(tmp_path, "echo boom >&2; exit 3")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        results = cmd_measure(spec_file, out, script_cc(tmp_path, "echo boom >&2; exit 3"),
-                              flag_sets=["-O0", "-O2"], repetitions=1, warmups=0)
+        results = cmd_measure(spec_file, out, cc, flag_sets=["-O0", "-O2"],
+                              repetitions=1, warmups=0)
     capsys.readouterr()
     assert [(m.failed, m.error) for m in results] == [
         (True, "benchmark binary failed: exit=3 boom")] * 2
@@ -960,7 +962,7 @@ def test_sweep_pgo_checks_the_checksums_it_times(spec_file, tmp_path, capsys, mo
     gen_quiet(spec_file, out, 4, default_plan(), codegen.EmitConfig(backend="c"))
     sums = oracle_sums(out, (1, 3))
 
-    def fake_median(binary, path, repetitions, warmups, cwd=None, env=None):
+    def fake_median(binary, path, repetitions, warmups, cwd=None):
         bad = binary.endswith("prog-opt") and path == 3
         return 1.0, "CHECKSUM %d\n" % (sums[path] + bad)
 
@@ -980,7 +982,7 @@ def test_sweep_pgo_checks_the_baseline_against_the_oracle(spec_file, tmp_path, c
     gen_quiet(spec_file, out, 4, default_plan(), codegen.EmitConfig(backend="c"))
     sums = oracle_sums(out, (1, 3))
 
-    def fake_median(binary, path, repetitions, warmups, cwd=None, env=None):
+    def fake_median(binary, path, repetitions, warmups, cwd=None):
         return 1.0, "CHECKSUM %d\n" % (sums[path] + (path == 3))
 
     monkeypatch.setattr(bench, "_median_run_ms", fake_median)

@@ -209,6 +209,31 @@ def test_gen_refuses_a_value_range_above_2_to_the_31(spec_file, tmp_path, capsys
     assert bench.load_manifest(out)["valueRange"] == 2**31
 
 
+def test_gen_refuses_a_trip_count_of_2_to_the_64(tmp_path, capsys):
+    # The emitted C spells the trip count as a uint64_t constant, which the
+    # compiler refused as too large.
+    spec = tmp_path / "loop.lsys"
+    spec.write_text("A = LOOP() insert\n")
+    out = str(tmp_path / "out")
+    assert run_cli(["gen", str(spec), "--out", out, "--trip-count", str(2**64)]) == 2
+    assert capsys.readouterr().err.startswith("error: trip_count must be in [1, 2^64)")
+    assert not os.path.exists(out)
+
+
+def test_gen_refuses_constructs_nested_above_the_cap(tmp_path, capsys):
+    # One LOOP deeper per generation; at g=170 gen overflowed Python's stack.
+    # One trip per LOOP keeps the deepest program that passes small.
+    spec = tmp_path / "deep.lsys"
+    spec.write_text("A = LOOP(insert A)\n")
+    out = str(tmp_path / "out")
+    argv = ["gen", str(spec), "--out", out, "--trip-count", "1", "--generations"]
+    assert run_cli(argv + ["170"]) == 2
+    assert capsys.readouterr().err.startswith("error: generation 128 nests constructs 129 deep")
+    assert not os.path.exists(out)
+    assert run_cli(argv + [str(grammar.MAX_NESTING - 1)]) == 0
+    assert bench.load_manifest(out)["generations"] == grammar.MAX_NESTING - 1
+
+
 def _exit_2_on_edited_manifest(command, edit, spec_file, tmp_path, capsys, monkeypatch):
     """Run gen, edit its manifest, then run `command` with compiling
     forbidden; require exit 2 and return stderr."""
@@ -339,6 +364,25 @@ def test_measure_unknown_compiler_exits_nonzero(spec_file, tmp_path, capsys):
                     "--repetitions", "1", "--warmups", "0", "--no-oracle-check"])
     assert code == 1
     capsys.readouterr()
+
+
+def test_measure_refuses_flag_sets_the_template_has_no_place_for(
+        spec_file, tmp_path, capsys, monkeypatch):
+    # Both rows were timed from the same binary, labelled -O0 and -O3.
+    out = str(tmp_path / "out")
+    assert run_cli(["gen", spec_file, "--generations", "3", "--out", out]) == 0
+
+    def no_compile(*args, **kwargs):
+        raise AssertionError("compiled without the flag sets")
+
+    monkeypatch.setattr(bench, "compile_sources", no_compile)
+    capsys.readouterr()
+    code = run_cli(["measure", spec_file, "--out", out, "--cc", "gcc -std=c99 {in} -o {out}",
+                    "--flags=-O0", "--flags=-O3"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: flag sets ['-O0', '-O3'] given, but the command template has no "
+        "{flags} placeholder: gcc -std=c99 {in} -o {out}\n")
 
 
 def test_measure_a_compile_that_writes_no_binary_fails_its_rows(spec_file, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -16,6 +17,7 @@ from lsysbench.grammar import (
     count_terminals,
     derive,
     has_nonterminals,
+    nesting_depth,
     parse_items,
     parse_spec,
     render_spec,
@@ -77,30 +79,79 @@ def test_empty_blocks_allowed():
     assert seq.items[2] == Construct("CALL", (ItemSeq(()),))
 
 
-@pytest.mark.parametrize(
-    "text,line,col_min",
-    [
-        ("A = insert $\n", 1, 12),
-        ("A insert\n", 1, 1),
-        ("IF = insert\n", 1, 1),
-        ("new = insert\n", 1, 1),
-        ("A = insert\nA = remove\n", 2, 1),
-        ("A = CALL(x, y)\n", 1, 5),
-        ("A = IF(insert)\n", 1, 5),
-        ("A = LOOP(a, b, c)\n", 1, 5),
-        ("A = LOOP(insert\n", 1, 1),
-        ("A = IF\n", 1, 5),
-        ("A = insert )\n", 1, 12),
-        ("A = , insert\n", 1, 5),
-        ("1A = insert\n", 1, 1),
-    ],
-)
-def test_parse_errors_have_positions(text, line, col_min):
+_PARSE_ERRORS = [
+    ("A = insert $\n", 1, 12, "unexpected character '$'"),
+    ("A = x;;\n", 1, 6, "unexpected character ';'"),
+    ("A insert\n", 1, 9, "expected `NAME = body`"),
+    ("IF = insert\n", 1, 1, "reserved word 'IF' used as nonterminal"),
+    ("new = insert\n", 1, 1, "reserved word 'new' used as nonterminal"),
+    ("A = insert\nA = remove\n", 2, 1, "duplicate production for 'A'"),
+    ("AXIOM = insert\nAXIOM = remove\nA = new\n", 2, 1, "duplicate AXIOM line"),
+    ("# nothing here\n", 1, 1, "spec has no productions and no AXIOM line"),
+    ("A = CALL(x, y)\n", 1, 5, "CALL requires 1 blocks, got 2"),
+    ("A = IF(insert)\n", 1, 5, "IF requires 2 or 3 blocks, got 1"),
+    ("A = LOOP(a, b, c)\n", 1, 5, "LOOP requires 1 or 2 blocks, got 3"),
+    ("A = LOOP(insert\n", 1, 16, "unterminated LOOP(...)"),
+    ("A = LOOP(insert,\n", 1, 17, "unterminated LOOP(...)"),
+    ("A = IF\n", 1, 5, "IF requires a parenthesized block list"),
+    ("A = CALL insert\n", 1, 5, "CALL requires a parenthesized block list"),
+    ("A = insert )\n", 1, 12, "unexpected ')'"),
+    ("A = , insert\n", 1, 5, "unexpected ','"),
+    ("A = ( insert\n", 1, 5, "unexpected '('"),
+    ("1A = insert\n", 1, 1, "invalid rule name '1A'"),
+    (" = insert\n", 1, 1, "invalid rule name ''"),
+    ("  B C = x\n", 1, 3, "invalid rule name 'B C'"),
+]
+
+
+# ids name the text, line and column only
+@pytest.mark.parametrize("text,line,col,message", _PARSE_ERRORS,
+                         ids=[f"{text}-{line}-{col}" for text, line, col, _ in _PARSE_ERRORS])
+def test_parse_errors_have_positions(text, line, col, message):
     with pytest.raises(SpecParseError) as exc:
         parse_spec(text)
-    assert exc.value.line == line
-    assert exc.value.col >= col_min
-    assert f"line {line}" in str(exc.value)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert str(exc.value) == f"line {line}, col {col}: {message}"
+
+
+@pytest.mark.parametrize(
+    "text,col,message",
+    [
+        ("insert $", 12, "unexpected character '$'"),
+        ("LOOP(x", 11, "unterminated LOOP(...)"),
+        ("new )", 9, "unexpected ')'"),
+        ("new IF(x)", 9, "IF requires 2 or 3 blocks, got 1"),
+    ],
+)
+def test_item_errors_are_offset_by_line_and_column(text, col, message):
+    with pytest.raises(SpecParseError) as exc:
+        parse_items(text, line=3, col_offset=4)
+    assert (exc.value.line, exc.value.col) == (3, col)
+    assert str(exc.value) == f"line 3, col {col}: {message}"
+
+
+def test_random_token_strings_parse_back_or_fail_inside_the_text():
+    # canonical texts with up to three tokens dropped, added or replaced;
+    # the added ones include stray "(),", a bad character and a bad name start
+    extra = grammar.TERMINAL_KINDS + grammar.CONSTRUCT_KINDS + ("(", ")", ",", "$", "1")
+    rng = random.Random(19)
+    parsed = failed = 0
+    for _ in range(3000):
+        tokens = re.findall(r"\w+|\S", canonical_serialize(random_seq(rng, depth=3)))
+        for _ in range(rng.randint(0, 3)):
+            i = rng.randint(0, len(tokens))
+            tokens[i:i + rng.randint(0, 1)] = rng.choice(([], [rng.choice(extra)]))
+        text = " ".join(tokens)
+        col_offset = rng.randint(0, 6)
+        try:
+            seq = parse_items(text, line=2, col_offset=col_offset)
+        except SpecParseError as exc:
+            assert exc.line == 2 and 1 <= exc.col <= col_offset + len(text) + 1, text
+            failed += 1
+            continue
+        assert parse_items(canonical_serialize(seq)) == seq, text
+        parsed += 1
+    assert parsed > 500 and failed > 500
 
 
 def test_duplicate_axiom_rejected():
@@ -217,6 +268,35 @@ def test_derive_item_counts_are_exact_before_rewriting():
                 derive(spec, g, max_items=n - 1)
 
 
+def test_derive_refuses_constructs_nested_above_the_cap_before_rewriting(monkeypatch):
+    calls = []
+    real = grammar.rewrite_once
+    monkeypatch.setattr(grammar, "rewrite_once", lambda *a: calls.append(1) or real(*a))
+    # one LOOP deeper per generation: gen overflowed Python's stack at g=170
+    spec = parse_spec("A = LOOP(insert A)\n")
+    cap = grammar.MAX_NESTING
+    with pytest.raises(DerivationLimitError, match=f"^generation {cap} nests constructs "
+                                                   f"{cap + 1} deep, above the cap of {cap}$"):
+        derive(spec, 170)
+    assert calls == []
+    assert nesting_depth(derive(spec, cap - 1)) == cap
+
+
+def test_derive_nesting_depths_are_exact_before_rewriting(monkeypatch):
+    # the depth may stay level for a generation, so the cap can be crossed earlier
+    for text in (CONTAINER_STRESS_SPEC, CALL_CHURN_SPEC,
+                 "A = X IF(A, B)\nB = LOOP(A, new B) insert\n"):
+        spec = parse_spec(text)
+        for g in range(1, 8):
+            depth = nesting_depth(derive(spec, g))
+            with monkeypatch.context() as patch:
+                patch.setattr(grammar, "MAX_NESTING", depth)
+                derive(spec, g)
+                patch.setattr(grammar, "MAX_NESTING", depth - 1)
+                with pytest.raises(DerivationLimitError, match=f"nests constructs {depth} deep"):
+                    derive(spec, g)
+
+
 def test_derive_negative_generations():
     spec = parse_spec(CONTAINER_STRESS_SPEC)
     with pytest.raises(ValueError):
@@ -269,4 +349,5 @@ def test_total_items_counts_nested():
     seq = parse_items("new IF(insert,LOOP(new remove)) contains")
     # new, IF, insert, LOOP, new, remove, contains
     assert total_items(seq) == 7
+    assert nesting_depth(seq) == 2
     assert count_terminals(seq) == {"new": 2, "insert": 1, "remove": 1, "contains": 1}
