@@ -241,6 +241,9 @@ def source_file_names(manifest: dict) -> List[str]:
 
 
 def render_template(template: str, mapping: Dict[str, str]) -> List[str]:
+    """The argv of a command template: each placeholder is replaced by its
+    text, then the whole is split as a shell would. So a path is given
+    shlex.quote'd, to stay one argument, and {flags} is given as is."""
     class _Strict(dict):
         def __missing__(self, key):
             raise BenchError(f"unknown placeholder {{{key}}} in command template: {template}")
@@ -331,7 +334,7 @@ def start_compile(
     flags: Optional[str] = None,
 ) -> Callable[..., Tuple[float, subprocess.CompletedProcess]]:
     """Start a compile in the background and return its finisher (see _start)."""
-    mapping = {"in": " ".join(src_files), "out": out_binary}
+    mapping = {"in": " ".join(map(shlex.quote, src_files)), "out": shlex.quote(out_binary)}
     if flags is not None:
         mapping["flags"] = flags
     return _start(render_template(cc_template, mapping), cwd=src_dir)
@@ -603,7 +606,7 @@ def cmd_measure(
         results.append(m)
         with tempfile.TemporaryDirectory(prefix="lsysbench-measure-") as workdir:
             binary = os.path.join(workdir, "prog")
-            size_argv = render_template(size_cmd, {"bin": binary}) if size_cmd else None
+            size_argv = render_template(size_cmd, {"bin": shlex.quote(binary)}) if size_cmd else None
             try:
                 compile_times = []
                 for _ in range(repetitions):
@@ -686,6 +689,8 @@ def cmd_sweep_pgo(
     each raise BenchError.
     """
     _check_run_counts(repetitions, warmups)
+    for template in (cc_base, cc_train, cc_opt):  # a bad one fails before any compile
+        render_template(template, dict.fromkeys(("in", "out"), "x"))
     manifest = load_manifest(out_dir)
     spec_text = read_spec_file(spec_path)
     check_spec(spec_text, manifest)

@@ -4,7 +4,6 @@ layout and the one statement walker, ``BraceSyntax.render``."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 from typing import List
 
 from .. import astgen
@@ -30,6 +29,8 @@ class EmitConfig:
 # Both emitted mains accept PATH only as [0-9]+ below 2^64; on anything else
 # they print this (a printf format for the argument) and exit 2.
 PATH_ERROR = "error: PATH must be a decimal integer in [0, 2^64), got '%s'"
+# Likewise for any argument after PATH but --debug.
+ARG_ERROR = "error: unexpected argument '%s'; usage: [PATH] [--debug]"
 
 _OP_NAMES = {astgen.Insert: "insert", astgen.Remove: "remove", astgen.Contains: "contains"}
 
@@ -42,22 +43,20 @@ class BraceSyntax:
     returns its `files(cfg)`. Those are `main.<extension>` (the runtime,
     each function that --split-files leaves there, and `main()`), plus one
     `f<id>.<extension>` per other function under --split-files. Each file
-    starts with the banner. `render` walks each function's statements. A
-    non-empty If cond and each non-empty Loop block get their own
-    `{ ... }` scope, so their bindings end with them. Subclasses set the
-    templates below, `indent` and `new`/`op`/`call`, and supply
-    `runtime(cfg)`, the text of `main.<extension>` before its functions,
-    and, if they have any, `headers(banner)`.
+    starts with the banner. `render` walks each function's statements.
+    Subclasses set the templates below, `indent` and `new`/`op`/`call`, and
+    supply `runtime(cfg)`, the text of `main.<extension>` before its
+    functions, and, if they have any, `headers(banner)`.
     """
 
     extension = ""
     kinds: dict = {}  # container kind -> the backend's runtime parts for it
     banner = ""     # .format(n=function count, kind=container kind)
     file_head = ""  # what an f<id> file needs before its function
-    main_fn = ""    # % (PATH_ERROR, entry id)
+    main_fn = ""    # % (PATH_ERROR, ARG_ERROR, entry id)
     fn_head = ""    # % function id; the body follows, then a closing brace
     if_head = ""    # % bit
-    loop_head = ""  # % (k, k, trip count, k), k being the loop number
+    loop_head = ""  # % (d, d, trip count, d), d being the loop's depth
 
     def __init__(self, program: astgen.Program):
         self.program = program
@@ -84,7 +83,7 @@ class BraceSyntax:
             alone = [fn for fn in program.functions if fn.id != program.entry_id]
         banner = self.banner.format(n=len(program.functions), kind=self.kind)
         main = [banner, self.runtime(cfg)] + [self.function(fn) for fn in inline]
-        main.append(self.main_fn % (PATH_ERROR, program.entry_id))
+        main.append(self.main_fn % (PATH_ERROR, ARG_ERROR, program.entry_id))
         files = self.headers(banner)
         files.append(SourceFile("main." + self.extension, "\n".join(main)))
         for fn in alone:
@@ -93,22 +92,24 @@ class BraceSyntax:
         return files
 
     def function(self, fn: astgen.FunctionDef) -> str:
-        self.loops, self.calls = count(), count()
         lines = [self.fn_head % fn.id] + self.render(fn.body, 1)
         return "\n".join(lines) + "\n}\n"
 
     def render(self, stmts: List[astgen.Stmt], depth: int) -> List[str]:
-        """The lines of a block `depth` indents deep. new(slot), free(slot),
-        op(name, slot, value), if_(bit, cond, then, orelse), loop(k, cond,
-        body) and call(callee, slots, k) each return a statement's parts: a
-        string is a line at the statement's depth, a list is a child block's
-        rendered lines.
+        """The lines of a block `depth` indents deep, which depend on the
+        block and `depth` alone: render keeps no state. new(slot), free(slot),
+        op(name, slot, value), if_(bit, cond, then, orelse), loop(depth,
+        cond, body) and call(callee, slots) each return a statement's parts:
+        a string is a line at the statement's depth, a list is a child
+        block's rendered lines.
 
-        Each binding is freed, in reverse, as its block ends. Children render
-        in pre-order (If: cond, then, else; Loop: cond, body), If arms one
-        level deeper and Loop blocks two. `k` numbers the loops, and the
-        calls that pass slots, of one function in pre-order; it is taken
-        before recursing.
+        Each binding is freed, in reverse, as its block ends. Every child
+        block renders one level deeper than the lines that enclose it. A
+        non-empty If or Loop cond is enclosed in braces of its own, so its
+        bindings end before the arm or body; a Loop body is enclosed by the
+        loop's own braces, which end its bindings every iteration. A loop's
+        counter is named by its depth: nested loops differ in depth, and
+        sibling loops are sequential scopes.
         """
         if not stmts:
             return []
@@ -127,12 +128,10 @@ class BraceSyntax:
                 orelse = None if st.orelse is None else self.render(st.orelse, depth + 1)
                 parts += self.if_(st.bit_index, cond, then, orelse)
             elif isinstance(st, astgen.Loop):
-                k = next(self.loops)
-                parts += self.loop(k, self.render(st.cond, depth + 2),
-                                   self.render(st.body, depth + 2))
+                parts += self.loop(depth, self.render(st.cond, depth + 2),
+                                   self.render(st.body, depth + 1))
             elif isinstance(st, astgen.Call):
-                k = next(self.calls) if st.available_slots else None
-                parts += self.call(st.callee_id, st.available_slots, k)
+                parts += self.call(st.callee_id, st.available_slots)
             else:
                 raise BackendError("unknown statement type: %r" % (st,))
         for slot in reversed(bound):
@@ -156,9 +155,8 @@ class BraceSyntax:
             parts += ["} else {", orelse]
         return parts + ["}"]
 
-    def loop(self, k, cond, body):
-        parts = [self.loop_head % (k, k, self.trip_count, k)]
-        for blk in (cond, body):
-            if blk:
-                parts += [self.indent + "{", blk, self.indent + "}"]
-        return parts + ["}"]
+    def loop(self, depth, cond, body):
+        parts = [self.loop_head % (depth, depth, self.trip_count, depth)]
+        if cond:
+            parts += [self.indent + "{", cond, self.indent + "}"]
+        return parts + [body, "}"]

@@ -360,6 +360,9 @@ int main(int argc, char **argv)
                 return 2;
             }
             got_path = 1;
+        } else {
+            fprintf(stderr, "%s\\n", argv[i]);
+            return 2;
         }
     }
     f%d(ls_make_params(NULL, 0), path);
@@ -416,11 +419,11 @@ int main(int argc, char **argv)
             return ["ls_%s(%s, UINT64_C(%d), INT64_C(%d));" % (name, var, slot, value)]
         return ["ls_%s(v%d, INT64_C(%d));" % (name, slot, value)]
 
-    def call(self, callee, slots, k):
+    def call(self, callee, slots):
         if not slots:
             return ["f%d(ls_make_params(NULL, 0), path);" % callee]
         args = ", ".join("v%d" % s for s in slots)
         return ["{",
-                self.indent + "%sls_args%d[] = { %s };" % (self.parts.param, k, args),
-                self.indent + "f%d(ls_make_params(ls_args%d, %d), path);" % (callee, k, len(slots)),
+                self.indent + "%sls_args[] = { %s };" % (self.parts.param, args),
+                self.indent + "f%d(ls_make_params(ls_args, %d), path);" % (callee, len(slots)),
                 "}"]

@@ -221,6 +221,9 @@ func main() {
 			}
 			path = v
 			gotPath = true
+		} else {
+			fmt.Fprintf(os.Stderr, "%s\\n", arg)
+			os.Exit(2)
 		}
 	}
 	f%d(lsMakeParams(nil), path)
@@ -255,7 +258,7 @@ func main() {
             return ["ls%s(%s, %d, %d)" % (name.capitalize(), var, slot, value)]
         return ["ls%s(v%d, %d)" % (name.capitalize(), slot, value)]
 
-    def call(self, callee, slots, k):
+    def call(self, callee, slots):
         args = "nil"
         if slots:
             args = "[]%s{%s}" % (self.parts.param, ", ".join("v%d" % s for s in slots))

@@ -29,10 +29,19 @@ OPCODES = {"new": 1, "insert": 2, "remove": 3, "contains": 4}
 _OP_SHIFT, _VAR_SHIFT, _VAL_SHIFT, _FIELD = 48, 32, 16, 0xFFFF
 # trace lines per piece of run_to_pieces' text, ~0.6 MB of churn's
 PIECE_EVENTS = 1 << 14
+# Ops one run may execute. Nested loops multiply, so a small program can ask
+# for more than any run finishes (`A = LOOP(insert A)` at g=127 and trip
+# count 2: 2^129); the largest committed spec under the item cap, churn
+# g=19, runs 3.7 * 10^9.
+MAX_RUN_OPS = 10**10
 
 
 class OracleInvariantError(RuntimeError):
     """Interpreter state violated an internal invariant: generator bug."""
+
+
+class RunLimitError(ValueError):
+    """A run would execute more than MAX_RUN_OPS ops; raised before the first."""
 
 
 @dataclass
@@ -176,6 +185,9 @@ def interpret(program: Program, cfg: Optional[ExecConfig] = None) -> Tuple[List[
     range of trace records. The checksum is a polynomial fold, so a later
     call is one multiply-add on it, and when traced copies the range with
     the ids moved up: same events, checksum and statistics.
+
+    A run whose op count, settled by the compile, is above MAX_RUN_OPS
+    raises RunLimitError before its first op.
     """
     records, stats = _run(program, cfg or ExecConfig())
     return [TraceEvent(line.op, var, line.val, res)
@@ -386,6 +398,9 @@ def _run(program: Program, cfg: ExecConfig) -> Tuple[list, RunStats]:
 
     try:
         run, tally = function(program.entry_id)
+        if sum(tally) > MAX_RUN_OPS:
+            raise RunLimitError(f"the run at PATH {path} would execute {sum(tally)} ops, "
+                                f"above the cap of {MAX_RUN_OPS}")
         if run:
             run([])
     finally:  # the closures that call themselves hold their own cells: free them now

@@ -156,46 +156,38 @@ void f2(ls_params data, uint64_t path)
     if ((path >> 0) & 1) {
         ls_obj *v2 = ls_new(&data);
         ls_insert(v2, INT64_C(475));
-        for (uint64_t ls_i0 = 0; ls_i0 < UINT64_C(2); ls_i0++) {
+        for (uint64_t ls_i2 = 0; ls_i2 < UINT64_C(2); ls_i2++) {
             {
-                {
-                    ls_obj *ls_args0[] = { v0, v2 };
-                    f1(ls_make_params(ls_args0, 2), path);
-                }
+                ls_obj *ls_args[] = { v0, v2 };
+                f1(ls_make_params(ls_args, 2), path);
             }
         }
         ls_free(&data, v2);
     } else {
         ls_remove(v0, INT64_C(666));
-        for (uint64_t ls_i1 = 0; ls_i1 < UINT64_C(2); ls_i1++) {
-            {
-                ls_contains(v0, INT64_C(951));
-            }
+        for (uint64_t ls_i2 = 0; ls_i2 < UINT64_C(2); ls_i2++) {
+            ls_contains(v0, INT64_C(951));
         }
     }
     if ((path >> 1) & 1) {
         ls_remove(v0, INT64_C(141));
     }
-    for (uint64_t ls_i2 = 0; ls_i2 < UINT64_C(2); ls_i2++) {
+    for (uint64_t ls_i1 = 0; ls_i1 < UINT64_C(2); ls_i1++) {
         {
             ls_obj *v3 = ls_new(&data);
             ls_contains(v0, INT64_C(797));
             ls_free(&data, v3);
         }
-        {
-            ls_obj *v4 = ls_new(&data);
-            ls_insert(v4, INT64_C(258));
-            ls_free(&data, v4);
-        }
+        ls_obj *v4 = ls_new(&data);
+        ls_insert(v4, INT64_C(258));
+        ls_free(&data, v4);
     }
-    for (uint64_t ls_i3 = 0; ls_i3 < UINT64_C(2); ls_i3++) {
-        {
-            ls_remove(v0, INT64_C(432));
-        }
+    for (uint64_t ls_i1 = 0; ls_i1 < UINT64_C(2); ls_i1++) {
+        ls_remove(v0, INT64_C(432));
     }
     {
-        ls_obj *ls_args1[] = { v0 };
-        f1(ls_make_params(ls_args1, 1), path);
+        ls_obj *ls_args[] = { v0 };
+        f1(ls_make_params(ls_args, 1), path);
     }
     ls_free(&data, v0);
 }
@@ -217,6 +209,9 @@ int main(int argc, char **argv)
                 return 2;
             }
             got_path = 1;
+        } else {
+            fprintf(stderr, "error: unexpected argument '%s'; usage: [PATH] [--debug]\n", argv[i]);
+            return 2;
         }
     }
     f2(ls_make_params(NULL, 0), path);

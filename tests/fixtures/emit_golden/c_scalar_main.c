@@ -101,45 +101,37 @@ void f2(ls_params data, uint64_t path)
         int64_t v2 = ls_new(&data, UINT64_C(2));
         (void)v2;
         ls_insert(&v2, UINT64_C(2), INT64_C(475));
-        for (uint64_t ls_i0 = 0; ls_i0 < UINT64_C(2); ls_i0++) {
+        for (uint64_t ls_i2 = 0; ls_i2 < UINT64_C(2); ls_i2++) {
             {
-                {
-                    int64_t ls_args0[] = { v0, v2 };
-                    f1(ls_make_params(ls_args0, 2), path);
-                }
+                int64_t ls_args[] = { v0, v2 };
+                f1(ls_make_params(ls_args, 2), path);
             }
         }
     } else {
         ls_remove(&v0, UINT64_C(0), INT64_C(666));
-        for (uint64_t ls_i1 = 0; ls_i1 < UINT64_C(2); ls_i1++) {
-            {
-                ls_contains(v0, UINT64_C(0), INT64_C(951));
-            }
+        for (uint64_t ls_i2 = 0; ls_i2 < UINT64_C(2); ls_i2++) {
+            ls_contains(v0, UINT64_C(0), INT64_C(951));
         }
     }
     if ((path >> 1) & 1) {
         ls_remove(&v0, UINT64_C(0), INT64_C(141));
     }
-    for (uint64_t ls_i2 = 0; ls_i2 < UINT64_C(2); ls_i2++) {
+    for (uint64_t ls_i1 = 0; ls_i1 < UINT64_C(2); ls_i1++) {
         {
             int64_t v3 = ls_new(&data, UINT64_C(3));
             (void)v3;
             ls_contains(v0, UINT64_C(0), INT64_C(797));
         }
-        {
-            int64_t v4 = ls_new(&data, UINT64_C(4));
-            (void)v4;
-            ls_insert(&v4, UINT64_C(4), INT64_C(258));
-        }
+        int64_t v4 = ls_new(&data, UINT64_C(4));
+        (void)v4;
+        ls_insert(&v4, UINT64_C(4), INT64_C(258));
     }
-    for (uint64_t ls_i3 = 0; ls_i3 < UINT64_C(2); ls_i3++) {
-        {
-            ls_remove(&v0, UINT64_C(0), INT64_C(432));
-        }
+    for (uint64_t ls_i1 = 0; ls_i1 < UINT64_C(2); ls_i1++) {
+        ls_remove(&v0, UINT64_C(0), INT64_C(432));
     }
     {
-        int64_t ls_args1[] = { v0 };
-        f1(ls_make_params(ls_args1, 1), path);
+        int64_t ls_args[] = { v0 };
+        f1(ls_make_params(ls_args, 1), path);
     }
 }
 
@@ -160,6 +152,9 @@ int main(int argc, char **argv)
                 return 2;
             }
             got_path = 1;
+        } else {
+            fprintf(stderr, "error: unexpected argument '%s'; usage: [PATH] [--debug]\n", argv[i]);
+            return 2;
         }
     }
     f2(ls_make_params(NULL, 0), path);

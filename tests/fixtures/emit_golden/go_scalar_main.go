@@ -92,38 +92,30 @@ func f2(data lsParams, path uint64) {
 		v2 := lsNew(&data, 2)
 		_ = v2
 		lsInsert(&v2, 2, 475)
-		for lsI0 := uint64(0); lsI0 < 2; lsI0++ {
-			{
-				f1(lsMakeParams([]int64{v0, v2}), path)
-			}
+		for lsI2 := uint64(0); lsI2 < 2; lsI2++ {
+			f1(lsMakeParams([]int64{v0, v2}), path)
 		}
 	} else {
 		lsRemove(&v0, 0, 666)
-		for lsI1 := uint64(0); lsI1 < 2; lsI1++ {
-			{
-				lsContains(v0, 0, 951)
-			}
+		for lsI2 := uint64(0); lsI2 < 2; lsI2++ {
+			lsContains(v0, 0, 951)
 		}
 	}
 	if (path>>1)&1 == 1 {
 		lsRemove(&v0, 0, 141)
 	}
-	for lsI2 := uint64(0); lsI2 < 2; lsI2++ {
+	for lsI1 := uint64(0); lsI1 < 2; lsI1++ {
 		{
 			v3 := lsNew(&data, 3)
 			_ = v3
 			lsContains(v0, 0, 797)
 		}
-		{
-			v4 := lsNew(&data, 4)
-			_ = v4
-			lsInsert(&v4, 4, 258)
-		}
+		v4 := lsNew(&data, 4)
+		_ = v4
+		lsInsert(&v4, 4, 258)
 	}
-	for lsI3 := uint64(0); lsI3 < 2; lsI3++ {
-		{
-			lsRemove(&v0, 0, 432)
-		}
+	for lsI1 := uint64(0); lsI1 < 2; lsI1++ {
+		lsRemove(&v0, 0, 432)
 	}
 	f1(lsMakeParams([]int64{v0}), path)
 }
@@ -142,6 +134,9 @@ func main() {
 			}
 			path = v
 			gotPath = true
+		} else {
+			fmt.Fprintf(os.Stderr, "error: unexpected argument '%s'; usage: [PATH] [--debug]\n", arg)
+			os.Exit(2)
 		}
 	}
 	f2(lsMakeParams(nil), path)

@@ -109,7 +109,7 @@ def assert_bitpath_properties(stmts):
 # ---------------------------------------------------------------------------
 # toolchain helpers
 
-STRICT_C_FLAGS = ["-std=c99", "-pedantic", "-Wall", "-Wextra", "-Werror"]
+STRICT_C_FLAGS = ["-std=c99", "-pedantic", "-Wall", "-Wextra", "-Wshadow", "-Werror"]
 
 
 def find_c_compiler():

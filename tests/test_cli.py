@@ -1,13 +1,16 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
 
 from helpers import CONTAINER_STRESS_SPEC, STRICT_C_FLAGS, find_c_compiler
-from lsysbench import astgen, bench, codegen, grammar
+from lsysbench import astgen, bench, codegen, grammar, oracle
 from lsysbench.cli import build_parser, main
 
 C_COMPILER = find_c_compiler()
@@ -443,3 +446,68 @@ def test_console_script_entry_point():
     target = getattr(importlib.import_module(module_name), attr)
     assert target is main
     assert callable(target)
+
+
+@needs_c
+def test_check_and_measure_keep_a_path_with_a_space_one_argument(
+        spec_file, tmp_path, capsys, monkeypatch):
+    # The binary's path under TMPDIR was split at the space into two
+    # arguments: gcc reported "cannot find m", and {bin} named no file.
+    spaced = tmp_path / "t m p"
+    spaced.mkdir()
+    monkeypatch.setenv("TMPDIR", str(spaced))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # gettempdir reads TMPDIR again
+    out = str(tmp_path / "out")
+    assert run_cli(["gen", spec_file, "--generations", "3", "--out", out]) == 0
+    assert run_cli(["check", spec_file, "--out", out,
+                    "--cc", C_COMPILER + " -std=c99 {in} -o {out}"]) == 0
+    assert capsys.readouterr().out.endswith("check: PASS\n")
+    json_path = str(tmp_path / "m.json")
+    assert run_cli(["measure", spec_file, "--out", out,
+                    "--cc", C_COMPILER + " -std=c99 {flags} {in} -o {out}", "--flags=-O0",
+                    "--repetitions", "1", "--warmups", "0", "--size-cmd", "stat -c %s {bin}",
+                    "--json", json_path]) == 0
+    with open(json_path, encoding="utf-8") as fh:
+        row = json.loads(fh.read())
+    assert (row["failed"], row["error"]) == (False, "")
+    assert row["textBytes"] == row["binaryBytes"] > 0
+    capsys.readouterr()
+
+
+def test_sweep_pgo_checks_every_template_before_compiling(
+        spec_file, tmp_path, capsys, monkeypatch):
+    # A bad --cc-opt was found only after the baseline and training builds.
+    out = str(tmp_path / "out")
+    assert run_cli(["gen", spec_file, "--generations", "3", "--out", out]) == 0
+
+    def no_compile(*args, **kwargs):
+        raise AssertionError("compiled before checking every template")
+
+    monkeypatch.setattr(bench, "start_compile", no_compile)
+    monkeypatch.setattr(bench, "compile_sources", no_compile)
+    capsys.readouterr()
+    cc = "gcc -std=c99 {in} -o {out}"
+    code = run_cli(["sweep-pgo", spec_file, "--out", out, "--cc-base", cc, "--cc-train", cc,
+                    "--cc-opt", "gcc -fprofile-use {bogus} {in} -o {out}"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: unknown placeholder {bogus}")
+
+
+def test_gen_refuses_a_run_above_the_op_cap(tmp_path):
+    # At trip count 2 the 128 nested loops ask for 2^128 iterations, and gen
+    # spun without end; the oracle now refuses before its first op.
+    spec = tmp_path / "deep.lsys"
+    spec.write_text("A = LOOP(insert A)\n")
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PYPROJECT.parent / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lsysbench.cli", "gen", str(spec), "--out", str(out),
+         "--generations", "127"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    # a new and an insert in the outer loop, one insert more per level: 2^129
+    assert proc.stderr.splitlines()[-1] == (
+        "error: the run at PATH 1 would execute %d ops, above the cap of %d"
+        % (2**129, oracle.MAX_RUN_OPS))
+    assert not out.exists()

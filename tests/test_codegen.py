@@ -23,7 +23,7 @@ from helpers import (
 )
 from lsysbench import astgen, codegen, grammar, oracle
 from lsysbench.cli import build_parser
-from lsysbench.codegen import BackendError, EmitConfig, SourceFile, emit
+from lsysbench.codegen import BackendError, EmitConfig, SourceFile, base, emit
 
 C_COMPILER = find_c_compiler()
 GO_COMPILER = find_go_compiler()
@@ -128,6 +128,21 @@ def test_go_split_layout_is_function_count():
     files = emit(program, EmitConfig(backend="go", split_files=True))
     assert len(files) == n
     assert files[0].relative_path == "main.go"
+
+
+@pytest.mark.parametrize("backend", sorted(codegen.BACKENDS))
+def test_render_is_a_function_of_its_block_and_depth(backend):
+    # Loop counters were numbered per function as rendering went, so the
+    # lines of a block depended on what had been rendered before it.
+    program = make_program(CALL_CHURN_SPEC, 5)
+    syntax = codegen.BACKENDS[backend](program)
+    state = dict(vars(syntax))
+    forward = [syntax.render(fn.body, 1) for fn in program.functions]
+    assert sum(line.lstrip().startswith("for ") for lines in forward for line in lines) > 1
+    assert [syntax.render(fn.body, 1) for fn in program.functions] == forward
+    assert [syntax.render(fn.body, 1) for fn in reversed(program.functions)] == forward[::-1]
+    syntax.files(EmitConfig(backend=backend, split_files=True))
+    assert vars(syntax) == state  # nothing is kept between blocks
 
 
 def test_emit_is_deterministic_and_pure():
@@ -294,8 +309,27 @@ def test_c_path_argument_accepts_only_64_bit_decimals(tmp_path):
         assert "PATH must be a decimal integer" in run.stderr, bad
 
 
+@needs_c
+def test_c_refuses_arguments_other_than_one_path_and_debug(tmp_path):
+    # `prog 1 5` and `prog 1 --debg` both ran PATH 1 without a trace
+    program = small_program()
+    files = emit(program, EmitConfig(backend="c"))
+    write_files(files, str(tmp_path))
+    binary = str(tmp_path / "prog")
+    proc = compile_c(str(tmp_path), c_sources(files), binary, C_COMPILER, ["-O0"])
+    assert proc.returncode == 0, proc.stderr
+    for argv, stray in ((["1", "5"], "5"), (["1", "--debg"], "--debg"),
+                        (["--debug", "1", "--debug", "1"], "1")):
+        run = subprocess.run([binary] + argv, capture_output=True, text=True)
+        assert (run.returncode, run.stdout) == (2, ""), argv
+        assert run.stderr == base.ARG_ERROR % stray + "\n", argv
+    run = subprocess.run([binary, "--debug", "1", "--debug"], capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == oracle.run_to_text(program, oracle.ExecConfig(path=1, debug_trace=True))
+
+
 GXX = shutil.which("g++")
-CXX_FLAGS = ["-x", "c++", "-std=c++17", "-pedantic", "-Wall", "-Wextra", "-Werror", "-O2"]
+CXX_FLAGS = ["-x", "c++", "-std=c++17", "-pedantic", "-Wall", "-Wextra", "-Wshadow", "-Werror", "-O2"]
 SANITIZE_FLAGS = ["-O1", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
 
 
@@ -411,7 +445,7 @@ def test_source_file_is_frozen():
 DIGEST_SPECS = ([(CALL_CHURN_SPEC, g) for g in (3, 5, 8)]
                 + [(CONTAINER_STRESS_SPEC, g) for g in (4, 7)])
 # (files, sha256) of everything the test below emits.
-EMITTED_FILES_DIGEST = (2424, "2ddd29fafcd30a7031f40365d09955b4b859a96cf8c9df3afe96bc5dcc5956df")
+EMITTED_FILES_DIGEST = (2424, "fc16185ba80b91fac076e978bc559dfb9418fb027b5b9940d0f3b79b9a9f56a2")
 
 
 def digest_programs(kind, seed):

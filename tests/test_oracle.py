@@ -25,6 +25,7 @@ from lsysbench.astgen import (
     Remove,
     lower,
 )
+from lsysbench import oracle
 from lsysbench.grammar import derive, parse_items, parse_spec
 from lsysbench.oracle import (
     CHECKSUM_OFFSET,
@@ -676,6 +677,25 @@ def test_interpret_deterministic_and_pure():
     r1 = interpret(program, ExecConfig(path=5, debug_trace=True))
     r2 = interpret(program, ExecConfig(path=5, debug_trace=True))
     assert r1 == r2
+
+
+@pytest.mark.parametrize("path", [1, 2**64 - 1])
+def test_interpret_refuses_a_run_above_the_op_cap_before_its_first_op(path, monkeypatch):
+    program = lower_container_stress(4, seed=0)
+    ops = sum(interpret(program, ExecConfig(path=path))[1].op_counts.values())
+    frames = []
+    real_frame = oracle._Frame
+    monkeypatch.setattr(oracle, "_Frame", lambda *args: frames.append(args) or real_frame(*args))
+    monkeypatch.setattr(oracle, "MAX_RUN_OPS", ops)
+    assert interpret(program, ExecConfig(path=path))[1].checksum
+    assert frames
+    frames.clear()
+    monkeypatch.setattr(oracle, "MAX_RUN_OPS", ops - 1)
+    for traced in (False, True):
+        with pytest.raises(oracle.RunLimitError, match="^the run at PATH %d would execute %d "
+                           "ops, above the cap of %d$" % (path, ops, ops - 1)):
+            interpret(program, ExecConfig(path=path, debug_trace=traced))
+    assert frames == []  # no function was entered, so no op ran
 
 
 def test_program_plan_sets_container_kind():
