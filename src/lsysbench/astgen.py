@@ -47,32 +47,33 @@ class Lcg:
 
 
 # ---------------------------------------------------------------------------
-# statement types
+# statement types: a planned program holds one object per statement, so
+# each has slots instead of a __dict__
 
-@dataclass
+@dataclass(slots=True)
 class New:
     slot: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Insert:
     slot: Optional[int] = None
     value: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Remove:
     slot: Optional[int] = None
     value: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Contains:
     slot: Optional[int] = None
     value: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class If:
     cond: List["Stmt"] = field(default_factory=list)
     then: List["Stmt"] = field(default_factory=list)
@@ -81,13 +82,13 @@ class If:
     bit_index_raw: int = -1  # before wrapping; structural checks use this
 
 
-@dataclass
+@dataclass(slots=True)
 class Loop:
     cond: List["Stmt"] = field(default_factory=list)
     body: List["Stmt"] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class Call:
     callee_id: int
     available_slots: List[int] = field(default_factory=list)
@@ -155,25 +156,35 @@ def iter_statements(stmts: List[Stmt]) -> Iterator[Stmt]:
 # pruning and call extraction
 
 def prune_nonterminals(seq: ItemSeq) -> ItemSeq:
-    """Drop leftover nonterminals everywhere; warn if any were present."""
-    dropped = 0
+    """Drop leftover nonterminals everywhere; warn if any were present.
 
-    def prune(s: ItemSeq) -> ItemSeq:
-        nonlocal dropped
-        items = []
-        for item in s.items:
-            if isinstance(item, NonTerminal):
-                dropped += 1
-            elif isinstance(item, Construct):
-                items.append(Construct(item.kind, tuple(prune(b) for b in item.blocks)))
-            else:
-                items.append(item)
-        return ItemSeq(tuple(items))
-
-    out = prune(seq)
+    Memoized on node identity, so a subtree that a hash-consed derivation
+    shares is pruned once; one that holds no nonterminal is kept as is.
+    The warning counts every occurrence of a dropped nonterminal."""
+    out, dropped = _prune(seq, {})
     if dropped:
         warnings.warn(f"dropped {dropped} leftover nonterminal(s) before lowering")
     return out
+
+
+def _prune(seq: ItemSeq, memo: Dict[int, tuple]) -> tuple:
+    """(seq pruned, nonterminals dropped from it); memo maps id(seq) to that."""
+    hit = memo.get(id(seq))
+    if hit is None:
+        items, dropped = [], 0
+        for item in seq.items:
+            if isinstance(item, NonTerminal):
+                dropped += 1
+                continue
+            if isinstance(item, Construct):
+                blocks = [_prune(b, memo) for b in item.blocks]
+                inside = sum(n for _, n in blocks)
+                if inside:
+                    item = Construct(item.kind, tuple(b for b, _ in blocks))
+                dropped += inside
+            items.append(item)
+        hit = memo[id(seq)] = (ItemSeq(tuple(items)) if dropped else seq, dropped)
+    return hit
 
 
 _TERMINAL_STMTS = {"new": New, "insert": Insert, "remove": Remove, "contains": Contains}
@@ -182,22 +193,41 @@ _TERMINAL_STMTS = {"new": New, "insert": Insert, "remove": Remove, "contains": C
 def extract_functions(seq: ItemSeq, plan: Optional[OperandPlan] = None) -> Program:
     """Extract every CALL block into its own function, one per distinct
     canonical string; the residual top-level sequence becomes the entry
-    function and always takes the highest id."""
-    table: Dict[str, int] = {}
-    functions: List[FunctionDef] = []
+    function and always takes the highest id.
 
-    def intern(block: ItemSeq) -> int:
-        canon = canonical_serialize(block)
-        fid = table.get(canon)
-        if fid is not None:
-            return fid
-        body = lower_block(block)  # nested calls intern first: callee ids stay lower
-        fid = len(functions)
-        table[canon] = fid
-        functions.append(FunctionDef(id=fid, canonical=canon, body=body))
+    Each node's canonical string is memoized on node identity, so it is
+    built once per node of a hash-consed derivation; the body of a
+    function is lowered once."""
+    extraction = _Extraction()
+    entry_id = extraction.intern(seq)
+    program = Program(functions=extraction.functions, entry_id=entry_id,
+                      plan=plan or OperandPlan())
+    assert_call_invariants(program)
+    return program
+
+
+class _Extraction:
+    """The state of one extract_functions run. Methods rather than nested
+    closures, which would hold one another (and the memos) in a reference
+    cycle after the run, until the cyclic collector ran."""
+
+    def __init__(self):
+        self.table: Dict[str, int] = {}  # canonical string -> function id
+        self.texts: Dict[int, str] = {}  # canonical_serialize's memo
+        self.functions: List[FunctionDef] = []
+
+    def intern(self, block: ItemSeq) -> int:
+        canon = canonical_serialize(block, self.texts)
+        fid = self.table.get(canon)
+        if fid is None:
+            body = self.lower_block(block)  # nested calls intern first: callee ids stay lower
+            fid = len(self.functions)
+            self.table[canon] = fid
+            self.functions.append(FunctionDef(id=fid, canonical=canon, body=body))
         return fid
 
-    def lower_block(block: ItemSeq) -> List[Stmt]:
+    def lower_block(self, block: ItemSeq) -> List[Stmt]:
+        lower_block = self.lower_block
         stmts: List[Stmt] = []
         for item in block.items:
             if isinstance(item, Terminal):
@@ -220,17 +250,12 @@ def extract_functions(seq: ItemSeq, plan: Optional[OperandPlan] = None) -> Progr
                             Loop(cond=lower_block(item.blocks[0]), body=lower_block(item.blocks[1]))
                         )
                 else:
-                    stmts.append(Call(callee_id=intern(item.blocks[0])))
+                    stmts.append(Call(callee_id=self.intern(item.blocks[0])))
             else:
                 raise ValueError(
                     f"nonterminal {item.name!r} survived pruning; run prune_nonterminals first"
                 )
         return stmts
-
-    entry_id = intern(seq)
-    program = Program(functions=functions, entry_id=entry_id, plan=plan or OperandPlan())
-    assert_call_invariants(program)
-    return program
 
 
 def assert_call_invariants(program: Program) -> None:

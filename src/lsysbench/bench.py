@@ -2,7 +2,8 @@
 
 The four commands mirror the CLI subcommands:
 
-  cmd_gen       derive -> lower -> emit, write sources plus a manifest
+  cmd_gen       derive -> lower -> oracle at PATH 1, then stream the sources
+                and write a manifest
   cmd_check     compile the emitted program and diff its trace vs the oracle
   cmd_measure   time compilation and execution under user-supplied flag sets
   cmd_sweep_pgo compare a baseline binary against a profile-trained one over
@@ -131,10 +132,11 @@ def build_manifest(
     plan: astgen.OperandPlan,
     emit_cfg: codegen.EmitConfig,
     program: astgen.Program,
-    files: Sequence[codegen.SourceFile],
+    file_names: Sequence[str],
     total_ops: int,
 ) -> dict:
-    """The manifest of a generated program; total_ops is count_ops(program)."""
+    """The manifest of a generated program; total_ops is count_ops(program).
+    Runs the oracle at PATH 1, which refuses a run that cannot finish."""
     checksum_path1 = oracle.interpret(program, oracle.ExecConfig(path=1))[1].checksum
     return {
         "schema": MANIFEST_SCHEMA,
@@ -151,7 +153,7 @@ def build_manifest(
         "functionCount": len(program.functions),
         "entryId": program.entry_id,
         "totalOps": total_ops,
-        "files": sorted(f.relative_path for f in files),
+        "files": sorted(file_names),
         "oracleChecksumPath1": checksum_path1,
     }
 
@@ -224,11 +226,12 @@ def read_spec_file(spec_path: str) -> str:
         return fh.read()
 
 
-def write_source_files(files: Sequence[codegen.SourceFile], out_dir: str) -> None:
+def write_source_files(sources: Sequence[codegen.Source], out_dir: str) -> None:
+    """Stream each file of codegen.sources to out_dir, a line at a time."""
     os.makedirs(out_dir, exist_ok=True)
-    for f in files:
-        with open(os.path.join(out_dir, f.relative_path), "w", encoding="utf-8") as fh:
-            fh.write(f.contents)
+    for name, write_to in sources:
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            write_to(fh.write)
 
 
 def source_file_names(manifest: dict) -> List[str]:
@@ -428,14 +431,15 @@ def cmd_gen(
             file=sys.stderr,
         )
         return None
-    files = codegen.emit(program, emit_cfg)
+    sources = codegen.sources(program, emit_cfg)
     spec_name = os.path.basename(spec_path)
-    manifest = build_manifest(spec_name, spec_text, generations, plan, emit_cfg, program, files,
-                              total_ops)
-    write_source_files(files, out_dir)
+    # the oracle runs first, so a run it refuses writes no source
+    manifest = build_manifest(spec_name, spec_text, generations, plan, emit_cfg, program,
+                              [name for name, _ in sources], total_ops)
+    write_source_files(sources, out_dir)
     with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
         fh.write(manifest_to_json(manifest))
-    print(f"wrote {len(files)} source file(s) + {MANIFEST_NAME} to {out_dir}")
+    print(f"wrote {len(sources)} source file(s) + {MANIFEST_NAME} to {out_dir}")
     print(f"functions: {manifest['functionCount']}  ops: {manifest['totalOps']}")
     print(f"oracle checksum (path=1): {manifest['oracleChecksumPath1']}")
     return manifest
@@ -520,7 +524,7 @@ def cmd_check(
             src_dir = out_dir
             if seed != manifest["seed"]:
                 program = program_from_manifest(spec_text, manifest, seed)
-                write_source_files(codegen.emit(program, emit_cfg), workdir)
+                write_source_files(codegen.sources(program, emit_cfg), workdir)
                 src_dir = workdir
             binary = os.path.join(workdir, "prog")
             finish = start_compile(cc_template, src_dir, source_file_names(manifest), binary)

@@ -24,7 +24,7 @@ from collections import namedtuple
 from typing import List
 
 from .. import astgen
-from .base import BraceSyntax, EmitConfig, SourceFile
+from .base import BraceSyntax, EmitConfig, Source
 
 _HEADER_COMMON = """\
 #ifndef LS_RUNTIME_H
@@ -375,7 +375,7 @@ int main(int argc, char **argv)
     if_head = "if ((path >> %d) & 1) {"
     loop_head = "for (uint64_t ls_i%d = 0; ls_i%d < UINT64_C(%d); ls_i%d++) {"
 
-    def headers(self, banner: str) -> List[SourceFile]:
+    def headers(self, banner: str) -> List[Source]:
         protos = "".join(
             "void f%d(ls_params data, uint64_t path);\n" % fn.id for fn in self.program.functions
         )
@@ -388,7 +388,7 @@ int main(int argc, char **argv)
             protos,
             "#endif /* LS_RUNTIME_H */\n",
         ])
-        return [SourceFile("runtime.h", text)]
+        return [("runtime.h", lambda sink: sink(text))]
 
     def runtime(self, cfg: EmitConfig) -> str:
         base = "" if self.scalar else "    params.base = ls_next_id;\n"

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, Iterator, Mapping, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 TERMINAL_KINDS = ("new", "insert", "remove", "contains")
 CONSTRUCT_KINDS = ("IF", "LOOP", "CALL")
@@ -16,13 +16,13 @@ CONSTRUCT_ARITY = {"IF": (2, 3), "LOOP": (1, 2), "CALL": (1, 1)}
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
-# Deriving, lowering and emitting C hold ~0.9 KB per item (stress g=16:
-# 524,283 items, 467 MB max RSS), so this cap is ~1.8 GB.
+# gen's peak, while planning copies the lowered program, is ~0.23 KB per
+# item (stress g=16: 524,283 items, 120 MB max RSS), so this cap is ~0.5 GB.
 DEFAULT_ITEM_CAP = 2 * 10**6
 
 # Constructs nested inside constructs. The recursive walkers take frames
-# per level (canonical_serialize 4), and gen overflowed Python's stack at
-# 171 levels; the deepest derivation under the item cap (churn g=19) nests
+# per level (render_items 2), and gen overflows Python's stack at
+# 330 levels; the deepest derivation under the item cap (churn g=19) nests
 # 38 deep.
 MAX_NESTING = 128
 
@@ -166,24 +166,39 @@ def parse_spec(text: str) -> LSystemSpec:
 # ---------------------------------------------------------------------------
 # rendering
 
-def render_items(seq: ItemSeq, allow_nonterminals: bool = True) -> str:
-    return " ".join(_render_item(item, allow_nonterminals) for item in seq.items)
+def render_items(seq: ItemSeq, allow_nonterminals: bool = True,
+                 memo: Optional[Dict[int, str]] = None) -> str:
+    """The text of seq, as a spec writes it. The text of each sequence and
+    construct is kept in memo by id, so a node that a hash-consed
+    derivation shares is rendered once; a memo kept across calls needs its
+    nodes to outlive it."""
+    if memo is None:
+        memo = {}
+    text = memo.get(id(seq))
+    if text is None:
+        parts = []
+        for item in seq.items:
+            if isinstance(item, Terminal):
+                parts.append(item.kind)
+            elif isinstance(item, NonTerminal):
+                if not allow_nonterminals:
+                    raise SpecError(
+                        f"nonterminal {item.name!r} in a sequence expected to be pruned")
+                parts.append(item.name)
+            else:
+                part = memo.get(id(item))
+                if part is None:
+                    part = memo[id(item)] = "%s(%s)" % (item.kind, ",".join(
+                        render_items(b, allow_nonterminals, memo) for b in item.blocks))
+                parts.append(part)
+        text = memo[id(seq)] = " ".join(parts)
+    return text
 
 
-def _render_item(item: SymbolItem, allow_nonterminals: bool) -> str:
-    if isinstance(item, Terminal):
-        return item.kind
-    if isinstance(item, NonTerminal):
-        if not allow_nonterminals:
-            raise SpecError(f"nonterminal {item.name!r} in a sequence expected to be pruned")
-        return item.name
-    blocks = ",".join(render_items(b, allow_nonterminals) for b in item.blocks)
-    return f"{item.kind}({blocks})"
-
-
-def canonical_serialize(seq: ItemSeq) -> str:
-    """Deterministic text form of a pruned sequence; injective, reparseable."""
-    return render_items(seq, allow_nonterminals=False)
+def canonical_serialize(seq: ItemSeq, memo: Optional[Dict[int, str]] = None) -> str:
+    """Deterministic text form of a pruned sequence; injective, reparseable.
+    memo is render_items'."""
+    return render_items(seq, allow_nonterminals=False, memo=memo)
 
 
 def render_spec(spec: LSystemSpec) -> str:
@@ -196,31 +211,24 @@ def render_spec(spec: LSystemSpec) -> str:
 # ---------------------------------------------------------------------------
 # rewriting
 
-def rewrite_once(spec: LSystemSpec, seq: ItemSeq) -> ItemSeq:
-    """One parallel rewrite: every nonterminal with a production is replaced
-    by its rhs; nonterminals inside construct blocks are rewritten too."""
-    out = []
-    for item in seq.items:
-        if isinstance(item, NonTerminal):
-            rhs = spec.productions.get(item.name)
-            if rhs is None:
-                out.append(item)
-            else:
-                out.extend(rhs.items)
-        elif isinstance(item, Construct):
-            out.append(
-                Construct(item.kind, tuple(rewrite_once(spec, b) for b in item.blocks))
-            )
-        else:
-            out.append(item)
-    return ItemSeq(tuple(out))
+# What each nonterminal of a spec has become after some rewrites, by name,
+# and what each construct of the spec has become, by id.
+_Rules = Dict[str, Tuple[SymbolItem, ...]]
+_Nodes = Dict[int, Construct]
 
 
 def derive(spec: LSystemSpec, generations: int, max_items: int = DEFAULT_ITEM_CAP) -> ItemSeq:
-    """Apply rewrite_once `generations` times to the axiom. Every
-    generation's item count and nesting depth are worked out from the
-    productions first, so a derivation above max_items or MAX_NESTING fails
-    before anything is rewritten."""
+    """The axiom after `generations` parallel rewrites: each one replaces
+    every nonterminal that has a production by its rhs, inside construct
+    blocks too. Every generation's item count and nesting depth are worked
+    out from the productions first, so a derivation above max_items or
+    MAX_NESTING fails before anything is rewritten.
+
+    The result is hash-consed: what a nonterminal or a construct of the
+    spec becomes after g rewrites is built once, as one object, and shared
+    by every place it occurs, so the derivation holds O(rules x g) distinct
+    constructs. It is built bottom-up, one generation at a time, like the
+    size and depth tables."""
     if generations < 0:
         raise ValueError("generations must be >= 0")
     # nonterminal -> items it has become by this generation, and how deep
@@ -240,10 +248,52 @@ def derive(spec: LSystemSpec, generations: int, max_items: int = DEFAULT_ITEM_CA
             raise DerivationLimitError(
                 f"generation {gen} nests constructs {depth} deep, above the cap of {MAX_NESTING}"
             )
-    seq = spec.axiom
+    constructs: List[Construct] = []
+    for seq in (spec.axiom, *spec.productions.values()):
+        _constructs_into(seq, constructs)
+    rules: _Rules = {}
+    nodes: _Nodes = {}
     for _ in range(generations):
-        seq = rewrite_once(spec, seq)
-    return seq
+        rules, nodes = expand(spec, constructs, rules, nodes)
+    return ItemSeq(_splice(spec.axiom, rules, nodes))
+
+
+def expand(spec: LSystemSpec, constructs: List[Construct], rules: _Rules,
+           nodes: _Nodes) -> Tuple[_Rules, _Nodes]:
+    """One generation of derive. Given what each nonterminal of the spec
+    (rules, by name) and each construct of the spec (nodes, by id) have
+    become after g rewrites, empty for g = 0, return what they become after
+    g + 1: a nonterminal becomes its rhs after g rewrites, and a construct
+    holds its blocks after g + 1. `constructs` lists the spec's constructs,
+    each after the constructs nested in it."""
+    next_rules = {lhs: _splice(rhs, rules, nodes) for lhs, rhs in spec.productions.items()}
+    next_nodes: _Nodes = {}
+    for c in constructs:
+        next_nodes[id(c)] = Construct(c.kind, tuple(ItemSeq(_splice(b, next_rules, next_nodes))
+                                                    for b in c.blocks))
+    return next_rules, next_nodes
+
+
+def _splice(seq: ItemSeq, rules: _Rules, nodes: _Nodes) -> Tuple[SymbolItem, ...]:
+    """seq's items, each nonterminal replaced by the items of rules[name] and
+    each construct by nodes[id]; an item absent from both stays."""
+    out: List[SymbolItem] = []
+    for item in seq.items:
+        if isinstance(item, NonTerminal):
+            out.extend(rules.get(item.name, (item,)))
+        elif isinstance(item, Construct):
+            out.append(nodes.get(id(item), item))
+        else:
+            out.append(item)
+    return tuple(out)
+
+
+def _constructs_into(seq: ItemSeq, out: List[Construct]) -> None:
+    for item in seq.items:
+        if isinstance(item, Construct):
+            for b in item.blocks:
+                _constructs_into(b, out)
+            out.append(item)
 
 
 # ---------------------------------------------------------------------------

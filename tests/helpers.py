@@ -7,7 +7,7 @@ import shutil
 import subprocess
 
 from lsysbench.astgen import If, Loop, iter_statements
-from lsysbench.grammar import Construct, ItemSeq, Terminal
+from lsysbench.grammar import Construct, ItemSeq, LSystemSpec, NonTerminal, Terminal
 
 # Container-stress grammar: alternates object creation with insert/contains
 # pairs under branching loops. Used for control-flow heavy programs.
@@ -36,6 +36,35 @@ A3 = insert insert;
 B = LOOP(CALL(B) C);
 C = B insert remove contains B;
 """
+
+def rewrite_once(spec: LSystemSpec, seq: ItemSeq) -> ItemSeq:
+    """One parallel rewrite: every nonterminal with a production is replaced
+    by its rhs; nonterminals inside construct blocks are rewritten too. The
+    reference that grammar.derive's hash-consed derivation is tested against."""
+    out = []
+    for item in seq.items:
+        if isinstance(item, NonTerminal):
+            rhs = spec.productions.get(item.name)
+            if rhs is None:
+                out.append(item)
+            else:
+                out.extend(rhs.items)
+        elif isinstance(item, Construct):
+            out.append(
+                Construct(item.kind, tuple(rewrite_once(spec, b) for b in item.blocks))
+            )
+        else:
+            out.append(item)
+    return ItemSeq(tuple(out))
+
+
+def derive_by_rewriting(spec: LSystemSpec, generations: int) -> ItemSeq:
+    """The axiom after rewrite_once `generations` times: an unshared tree."""
+    seq = spec.axiom
+    for _ in range(generations):
+        seq = rewrite_once(spec, seq)
+    return seq
+
 
 TERMINAL_POOL = ("new", "insert", "remove", "contains")
 

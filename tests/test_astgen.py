@@ -6,7 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from helpers import all_ifs, assert_bitpath_properties, random_seq, random_seq_nonempty
+from helpers import (
+    CONTAINER_STRESS_SPEC,
+    all_ifs,
+    assert_bitpath_properties,
+    derive_by_rewriting,
+    random_seq,
+    random_seq_nonempty,
+)
 from lsysbench.astgen import (
     CONTAINER_KINDS,
     Call,
@@ -32,7 +39,7 @@ from lsysbench.astgen import (
     prune_nonterminals,
     verify_slot_safety,
 )
-from lsysbench.grammar import ItemSeq, NonTerminal, SpecError, parse_items
+from lsysbench.grammar import ItemSeq, NonTerminal, SpecError, derive, parse_items, parse_spec
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -115,6 +122,19 @@ def test_prune_drops_nonterminals_with_warning():
     assert NonTerminal("A") not in pruned.items
     loop = pruned.items[1]
     assert len(loop.blocks[0]) == 1
+
+
+def test_prune_counts_every_occurrence_in_a_shared_derivation():
+    # derive shares equal subtrees, and prune works on each once; the
+    # warning still counts every occurrence, as on the same tree unshared
+    spec = parse_spec(CONTAINER_STRESS_SPEC)
+    results = []
+    for seq in (derive(spec, 9), derive_by_rewriting(spec, 9)):
+        with pytest.warns(UserWarning) as record:
+            pruned = prune_nonterminals(seq)
+        results.append((pruned, [str(w.message) for w in record]))
+    assert results[0] == results[1]
+    assert results[0][1] == ["dropped 1024 leftover nonterminal(s) before lowering"]
 
 
 def test_prune_clean_input_silent(recwarn):

@@ -499,6 +499,47 @@ def test_check_never_holds_the_expected_trace_or_the_output_whole(tmp_path, caps
     assert peak < 2.2 * trace_bytes, peak / trace_bytes
 
 
+def test_gen_holds_little_more_than_the_program_it_plans(tmp_path, capsys):
+    # Python's peak during gen on stress g=12, over its ~3.1 MB of C: 5.25x
+    # holding the tree, its pruned copy, the lowered program, every emitted
+    # line and the joined files; 1.84x with the derivation hash-consed and
+    # each file streamed to disk a line at a time
+    spec = tmp_path / "stress.lsys"
+    spec.write_text(CONTAINER_STRESS_SPEC)
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        gen_quiet(str(spec), str(out), 12, default_plan(), codegen.EmitConfig(backend="c"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    c_bytes = sum(os.path.getsize(out / name) for name in ("main.c", "runtime.h"))
+    assert c_bytes > 3_000_000
+    assert peak < 2.5 * c_bytes, peak / c_bytes
+
+
+@pytest.mark.parametrize("backend", sorted(codegen.BACKENDS))
+@pytest.mark.parametrize("split_files", [False, True])
+@pytest.mark.parametrize("debug_trace", [False, True])
+def test_gen_writes_the_files_emit_returns(tmp_path, capsys, backend, split_files, debug_trace):
+    # gen streams each file to disk; emit collects the same walker's text
+    spec = tmp_path / "churn.lsys"
+    spec.write_text(CALL_CHURN_SPEC)
+    out = tmp_path / "out"
+    cfg = codegen.EmitConfig(backend=backend, split_files=split_files, debug_trace=debug_trace)
+    manifest = gen_quiet(str(spec), str(out), 5, default_plan(seed=3), cfg)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        files = codegen.emit(program_from_manifest(CALL_CHURN_SPEC, manifest), cfg)
+    assert any(f.relative_path.startswith("f") for f in files) == split_files
+    assert manifest["files"] == sorted(f.relative_path for f in files)
+    assert sorted(os.listdir(out)) == sorted(manifest["files"] + ["manifest.json"])
+    for f in files:
+        assert (out / f.relative_path).read_bytes() == f.contents.encode()
+
+
 @needs_c
 def test_check_compiles_while_the_oracle_runs(spec_file, tmp_path, monkeypatch):
     out = str(tmp_path / "out")
@@ -519,7 +560,7 @@ def test_check_compiles_while_the_oracle_runs(spec_file, tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench, "start_compile", start_compile)
     monkeypatch.setattr(bench, "build_program", record("build", bench.build_program))
-    monkeypatch.setattr(codegen, "emit", record("emit", codegen.emit))
+    monkeypatch.setattr(bench, "write_source_files", record("emit", bench.write_source_files))
     monkeypatch.setattr(oracle, "run_to_pieces", record("oracle", oracle.run_to_pieces))
     monkeypatch.setattr(bench, "timed_run", record("run", bench.timed_run))
     paths = [0, 1, 2**63]

@@ -511,3 +511,16 @@ def test_gen_refuses_a_run_above_the_op_cap(tmp_path):
         "error: the run at PATH 1 would execute %d ops, above the cap of %d"
         % (2**129, oracle.MAX_RUN_OPS))
     assert not out.exists()
+
+
+def test_gen_runs_the_oracle_before_it_emits(spec_file, tmp_path, capsys, monkeypatch):
+    # stress g=12 at trip count 1000 asks for 2.07 x 10^20 ops; gen rendered
+    # every line of its C before the oracle refused it
+    rendered = []
+    monkeypatch.setattr(codegen.base.BraceSyntax, "render", lambda *a: rendered.append(a))
+    out = tmp_path / "out"
+    argv = ["gen", spec_file, "--out", str(out), "--generations", "12", "--trip-count", "1000"]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.startswith("error: the run at PATH 1 would execute ")
+    assert rendered == []
+    assert not (out / "main.c").exists()

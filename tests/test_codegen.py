@@ -137,11 +137,18 @@ def test_render_is_a_function_of_its_block_and_depth(backend):
     program = make_program(CALL_CHURN_SPEC, 5)
     syntax = codegen.BACKENDS[backend](program)
     state = dict(vars(syntax))
-    forward = [syntax.render(fn.body, 1) for fn in program.functions]
+
+    def render(fn):
+        lines = []
+        syntax.render(fn.body, 1, lines.append)
+        return lines
+
+    forward = [render(fn) for fn in program.functions]
     assert sum(line.lstrip().startswith("for ") for lines in forward for line in lines) > 1
-    assert [syntax.render(fn.body, 1) for fn in program.functions] == forward
-    assert [syntax.render(fn.body, 1) for fn in reversed(program.functions)] == forward[::-1]
-    syntax.files(EmitConfig(backend=backend, split_files=True))
+    assert [render(fn) for fn in program.functions] == forward
+    assert [render(fn) for fn in reversed(program.functions)] == forward[::-1]
+    for _, write_to in syntax.files(EmitConfig(backend=backend, split_files=True)):
+        write_to(lambda text: None)
     assert vars(syntax) == state  # nothing is kept between blocks
 
 

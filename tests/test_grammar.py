@@ -3,7 +3,14 @@ import re
 
 import pytest
 
-from helpers import CALL_CHURN_SPEC, CONTAINER_STRESS_SPEC, FAN_OUT_INIT_SPEC, random_seq
+from helpers import (
+    CALL_CHURN_SPEC,
+    CONTAINER_STRESS_SPEC,
+    FAN_OUT_INIT_SPEC,
+    derive_by_rewriting,
+    random_seq,
+    rewrite_once,
+)
 from lsysbench import grammar
 from lsysbench.grammar import (
     Construct,
@@ -21,7 +28,6 @@ from lsysbench.grammar import (
     parse_items,
     parse_spec,
     render_spec,
-    rewrite_once,
     total_items,
 )
 
@@ -231,8 +237,8 @@ def test_derive_item_cap():
 
 def test_derive_refuses_an_oversized_derivation_before_rewriting(monkeypatch):
     calls = []
-    real = grammar.rewrite_once
-    monkeypatch.setattr(grammar, "rewrite_once", lambda *a: calls.append(1) or real(*a))
+    real = grammar.expand
+    monkeypatch.setattr(grammar, "expand", lambda *a: calls.append(1) or real(*a))
     spec = parse_spec(CONTAINER_STRESS_SPEC)
     with pytest.raises(DerivationLimitError,
                        match="generation 11 has 24571 items, above the cap of 10000"):
@@ -242,7 +248,8 @@ def test_derive_refuses_an_oversized_derivation_before_rewriting(monkeypatch):
 
 def test_default_cap_refuses_what_cannot_fit_in_memory_before_rewriting(monkeypatch):
     calls = []
-    monkeypatch.setattr(grammar, "rewrite_once", lambda spec, seq: calls.append(1) or seq)
+    monkeypatch.setattr(grammar, "expand",
+                        lambda spec, constructs, rules, nodes: calls.append(1) or (rules, nodes))
     stress = parse_spec(CONTAINER_STRESS_SPEC)
     with pytest.raises(DerivationLimitError, match="generation 18 has 2097147 items"):
         derive(stress, 18)
@@ -270,8 +277,8 @@ def test_derive_item_counts_are_exact_before_rewriting():
 
 def test_derive_refuses_constructs_nested_above_the_cap_before_rewriting(monkeypatch):
     calls = []
-    real = grammar.rewrite_once
-    monkeypatch.setattr(grammar, "rewrite_once", lambda *a: calls.append(1) or real(*a))
+    real = grammar.expand
+    monkeypatch.setattr(grammar, "expand", lambda *a: calls.append(1) or real(*a))
     # one LOOP deeper per generation: gen overflowed Python's stack at g=170
     spec = parse_spec("A = LOOP(insert A)\n")
     cap = grammar.MAX_NESTING
@@ -295,6 +302,59 @@ def test_derive_nesting_depths_are_exact_before_rewriting(monkeypatch):
                 patch.setattr(grammar, "MAX_NESTING", depth - 1)
                 with pytest.raises(DerivationLimitError, match=f"nests constructs {depth} deep"):
                     derive(spec, g)
+
+
+def _with_nonterminals(seq, rng, names):
+    """seq with about a third of its terminals, nested ones too, replaced by
+    a nonterminal drawn from names."""
+    items = []
+    for item in seq.items:
+        if isinstance(item, Construct):
+            item = Construct(item.kind, tuple(_with_nonterminals(b, rng, names)
+                                              for b in item.blocks))
+        elif rng.random() < 0.35:
+            item = NonTerminal(rng.choice(names))
+        items.append(item)
+    return ItemSeq(tuple(items))
+
+
+def test_derive_equals_the_iterated_one_step_rewrite():
+    for text in (CONTAINER_STRESS_SPEC, CALL_CHURN_SPEC, FAN_OUT_INIT_SPEC):
+        spec = parse_spec(text)
+        for g in range(9):
+            assert derive(spec, g) == derive_by_rewriting(spec, g), (text, g)
+    rng = random.Random(2006)
+    for _ in range(300):
+        # Z has no production, so it stays wherever it lands
+        names = ["A", "B", "C"][:rng.randint(1, 3)]
+        productions = {name: _with_nonterminals(random_seq(rng, depth=2, max_len=4), rng,
+                                                names + ["Z"]) for name in names}
+        axiom = _with_nonterminals(random_seq(rng, depth=1, max_len=3), rng, names)
+        spec = grammar.LSystemSpec(axiom=axiom, productions=productions)
+        for g in range(5):
+            assert derive(spec, g) == derive_by_rewriting(spec, g), (render_spec(spec), g)
+    # a chain 5,000 generations long: nothing recurses over generations
+    spec = parse_spec("A = B insert\nB = A\n")
+    assert derive(spec, 5000) == derive_by_rewriting(spec, 5000)
+
+
+def test_derive_shares_equal_subtrees():
+    # stress g=17 is 1,572,859 items, but what each of its three constructs
+    # becomes in a generation is one object
+    spec = parse_spec(CONTAINER_STRESS_SPEC)
+    seq = derive(spec, 17)
+    assert total_items(seq) == 1_572_859
+    seen, constructs, stack = set(), set(), [seq]
+    while stack:
+        s = stack.pop()
+        if id(s) in seen:
+            continue
+        seen.add(id(s))
+        for item in s.items:
+            if isinstance(item, Construct):
+                constructs.add(id(item))
+                stack.extend(item.blocks)
+    assert len(constructs) <= 3 * 17
 
 
 def test_derive_negative_generations():
