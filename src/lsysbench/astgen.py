@@ -7,6 +7,7 @@ call sites, and deterministic operand planning.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import warnings
 from dataclasses import dataclass, field, replace
@@ -453,7 +454,18 @@ def _verify_block(fn: FunctionDef, stmts: List[Stmt], inherited: List[int]) -> N
 # one-call pipeline
 
 def lower(seq: ItemSeq, plan: Optional[OperandPlan] = None) -> Program:
-    """Full lowering pipeline: prune, extract, assign bits, plan operands."""
-    program = extract_functions(prune_nonterminals(seq), plan)
-    assign_all_path_bits(program)
-    return plan_operands(program)
+    """Full lowering pipeline: prune, extract, assign bits, plan operands.
+
+    The cyclic collector is paused meanwhile, and left as the caller had it:
+    lowering allocates statement objects by the million, and each full
+    collection walks every one built so far to free no cycle (stress g=16
+    lowers in 0.8 s instead of 3.4 s)."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        program = extract_functions(prune_nonterminals(seq), plan)
+        assign_all_path_bits(program)
+        return plan_operands(program)
+    finally:
+        if was_enabled:
+            gc.enable()

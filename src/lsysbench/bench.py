@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import hashlib
 import io
 import json
 import os
@@ -38,10 +37,12 @@ from typing import BinaryIO, Callable, Dict, List, Optional, Sequence, Tuple
 from . import astgen, codegen, grammar, oracle
 
 MANIFEST_NAME = "manifest.json"
-MANIFEST_SCHEMA = "lsysbench/manifest/v1"
+MANIFEST_SCHEMA = "lsysbench/manifest/v2"
+# v1 kept a sha256 of the spec where v2 keeps its text
+_OLDER_SCHEMAS = ("lsysbench/manifest/v1",)
 # the manifest keys that check, measure and sweep-pgo read, and the JSON type
 # each must have ("files" is a list of str)
-_MANIFEST_KEYS = {"specName": str, "specSha256": str, "generations": int, "seed": int,
+_MANIFEST_KEYS = {"specName": str, "specText": str, "generations": int, "seed": int,
                   "valueRange": int, "tripCount": int, "containerKind": str, "backend": str,
                   "splitFiles": bool, "debugTrace": bool, "files": list,
                   "oracleChecksumPath1": int}
@@ -141,7 +142,7 @@ def build_manifest(
     return {
         "schema": MANIFEST_SCHEMA,
         "specName": spec_name,
-        "specSha256": hashlib.sha256(spec_text.encode("utf-8")).hexdigest(),
+        "specText": spec_text,
         "generations": generations,
         "seed": plan.seed,
         "valueRange": plan.value_range,
@@ -169,6 +170,8 @@ def load_manifest(out_dir: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     schema = manifest.get("schema") if isinstance(manifest, dict) else None
+    if schema in _OLDER_SCHEMAS:
+        raise BenchError(f"manifest schema {schema} was written by an older lsysbench; run gen again")
     if schema != MANIFEST_SCHEMA:
         raise BenchError(f"unsupported manifest schema: {schema!r}")
     for key, want in _MANIFEST_KEYS.items():
@@ -192,13 +195,24 @@ def plan_from_manifest(manifest: dict, seed: Optional[int] = None) -> astgen.Ope
 
 
 def check_spec(spec_text: str, manifest: dict) -> None:
-    """Refuse a spec other than the one `gen` wrote the manifest for."""
-    digest = hashlib.sha256(spec_text.encode("utf-8")).hexdigest()
-    if digest != manifest["specSha256"]:
-        raise BenchError(
-            "spec file does not match the manifest (sha256 differs); "
-            "regenerate with `gen` or pass the original spec"
-        )
+    """Refuse a spec other than the one `gen` wrote the manifest for, naming
+    the first line that differs."""
+    want = manifest["specText"]
+    if spec_text == want:
+        return
+    got_lines = spec_text.splitlines(keepends=True)
+    want_lines = want.splitlines(keepends=True)
+    # the first unequal line, else the first line past the shorter text
+    line = next((i for i, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w),
+                min(len(got_lines), len(want_lines)))
+
+    def shown(lines: List[str]) -> str:
+        return repr(lines[line]) if line < len(lines) else "end of file"
+
+    raise BenchError(
+        f"spec file differs from the one gen used (line {line + 1}: got {shown(got_lines)}, "
+        f"want {shown(want_lines)}); regenerate with gen or pass the original spec"
+    )
 
 
 def program_from_manifest(spec_text: str, manifest: dict, seed: Optional[int] = None) -> astgen.Program:

@@ -1,4 +1,5 @@
 import copy
+import gc
 import hashlib
 import json
 import random
@@ -14,6 +15,7 @@ from helpers import (
     random_seq,
     random_seq_nonempty,
 )
+from lsysbench import astgen
 from lsysbench.astgen import (
     CONTAINER_KINDS,
     Call,
@@ -371,3 +373,25 @@ def test_operand_plan_validation():
 def test_lower_rejects_unpruned_nonterminals():
     with pytest.raises(SpecError):
         extract_functions(parse_items("new A"))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_lower_pauses_the_collector_and_restores_the_callers_state(enabled, monkeypatch):
+    seen = []
+
+    def failing_bits(program):
+        seen.append(gc.isenabled())
+        raise RuntimeError("bit assignment failed")
+
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        lower(parse_items("IF(insert, contains) LOOP(new, remove)"))
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(astgen, "assign_all_path_bits", failing_bits)
+        with pytest.raises(RuntimeError, match="bit assignment failed"):
+            lower(parse_items("insert"))
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()

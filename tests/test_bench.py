@@ -144,13 +144,23 @@ def test_load_manifest_bad_schema(tmp_path):
         (tmp_path / bench.MANIFEST_NAME).write_text(json.dumps(manifest))
         with pytest.raises(BenchError, match="schema"):
             load_manifest(str(tmp_path))
+    # v1 kept a sha256 of the spec in place of its text
+    v1 = {"schema": "lsysbench/manifest/v1", "specSha256": "0" * 64}
+    (tmp_path / bench.MANIFEST_NAME).write_text(json.dumps(v1))
+    with pytest.raises(BenchError, match="^manifest schema lsysbench/manifest/v1 was written "
+                                         "by an older lsysbench; run gen again$"):
+        load_manifest(str(tmp_path))
 
 
 def test_program_from_manifest_rejects_wrong_spec(spec_file, tmp_path):
     out = str(tmp_path / "out")
     manifest = gen_quiet(spec_file, out, 4, default_plan(), codegen.EmitConfig(backend="c"))
-    with pytest.raises(BenchError, match="sha256"):
+    assert manifest["specText"] == CONTAINER_STRESS_SPEC
+    with pytest.raises(BenchError) as excinfo:
         program_from_manifest("X = insert\n", manifest)
+    assert str(excinfo.value) == (
+        "spec file differs from the one gen used (line 1: got 'X = insert\\n', "
+        "want 'A = new B B\\n'); regenerate with gen or pass the original spec")
 
 
 # ---------------------------------------------------------------------------

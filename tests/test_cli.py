@@ -25,6 +25,12 @@ def spec_file(tmp_path):
     return str(path)
 
 
+def src_env():
+    """The environment, with this checkout's src/ first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PYPROJECT.parent / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+
+
 def run_cli(argv):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -188,17 +194,22 @@ def test_commands_refuse_a_spec_other_than_the_manifests(
     out = str(tmp_path / "out")
     assert run_cli(["gen", spec_file, "--out", out]) == 0
     other = tmp_path / "other.lsys"
-    other.write_text("A = insert\n")
 
     def no_compile(*args, **kwargs):
         raise AssertionError("compiled despite a mismatched spec")
 
     monkeypatch.setattr(bench, "start_compile", no_compile)
-    capsys.readouterr()
     argv = USAGE_PREFIXES[command] + extra + ["--out", out]
     argv[1] = str(other)
-    assert run_cli(argv) == 2
-    assert "sha256" in capsys.readouterr().err
+    # another spec, and the same spec with one more trailing newline
+    for text, difference in [("A = insert\n", "line 1: got 'A = insert\\n', want 'A = new B B\\n'"),
+                             (CONTAINER_STRESS_SPEC + "\n", "line 3: got '\\n', want end of file")]:
+        other.write_text(text)
+        capsys.readouterr()
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: spec file differs from the one gen used ({difference}); "
+            "regenerate with gen or pass the original spec\n")
 
 
 def test_gen_refuses_a_value_range_above_2_to_the_31(spec_file, tmp_path, capsys):
@@ -499,18 +510,40 @@ def test_gen_refuses_a_run_above_the_op_cap(tmp_path):
     spec = tmp_path / "deep.lsys"
     spec.write_text("A = LOOP(insert A)\n")
     out = tmp_path / "out"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(PYPROJECT.parent / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     proc = subprocess.run(
         [sys.executable, "-m", "lsysbench.cli", "gen", str(spec), "--out", str(out),
          "--generations", "127"],
-        capture_output=True, text=True, env=env, timeout=60)
+        capture_output=True, text=True, env=src_env(), timeout=60)
     assert proc.returncode == 2
     # a new and an insert in the outer loop, one insert more per level: 2^129
     assert proc.stderr.splitlines()[-1] == (
         "error: the run at PATH 1 would execute %d ops, above the cap of %d"
         % (2**129, oracle.MAX_RUN_OPS))
     assert not out.exists()
+
+
+# Runs gen, check and measure in one fresh interpreter (pytest's own has
+# imported hashlib) and prints their exit codes and which of hashlib and
+# _hashlib, the module that loads OpenSSL's libcrypto, got imported.
+NO_OPENSSL_SCRIPT = """\
+import sys
+from lsysbench.cli import main
+spec, out, cc = sys.argv[1:]
+codes = [main(["gen", spec, "--out", out, "--generations", "3"]),
+         main(["check", spec, "--out", out, "--cc", cc + " -O0 {in} -o {out}", "--checksum-only"]),
+         main(["measure", spec, "--out", out, "--cc", cc + " {flags} {in} -o {out}", "--flags=-O0",
+               "--repetitions", "1", "--warmups", "0"])]
+print(codes, sorted({"hashlib", "_hashlib"} & set(sys.modules)))
+"""
+
+
+@needs_c
+def test_no_command_loads_openssl(spec_file, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_OPENSSL_SCRIPT, spec_file, str(tmp_path / "out"), C_COMPILER],
+        capture_output=True, text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
 
 
 def test_gen_runs_the_oracle_before_it_emits(spec_file, tmp_path, capsys, monkeypatch):
