@@ -13,13 +13,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Union
 
-from .grammar import (
-    Construct,
-    ItemSeq,
-    NonTerminal,
-    Terminal,
-    canonical_serialize,
-)
+from .grammar import Construct, ItemSeq, NonTerminal, SpecError, Terminal
 
 PATH_BITS = 64
 CONTAINER_KINDS = ("array", "sortedList", "scalar")
@@ -102,7 +96,6 @@ OPERAND_STMTS = (Insert, Remove, Contains)
 @dataclass
 class FunctionDef:
     id: int
-    canonical: str
     body: List[Stmt]
     max_bit_index: int = -1
     slot_count: int = 0
@@ -193,11 +186,11 @@ _TERMINAL_STMTS = {"new": New, "insert": Insert, "remove": Remove, "contains": C
 
 def extract_functions(seq: ItemSeq, plan: Optional[OperandPlan] = None) -> Program:
     """Extract every CALL block into its own function, one per distinct
-    canonical string; the residual top-level sequence becomes the entry
+    block structure; the residual top-level sequence becomes the entry
     function and always takes the highest id.
 
-    Each node's canonical string is memoized on node identity, so it is
-    built once per node of a hash-consed derivation; the body of a
+    Each block is numbered by its structure, memoized on node identity,
+    so a node of a hash-consed derivation is numbered once; the body of a
     function is lowered once."""
     extraction = _Extraction()
     entry_id = extraction.intern(seq)
@@ -213,66 +206,66 @@ class _Extraction:
     cycle after the run, until the cyclic collector ran."""
 
     def __init__(self):
-        self.table: Dict[str, int] = {}  # canonical string -> function id
-        self.texts: Dict[int, str] = {}  # canonical_serialize's memo
+        self.numbers: Dict[int, int] = {}  # id(block) -> its structure's number
+        self.structures: Dict[tuple, int] = {}  # structure -> number
+        self.table: Dict[int, int] = {}  # number -> function id
         self.functions: List[FunctionDef] = []
 
+    def number(self, block: ItemSeq) -> int:
+        """A small int per distinct structure: two blocks get one number
+        exactly when their items have the same terminal kinds and the same
+        construct kinds over blocks of the same numbers."""
+        n = self.numbers.get(id(block))
+        if n is None:
+            structure = []
+            for item in block.items:
+                if isinstance(item, Terminal):
+                    structure.append(item.kind)
+                elif isinstance(item, Construct):
+                    structure.append((item.kind, *map(self.number, item.blocks)))
+                else:
+                    raise SpecError(
+                        f"nonterminal {item.name!r} survived pruning; run prune_nonterminals first")
+            n = self.structures.setdefault(tuple(structure), len(self.structures))
+            self.numbers[id(block)] = n
+        return n
+
     def intern(self, block: ItemSeq) -> int:
-        canon = canonical_serialize(block, self.texts)
-        fid = self.table.get(canon)
+        n = self.number(block)
+        fid = self.table.get(n)
         if fid is None:
             body = self.lower_block(block)  # nested calls intern first: callee ids stay lower
-            fid = len(self.functions)
-            self.table[canon] = fid
-            self.functions.append(FunctionDef(id=fid, canonical=canon, body=body))
+            fid = self.table[n] = len(self.functions)
+            self.functions.append(FunctionDef(id=fid, body=body))
         return fid
 
     def lower_block(self, block: ItemSeq) -> List[Stmt]:
+        """The statements of a numbered block, so one holding no nonterminal."""
         lower_block = self.lower_block
         stmts: List[Stmt] = []
         for item in block.items:
             if isinstance(item, Terminal):
                 stmts.append(_TERMINAL_STMTS[item.kind]())
-            elif isinstance(item, Construct):
-                if item.kind == "IF":
-                    orelse = lower_block(item.blocks[2]) if len(item.blocks) == 3 else None
-                    stmts.append(
-                        If(
-                            cond=lower_block(item.blocks[0]),
-                            then=lower_block(item.blocks[1]),
-                            orelse=orelse,
-                        )
-                    )
-                elif item.kind == "LOOP":
-                    if len(item.blocks) == 1:
-                        stmts.append(Loop(cond=[], body=lower_block(item.blocks[0])))
-                    else:
-                        stmts.append(
-                            Loop(cond=lower_block(item.blocks[0]), body=lower_block(item.blocks[1]))
-                        )
-                else:
-                    stmts.append(Call(callee_id=self.intern(item.blocks[0])))
+            elif item.kind == "IF":
+                orelse = lower_block(item.blocks[2]) if len(item.blocks) == 3 else None
+                stmts.append(If(cond=lower_block(item.blocks[0]),
+                                then=lower_block(item.blocks[1]), orelse=orelse))
+            elif item.kind == "LOOP":
+                cond = lower_block(item.blocks[0]) if len(item.blocks) == 2 else []
+                stmts.append(Loop(cond=cond, body=lower_block(item.blocks[-1])))
             else:
-                raise ValueError(
-                    f"nonterminal {item.name!r} survived pruning; run prune_nonterminals first"
-                )
+                stmts.append(Call(callee_id=self.intern(item.blocks[0])))
         return stmts
 
 
 def assert_call_invariants(program: Program) -> None:
-    """Dedup and acyclicity: every callee id is lower and its canonical
-    string is a strict, strictly shorter substring of the caller's."""
-    seen = set()
+    """Ids run 0, 1, ... in order, every callee id is lower than its
+    caller's (so the call graph is acyclic), and the entry comes last."""
     for i, fn in enumerate(program.functions):
         assert fn.id == i
-        assert fn.canonical not in seen
-        seen.add(fn.canonical)
         for st in iter_statements(fn.body):
             if isinstance(st, Call):
-                callee = program.functions[st.callee_id]
-                assert callee.id < fn.id
-                assert len(callee.canonical) < len(fn.canonical)
-                assert callee.canonical in fn.canonical
+                assert st.callee_id < fn.id
     assert program.entry_id == len(program.functions) - 1
 
 

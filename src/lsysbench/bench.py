@@ -168,7 +168,10 @@ def load_manifest(out_dir: str) -> dict:
     if not os.path.isfile(path):
         raise BenchError(f"no {MANIFEST_NAME} in {out_dir}; run `gen` first")
     with open(path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise BenchError(f"{path} is not valid JSON ({exc}); run gen again") from None
     schema = manifest.get("schema") if isinstance(manifest, dict) else None
     if schema in _OLDER_SCHEMAS:
         raise BenchError(f"manifest schema {schema} was written by an older lsysbench; run gen again")
@@ -450,9 +453,14 @@ def cmd_gen(
     # the oracle runs first, so a run it refuses writes no source
     manifest = build_manifest(spec_name, spec_text, generations, plan, emit_cfg, program,
                               [name for name, _ in sources], total_ops)
+    # no old manifest beside new sources: an interrupted gen leaves none
+    path = os.path.join(out_dir, MANIFEST_NAME)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(path)
     write_source_files(sources, out_dir)
-    with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
+    with open(path + ".tmp", "w", encoding="utf-8") as fh:
         fh.write(manifest_to_json(manifest))
+    os.replace(path + ".tmp", path)
     print(f"wrote {len(sources)} source file(s) + {MANIFEST_NAME} to {out_dir}")
     print(f"functions: {manifest['functionCount']}  ops: {manifest['totalOps']}")
     print(f"oracle checksum (path=1): {manifest['oracleChecksumPath1']}")

@@ -195,10 +195,9 @@ def render_items(seq: ItemSeq, allow_nonterminals: bool = True,
     return text
 
 
-def canonical_serialize(seq: ItemSeq, memo: Optional[Dict[int, str]] = None) -> str:
-    """Deterministic text form of a pruned sequence; injective, reparseable.
-    memo is render_items'."""
-    return render_items(seq, allow_nonterminals=False, memo=memo)
+def canonical_serialize(seq: ItemSeq) -> str:
+    """Deterministic text form of a pruned sequence; injective, reparseable."""
+    return render_items(seq, allow_nonterminals=False)
 
 
 def render_spec(spec: LSystemSpec) -> str:

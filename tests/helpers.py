@@ -6,8 +6,15 @@ import random
 import shutil
 import subprocess
 
-from lsysbench.astgen import If, Loop, iter_statements
-from lsysbench.grammar import Construct, ItemSeq, LSystemSpec, NonTerminal, Terminal
+from lsysbench.astgen import Call, Contains, If, Insert, Loop, New, Remove, iter_statements
+from lsysbench.grammar import (
+    Construct,
+    ItemSeq,
+    LSystemSpec,
+    NonTerminal,
+    Terminal,
+    canonical_serialize,
+)
 
 # Container-stress grammar: alternates object creation with insert/contains
 # pairs under branching loops. Used for control-flow heavy programs.
@@ -95,6 +102,44 @@ def random_seq_nonempty(rng: random.Random, depth: int, max_len: int = 5) -> Ite
         if seq.items:
             return seq
     return ItemSeq((Terminal("insert"),))
+
+
+def reference_functions(seq: ItemSeq) -> list:
+    """The function bodies, in id order, of a pruned sequence whose CALL
+    blocks are deduplicated by their canonical_serialize text: the
+    reference that astgen.extract_functions' structural numbering is
+    tested against. A callee takes its id before its caller, and the entry
+    comes last; blocks are lowered in extraction's order (an IF's else
+    block first, then its cond and then blocks)."""
+    terminals = {"new": New, "insert": Insert, "remove": Remove, "contains": Contains}
+    ids, bodies = {}, []
+
+    def intern(block):
+        text = canonical_serialize(block)
+        if text not in ids:
+            body = lower(block)
+            ids[text] = len(bodies)
+            bodies.append(body)
+        return ids[text]
+
+    def lower(block):
+        stmts = []
+        for item in block.items:
+            if isinstance(item, Terminal):
+                stmts.append(terminals[item.kind]())
+            elif item.kind == "IF":
+                orelse = lower(item.blocks[2]) if len(item.blocks) == 3 else None
+                stmts.append(If(cond=lower(item.blocks[0]), then=lower(item.blocks[1]),
+                                orelse=orelse))
+            elif item.kind == "LOOP":
+                cond = lower(item.blocks[0]) if len(item.blocks) == 2 else []
+                stmts.append(Loop(cond=cond, body=lower(item.blocks[-1])))
+            else:
+                stmts.append(Call(callee_id=intern(item.blocks[0])))
+        return stmts
+
+    intern(seq)
+    return bodies
 
 
 # ---------------------------------------------------------------------------

@@ -67,16 +67,9 @@ def derive_spec(spec_text, generations):
     return grammar.derive(grammar.parse_spec(spec_text), generations)
 
 
-def random_programs(seed, count, need_call=False):
+def random_programs(seed, count):
     rng = random.Random(seed)
-    programs = []
-    while len(programs) < count:
-        seq = random_seq_nonempty(rng, depth=4, max_len=5)
-        program = quiet_lower(seq)
-        if need_call and len(program.functions) < 2:
-            continue
-        programs.append(program)
-    return programs
+    return [quiet_lower(random_seq_nonempty(rng, depth=4, max_len=5)) for _ in range(count)]
 
 
 def test_criterion_01_init_grammar_insert_count():
@@ -115,16 +108,22 @@ def test_criterion_02_bit_assignment_conformance():
 def test_criterion_03_dedup_and_acyclicity():
     with criterion(3, "call extraction dedups bodies and keeps the call graph acyclic",
                    budget_s=30.0):
-        for program in random_programs(seed=4099, count=200, need_call=True):
-            canonicals = [fn.canonical for fn in program.functions]
-            assert len(set(canonicals)) == len(canonicals)
+        rng = random.Random(4099)
+        checked = 0
+        while checked < 200:
+            seq = random_seq_nonempty(rng, depth=4, max_len=5)
+            program = astgen.extract_functions(seq)
+            if len(program.functions) < 2:
+                continue
+            # one function per distinct block text, as a dedup keyed by
+            # canonical_serialize gives
+            assert [fn.body for fn in program.functions] == helpers.reference_functions(seq)
             for fn in program.functions:
                 for st in astgen.iter_statements(fn.body):
                     if isinstance(st, astgen.Call):
-                        callee = program.functions[st.callee_id]
                         assert st.callee_id < fn.id  # ids are topological: acyclic
-                        assert len(callee.canonical) < len(fn.canonical)
             astgen.assert_call_invariants(program)
+            checked += 1
 
 
 def test_criterion_04_oracle_leak_freedom():

@@ -3,17 +3,21 @@ import gc
 import hashlib
 import json
 import random
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
 
 from helpers import (
+    CALL_CHURN_SPEC,
     CONTAINER_STRESS_SPEC,
     all_ifs,
     assert_bitpath_properties,
     derive_by_rewriting,
     random_seq,
     random_seq_nonempty,
+    reference_functions,
 )
 from lsysbench import astgen
 from lsysbench.astgen import (
@@ -159,25 +163,24 @@ def test_extract_dedup_shared_callee():
     assert calls[0].callee_id == calls[1].callee_id
     assert calls[2].callee_id != calls[0].callee_id
     assert program.entry_id == 2
-    by_canon = {f.canonical: f for f in program.functions}
-    assert by_canon["insert"].id == calls[0].callee_id
-    assert by_canon["remove"].id == calls[2].callee_id
+    assert program.functions[calls[0].callee_id].body == [Insert()]
+    assert program.functions[calls[2].callee_id].body == [Remove()]
 
 
 def test_extract_nested_calls_recursively():
     program = build_program("CALL(CALL(insert))")
-    canons = [f.canonical for f in program.functions]
-    assert canons == ["insert", "CALL(insert)", "CALL(CALL(insert))"]
+    bodies = [f.body for f in program.functions]
+    assert bodies == [[Insert()], [Call(0)], [Call(1)]]
     assert program.entry_id == 2
 
 
 def test_extract_same_block_in_two_functions_shares_one_def():
     program = build_program("CALL(LOOP(insert) CALL(insert)) CALL(insert)")
-    canons = [f.canonical for f in program.functions]
-    assert canons == [
-        "insert",
-        "LOOP(insert) CALL(insert)",
-        "CALL(LOOP(insert) CALL(insert)) CALL(insert)",
+    bodies = [f.body for f in program.functions]
+    assert bodies == [
+        [Insert()],
+        [Loop(cond=[], body=[Insert()]), Call(0)],
+        [Call(1), Call(0)],
     ]
     shared = program.functions[0].id
     call_sites = [
@@ -196,9 +199,46 @@ def test_extract_entry_is_highest_id_random():
         program = extract_functions(prune_nonterminals(seq))
         assert_call_invariants(program)
         assert program.entry_id == len(program.functions) - 1
-        entry_len = len(program.entry.canonical)
-        for fn in program.functions[:-1]:
-            assert len(fn.canonical) <= entry_len
+        # every function but the entry is called from a higher id
+        called = {st.callee_id for fn in program.functions
+                  for st in iter_statements(fn.body) if isinstance(st, Call)}
+        assert called == set(range(program.entry_id))
+
+
+def test_extract_matches_a_dedup_keyed_by_canonical_text():
+    # extraction numbers blocks by structure; a dedup keyed by
+    # canonical_serialize, which is injective, must give the same ids and
+    # bodies
+    rng = random.Random(99)
+    seqs = [random_seq(rng, depth=4) for _ in range(400)]
+    # CALL bodies that differ only in a construct's kind or block count
+    seqs.append(parse_items("CALL(LOOP(insert)) CALL(CALL(insert)) CALL(LOOP(, insert)) "
+                            "CALL(IF(new, insert)) CALL(LOOP(new, insert)) CALL(IF(new, insert, ))"))
+    for spec_text in (CALL_CHURN_SPEC, CONTAINER_STRESS_SPEC):
+        spec = parse_spec(spec_text)
+        seqs += [derive(spec, g) for g in range(11)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for seq in seqs:
+            seq = prune_nonterminals(seq)
+            program = extract_functions(seq)
+            assert [fn.body for fn in program.functions] == reference_functions(seq)
+
+
+def test_extract_holds_no_text_of_the_blocks():
+    # pruned churn g=17: 15.4 MB of traced peak when every function was
+    # identified by its canonical text, 0.7 MB numbering blocks by structure
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        seq = prune_nonterminals(derive(parse_spec(CALL_CHURN_SPEC), 17))
+    tracemalloc.start()
+    try:
+        program = extract_functions(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(program.functions) == 18
+    assert peak < 2_000_000, peak
 
 
 def test_iter_statements_is_pre_order():
@@ -331,7 +371,7 @@ def test_plan_is_deterministic_and_pure():
 
 # sha256 over the planned programs' reprs. It pins the planner's RNG order
 # and slot numbering: a change to either moves it.
-PLANNER_DIGEST = "3efa2454c4b5a256626465a8ddbb04bdb9119d183f70cc49c570f8d73a0dc938"
+PLANNER_DIGEST = "fca1dc731a02b9a814c3d82ef3c573e235fc5213c1a52bb4f7d110a32f0f8476"
 
 
 def test_planner_output_digest_is_pinned():

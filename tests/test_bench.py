@@ -139,6 +139,14 @@ def test_load_manifest_missing(tmp_path):
         load_manifest(str(tmp_path))
 
 
+def test_load_manifest_not_json(tmp_path):
+    path = tmp_path / bench.MANIFEST_NAME
+    path.write_text('{"schema": ')
+    want = f"{path} is not valid JSON (Expecting value: line 1 column 12 (char 11)); run gen again"
+    with pytest.raises(BenchError, match=f"^{re.escape(want)}$"):
+        load_manifest(str(tmp_path))
+
+
 def test_load_manifest_bad_schema(tmp_path):
     for manifest in ({"schema": "nope"}, [bench.MANIFEST_SCHEMA]):
         (tmp_path / bench.MANIFEST_NAME).write_text(json.dumps(manifest))

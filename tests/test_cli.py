@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import CONTAINER_STRESS_SPEC, STRICT_C_FLAGS, find_c_compiler
+from helpers import CALL_CHURN_SPEC, CONTAINER_STRESS_SPEC, STRICT_C_FLAGS, find_c_compiler
 from lsysbench import astgen, bench, codegen, grammar, oracle
 from lsysbench.cli import build_parser, main
 
@@ -98,6 +98,34 @@ def test_check_requires_gen_first(spec_file, tmp_path, capsys):
                     "--cc", "cc {in} -o {out}"])
     assert code == 2
     assert "gen" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("interrupted", ["after the sources", "inside the manifest write"])
+def test_an_interrupted_gen_leaves_no_manifest(interrupted, tmp_path, monkeypatch, capsys):
+    # a seed-0 manifest left beside seed-1 sources made check report a
+    # trace mismatch on a correct program; an empty one failed as bad JSON
+    spec = tmp_path / "churn.lsys"
+    spec.write_text(CALL_CHURN_SPEC)
+    out = str(tmp_path / "out")
+    assert run_cli(["gen", str(spec), "--generations", "6", "--seed", "0", "--out", out]) == 0
+
+    write_source_files = bench.write_source_files
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    def write_then_interrupt(*args):
+        write_source_files(*args)
+        interrupt()
+
+    if interrupted == "after the sources":
+        monkeypatch.setattr(bench, "write_source_files", write_then_interrupt)
+    else:
+        monkeypatch.setattr(bench, "manifest_to_json", interrupt)
+    assert run_cli(["gen", str(spec), "--generations", "6", "--seed", "1", "--out", out]) == 130
+    capsys.readouterr()
+    assert run_cli(["check", str(spec), "--out", out, "--cc", "cc {in} -o {out}"]) == 2
+    assert capsys.readouterr().err == f"error: no manifest.json in {out}; run `gen` first\n"
 
 
 USAGE_PREFIXES = {
@@ -312,6 +340,19 @@ def test_commands_refuse_a_manifest_with_an_unknown_backend(
     err = _exit_2_on_edited_manifest(command, lambda manifest: manifest.update(backend="txt"),
                                      spec_file, tmp_path, capsys, monkeypatch)
     assert err.startswith("error: unknown backend 'txt'")
+
+
+@pytest.mark.parametrize("command", ["check", "measure"])
+def test_commands_name_an_empty_manifest(command, spec_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / bench.MANIFEST_NAME).write_text("")
+    argv = USAGE_PREFIXES[command] + ["--out", str(out)]
+    argv[1] = spec_file
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {out / bench.MANIFEST_NAME} is not valid JSON "
+        "(Expecting value: line 1 column 1 (char 0)); run gen again\n")
 
 
 @needs_c

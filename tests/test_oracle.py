@@ -246,7 +246,7 @@ def test_hand_built_rebinding_leaks():
     # same-block slot rebinding drops the first object without freeing it;
     # the generator never emits this, so it only arises in hand-built
     # programs like this one, and the function's return reports it
-    fn = FunctionDef(id=0, canonical="new new", body=[New(0), New(0)], slot_count=1)
+    fn = FunctionDef(id=0, body=[New(0), New(0)], slot_count=1)
     program = Program(functions=[fn], entry_id=0)
     with pytest.raises(OracleInvariantError,
                        match="ownership broken: function 0 returns with 1 objects"):
@@ -255,7 +255,7 @@ def test_hand_built_rebinding_leaks():
 
 def test_unbound_slot_use_aborts():
     fn = FunctionDef(
-        id=0, canonical="insert", body=[Insert(slot=0, value=5)], slot_count=1
+        id=0, body=[Insert(slot=0, value=5)], slot_count=1
     )
     program = Program(functions=[fn], entry_id=0)
     with pytest.raises(OracleInvariantError):
@@ -263,10 +263,9 @@ def test_unbound_slot_use_aborts():
 
 
 def test_unbound_call_argument_aborts():
-    callee = FunctionDef(id=0, canonical="", body=[], slot_count=0)
+    callee = FunctionDef(id=0, body=[], slot_count=0)
     entry = FunctionDef(
         id=1,
-        canonical="CALL()",
         body=[Call(callee_id=0, available_slots=[0])],
         slot_count=1,
     )
@@ -278,7 +277,7 @@ def test_unbound_call_argument_aborts():
 def test_ownership_verification_catches_a_leaked_rebinding():
     # the same hand-built leak as above: with verification on, the function
     # returns with an object it allocated still live
-    fn = FunctionDef(id=0, canonical="new new", body=[New(0), New(0)], slot_count=1)
+    fn = FunctionDef(id=0, body=[New(0), New(0)], slot_count=1)
     program = Program(functions=[fn], entry_id=0)
     with pytest.raises(OracleInvariantError, match="ownership broken"):
         interpret(program)
@@ -303,10 +302,9 @@ def test_callee_borrows_the_callers_object():
 def test_callee_rebinding_a_borrowed_slot_frees_only_its_own_object():
     # the callee's second new replaces the borrowed object with its own,
     # which it frees; the caller's object stays live for the caller's insert
-    callee = FunctionDef(id=0, canonical="new new", body=[New(0), New(0)], slot_count=1)
+    callee = FunctionDef(id=0, body=[New(0), New(0)], slot_count=1)
     entry = FunctionDef(
-        id=1, canonical="new CALL() insert",
-        body=[New(0), Call(0, [0]), Insert(0, 7)], slot_count=1,
+        id=1, body=[New(0), Call(0, [0]), Insert(0, 7)], slot_count=1,
     )
     program = Program(functions=[callee, entry], entry_id=1)
     trace, stats = interpret(program, ExecConfig(debug_trace=True))
@@ -320,8 +318,8 @@ def test_callee_rebinding_a_borrowed_slot_frees_only_its_own_object():
 
 
 def test_ownership_verification_catches_a_leak_inside_a_callee():
-    callee = FunctionDef(id=0, canonical="new new", body=[New(0), New(0)], slot_count=1)
-    entry = FunctionDef(id=1, canonical="CALL()", body=[Call(0, [])], slot_count=0)
+    callee = FunctionDef(id=0, body=[New(0), New(0)], slot_count=1)
+    entry = FunctionDef(id=1, body=[Call(0, [])], slot_count=0)
     program = Program(functions=[callee, entry], entry_id=1)
     with pytest.raises(OracleInvariantError,
                        match="ownership broken: function 0 returns with 1 objects"):
@@ -330,9 +328,9 @@ def test_ownership_verification_catches_a_leak_inside_a_callee():
 
 def inert_chain(entry_body, entry_slots=1):
     """fn0 is empty, fn1 only calls fn0, and the entry (fn2) calls fn1."""
-    fn0 = FunctionDef(id=0, canonical="", body=[], slot_count=0)
-    fn1 = FunctionDef(id=1, canonical="CALL()", body=[Call(0, [])], slot_count=0)
-    entry = FunctionDef(id=2, canonical="entry", body=entry_body, slot_count=entry_slots)
+    fn0 = FunctionDef(id=0, body=[], slot_count=0)
+    fn1 = FunctionDef(id=1, body=[Call(0, [])], slot_count=0)
+    entry = FunctionDef(id=2, body=entry_body, slot_count=entry_slots)
     return Program(functions=[fn0, fn1, entry], entry_id=2)
 
 
@@ -353,7 +351,7 @@ def test_inert_callee_leaves_the_heap_as_a_full_call_does():
             program = inert_chain(body, entry_slots=2)
             program.plan = OperandPlan(container_kind=kind)
             program.functions[1] = FunctionDef(
-                id=1, canonical="fn1", body=fn1_body, slot_count=1
+                id=1, body=fn1_body, slot_count=1
             )
             trace, stats = interpret(program, ExecConfig(debug_trace=True))
             runs.append(([(e.op, e.var, e.val, e.res) for e in trace], stats))
@@ -367,8 +365,8 @@ def test_a_callee_empty_at_this_path_still_checks_its_arguments():
     # the callee's ops sit in one If arm: at PATH 0 it has nothing to run,
     # at PATH 1 it runs; either way the unbound argument is caught
     arm = If(cond=[], then=[New(0), Insert(0, 9)], bit_index=0, bit_index_raw=0)
-    callee = FunctionDef(id=0, canonical="IF(,new insert)", body=[arm], slot_count=1)
-    entry = FunctionDef(id=1, canonical="CALL()", body=[Call(0, [0])], slot_count=1)
+    callee = FunctionDef(id=0, body=[arm], slot_count=1)
+    entry = FunctionDef(id=1, body=[Call(0, [0])], slot_count=1)
     for kind in CONTAINER_KINDS:
         program = Program(functions=[callee, entry], entry_id=1,
                           plan=OperandPlan(container_kind=kind))
@@ -388,10 +386,9 @@ def test_a_leaking_no_arg_callee_runs_in_full_every_call():
     # each call would drop one object unfreed; the first call's return
     # raises, so no leaking call is ever recorded for replay
     callee = FunctionDef(
-        id=0, canonical="new insert new insert",
-        body=[New(0), Insert(0, 5), New(0), Insert(0, 6)], slot_count=1,
+        id=0, body=[New(0), Insert(0, 5), New(0), Insert(0, 6)], slot_count=1,
     )
-    entry = FunctionDef(id=1, canonical="CALL() CALL()", body=[Call(0, []), Call(0, [])])
+    entry = FunctionDef(id=1, body=[Call(0, []), Call(0, [])])
     program = Program(functions=[callee, entry], entry_id=1)
     for cfg in (ExecConfig(), ExecConfig(debug_trace=True)):
         with pytest.raises(OracleInvariantError,
@@ -403,12 +400,10 @@ def test_a_no_arg_callee_peaks_above_what_its_caller_holds():
     # the callee holds two objects at its peak; its second call comes while
     # the caller holds two of its own, so the run peaks at four
     callee = FunctionDef(
-        id=0, canonical="new insert new insert",
-        body=[New(0), Insert(0, 1), New(1), Insert(1, 2)], slot_count=2,
+        id=0, body=[New(0), Insert(0, 1), New(1), Insert(1, 2)], slot_count=2,
     )
     entry = FunctionDef(
-        id=1, canonical="CALL() new new CALL() insert",
-        body=[Call(0, []), New(0), New(1), Call(0, []), Insert(1, 3)], slot_count=2,
+        id=1, body=[Call(0, []), New(0), New(1), Call(0, []), Insert(1, 3)], slot_count=2,
     )
     program = Program(functions=[callee, entry], entry_id=1)
     trace, stats = interpret(program, ExecConfig(debug_trace=True))
@@ -423,12 +418,10 @@ def test_a_no_arg_callee_peaks_above_what_its_caller_holds():
 
 def test_a_scalar_no_arg_callee_traces_its_slot_ordinals_every_call():
     callee = FunctionDef(
-        id=0, canonical="new insert new contains",
-        body=[New(0), Insert(0, 3), New(1), Contains(1, 4)], slot_count=2,
+        id=0, body=[New(0), Insert(0, 3), New(1), Contains(1, 4)], slot_count=2,
     )
     entry = FunctionDef(
-        id=1, canonical="new CALL() CALL() remove",
-        body=[New(0), Call(0, []), Call(0, []), Remove(0, 5)], slot_count=1,
+        id=1, body=[New(0), Call(0, []), Call(0, []), Remove(0, 5)], slot_count=1,
     )
     program = Program(functions=[callee, entry], entry_id=1,
                       plan=OperandPlan(container_kind="scalar"))
@@ -439,9 +432,9 @@ def test_a_scalar_no_arg_callee_traces_its_slot_ordinals_every_call():
 
 
 def test_ownership_verification_catches_a_leak_in_a_nested_no_arg_callee():
-    leaky = FunctionDef(id=0, canonical="new new", body=[New(0), New(0)], slot_count=1)
-    middle = FunctionDef(id=1, canonical="new CALL()", body=[New(0), Call(0, [])], slot_count=1)
-    entry = FunctionDef(id=2, canonical="CALL() CALL()", body=[Call(1, []), Call(1, [])])
+    leaky = FunctionDef(id=0, body=[New(0), New(0)], slot_count=1)
+    middle = FunctionDef(id=1, body=[New(0), Call(0, [])], slot_count=1)
+    entry = FunctionDef(id=2, body=[Call(1, []), Call(1, [])])
     program = Program(functions=[leaky, middle, entry], entry_id=2)
     for cfg in (ExecConfig(), ExecConfig(debug_trace=True)):
         with pytest.raises(OracleInvariantError,
@@ -456,12 +449,10 @@ WIDE_CHECKSUM = 6238785972650546556
 
 
 def test_replayed_ids_past_two_to_the_sixteen():
-    inner = FunctionDef(id=0, canonical="new contains", body=[New(0), Contains(0, 7)],
+    inner = FunctionDef(id=0, body=[New(0), Contains(0, 7)],
                         slot_count=1)
-    outer = FunctionDef(id=1, canonical="new insert CALL()",
-                        body=[New(0), Insert(0, 7), Call(0, [])], slot_count=1)
-    entry = FunctionDef(id=2, canonical="LOOP(LOOP(CALL()))",
-                        body=[Loop(body=[Loop(body=[Call(1, [])])])])
+    outer = FunctionDef(id=1, body=[New(0), Insert(0, 7), Call(0, [])], slot_count=1)
+    entry = FunctionDef(id=2, body=[Loop(body=[Loop(body=[Call(1, [])])])])
     program = Program(functions=[inner, outer, entry], entry_id=2,
                       plan=OperandPlan(trip_count=WIDE_TRIPS))
     calls = WIDE_TRIPS ** 2
@@ -735,7 +726,7 @@ def test_heap_containers_match_a_list_model():
             for st in body[2:]
         ]
         for kind in ("array", "sortedList"):
-            fn = FunctionDef(id=0, canonical="model", body=body, slot_count=2)
+            fn = FunctionDef(id=0, body=body, slot_count=2)
             program = Program([fn], entry_id=0, plan=OperandPlan(container_kind=kind))
             trace, stats = interpret(program, ExecConfig(debug_trace=True))
             assert [(e.var, e.val, e.res) for e in trace[2:]] == expected
