@@ -37,14 +37,15 @@ from typing import BinaryIO, Callable, Dict, List, Optional, Sequence, Tuple
 from . import astgen, codegen, grammar, oracle
 
 MANIFEST_NAME = "manifest.json"
-MANIFEST_SCHEMA = "lsysbench/manifest/v2"
-# v1 kept a sha256 of the spec where v2 keeps its text
-_OLDER_SCHEMAS = ("lsysbench/manifest/v1",)
+MANIFEST_SCHEMA = "lsysbench/manifest/v3"
+# v1 kept a sha256 of the spec where v2 keeps its text; a v2 source could
+# print its trace without --debug
+_OLDER_SCHEMAS = ("lsysbench/manifest/v1", "lsysbench/manifest/v2")
 # the manifest keys that check, measure and sweep-pgo read, and the JSON type
 # each must have ("files" is a list of str)
 _MANIFEST_KEYS = {"specName": str, "specText": str, "generations": int, "seed": int,
                   "valueRange": int, "tripCount": int, "containerKind": str, "backend": str,
-                  "splitFiles": bool, "debugTrace": bool, "files": list,
+                  "splitFiles": bool, "files": list,
                   "oracleChecksumPath1": int}
 
 SWEEP_COLUMNS = ["i", "path", "t_ms", "ti_ms", "ratio"]
@@ -150,7 +151,6 @@ def build_manifest(
         "containerKind": plan.container_kind,
         "backend": emit_cfg.backend,
         "splitFiles": emit_cfg.split_files,
-        "debugTrace": emit_cfg.debug_trace,
         "functionCount": len(program.functions),
         "entryId": program.entry_id,
         "totalOps": total_ops,
@@ -185,6 +185,10 @@ def load_manifest(out_dir: str) -> dict:
         if type(value) is not want or want is list and any(type(v) is not str for v in value):
             name = "list of str" if want is list else want.__name__
             raise BenchError(f"{path}: {key!r} must be {name}, got {value!r}; run `gen` again")
+    for name in manifest["files"]:  # each is copied and compiled inside the out directory
+        if name in ("", ".", "..") or os.path.basename(name) != name:
+            raise BenchError(f"{path}: 'files' holds {name!r}, not a plain file name; "
+                             "run `gen` again")
     return manifest
 
 
@@ -523,11 +527,7 @@ def cmd_check(
     spec_text = read_spec_file(spec_path)
     check_spec(spec_text, manifest)
     seed_list = list(seeds) if seeds else [manifest["seed"]]
-    emit_cfg = codegen.EmitConfig(
-        backend=manifest["backend"],
-        split_files=manifest["splitFiles"],
-        debug_trace=manifest["debugTrace"],
-    )
+    emit_cfg = codegen.EmitConfig(backend=manifest["backend"], split_files=manifest["splitFiles"])
     rows: List[Dict[str, object]] = []
     ok = True
 
@@ -574,11 +574,7 @@ def cmd_check(
                         ok = False
                         continue
                     got.seek(0)
-                    output = got
-                    if checksum_only:  # a --debug-trace build prints its trace anyway
-                        output = io.BytesIO(b"".join(
-                            line for line in got if line.startswith(b"CHECKSUM ")))
-                    mismatch = _first_divergence(output, want)
+                    mismatch = _first_divergence(got, want)
                 if mismatch is None:
                     report(seed, path, "pass")
                 else:

@@ -90,8 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="derive a spec and emit compilable sources + manifest")
     p_gen.add_argument("spec", help="L-system spec file")
     _add_generation_args(p_gen)
-    p_gen.add_argument("--debug-trace", action="store_true",
-                       help="bake the trace on by default in the emitted program")
 
     # No abbreviations: `--seed 5` would otherwise be read as `--seeds 5`.
     p_check = sub.add_parser("check", parents=[common], allow_abbrev=False,
@@ -161,11 +159,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "gen":
-            emit_cfg = codegen.EmitConfig(
-                backend=args.backend,
-                split_files=args.split_files,
-                debug_trace=args.debug_trace,
-            )
+            emit_cfg = codegen.EmitConfig(backend=args.backend, split_files=args.split_files)
             bench.cmd_gen(args.spec, args.out, args.generations, _plan_from_args(args), emit_cfg)
             return 0
         if args.command == "check":

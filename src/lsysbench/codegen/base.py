@@ -24,7 +24,6 @@ class SourceFile:
 class EmitConfig:
     backend: str
     split_files: bool = False
-    debug_trace: bool = False  # baked default; --debug still works at runtime
 
 
 # Both emitted mains accept PATH only as [0-9]+ below 2^64; on anything else
@@ -52,7 +51,7 @@ class BraceSyntax:
     plus one `f<id>.<extension>` per other function under --split-files.
     Each file starts with the banner. `render` walks each function's
     statements. Subclasses set the templates below, `indent` and
-    `new`/`op`/`call`, and supply `runtime(cfg)`, the text of
+    `new`/`op`/`call`, and supply `runtime()`, the text of
     `main.<extension>` before its functions, and, if they have any,
     `headers(banner)`.
     """
@@ -92,7 +91,7 @@ class BraceSyntax:
 
         def main(sink: Sink) -> None:
             sink(banner + "\n")
-            sink(self.runtime(cfg) + "\n")
+            sink(self.runtime() + "\n")
             for fn in inline:
                 self.function(fn, sink)
                 sink("\n")

@@ -24,7 +24,7 @@ from collections import namedtuple
 from typing import List
 
 from .. import astgen
-from .base import BraceSyntax, EmitConfig, Source
+from .base import BraceSyntax, Source
 
 _HEADER_COMMON = """\
 #ifndef LS_RUNTIME_H
@@ -390,13 +390,13 @@ int main(int argc, char **argv)
         ])
         return [("runtime.h", lambda sink: sink(text))]
 
-    def runtime(self, cfg: EmitConfig) -> str:
+    def runtime(self) -> str:
         base = "" if self.scalar else "    params.base = ls_next_id;\n"
         return "\n".join([
             _MAIN_INCLUDES,
-            "int ls_debug = %d;\n" % (1 if cfg.debug_trace else 0)
-            + "uint64_t ls_checksum = UINT64_C(14695981039346656037);\n"
-            + "uint64_t ls_next_id = UINT64_C(1);\n",
+            "int ls_debug = 0;\n"
+            "uint64_t ls_checksum = UINT64_C(14695981039346656037);\n"
+            "uint64_t ls_next_id = UINT64_C(1);\n",
             _IMPL_COMMON,
             _IMPL_PARAMS % (self.parts.param, base),
             self.parts.impl,

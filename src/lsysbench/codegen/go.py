@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .base import BraceSyntax, EmitConfig
+from .base import BraceSyntax
 
 _OBJ_ARRAY = """\
 type lsObj struct {
@@ -235,12 +235,12 @@ func main() {
     if_head = "if (path>>%d)&1 == 1 {"
     loop_head = "for lsI%d := uint64(0); lsI%d < %d; lsI%d++ {"
 
-    def runtime(self, cfg: EmitConfig) -> str:
+    def runtime(self) -> str:
         return "\n".join([
             _MAIN_IMPORTS,
-            "var lsDebug = %s\n" % ("true" if cfg.debug_trace else "false")
-            + "var lsChecksum = uint64(14695981039346656037)\n"
-            + "var lsNextID = uint64(1)\n",
+            "var lsDebug = false\n"
+            "var lsChecksum = uint64(14695981039346656037)\n"
+            "var lsNextID = uint64(1)\n",
             self.parts.structs + _PARAMS % self.parts.param,
             _IMPL_COMMON,
             _IMPL_PARAMS % self.parts.param,

@@ -51,11 +51,10 @@ class ExecConfig:
 
 
 class HeapObject:
-    __slots__ = ("id", "owner", "size", "counts")
+    __slots__ = ("id", "size", "counts")
 
-    def __init__(self, id: int, owner: _Frame):
+    def __init__(self, id: int):
         self.id = id
-        self.owner = owner  # the frame that allocated it, and the only one to free it
         self.size = 0
         self.counts: Dict[int, int] = {}
 
@@ -137,13 +136,13 @@ _SCALAR_OPS = {
 
 
 class _Frame:
-    __slots__ = ("slots", "params", "saved", "owned")
+    __slots__ = ("slots", "params", "saved", "base")
 
-    def __init__(self, slot_count: int, params: List[HeapObject]):
+    def __init__(self, slot_count: int, params: List[HeapObject], base: int):
         self.slots: List[Optional[HeapObject]] = [None] * slot_count
         self.params = iter(params)  # the passed objects New has not yet bound
         self.saved: List[Optional[HeapObject]] = []  # shadowed bindings
-        self.owned = 0  # objects this frame allocated and has not freed
+        self.base = base  # the first id the call can allocate: it owns each id from here
 
 
 def interpret(program: Program, cfg: Optional[ExecConfig] = None) -> Tuple[List[TraceEvent], RunStats]:
@@ -155,12 +154,14 @@ def interpret(program: Program, cfg: Optional[ExecConfig] = None) -> Tuple[List[
     runs cond then body exactly trip_count times. Call passes the objects
     bound to the visible slots, which the callee borrows: inside it every
     New binds the next unconsumed passed object as an alias while one
-    remains, else allocates fresh. An object belongs to the frame that
-    allocated it, as in the emitted C runtime: a block's exit frees each
-    slot it bound whose object its frame owns, so loop-iteration locals are
-    freed every iteration and borrowed objects are left to their owner.
-    Every run raises on an op on a freed object, on a second free, and on a
-    return that leaves objects its function allocated still live.
+    remains, else allocates fresh. One rule, the C runtime's
+    `obj->id >= data->base`, says which objects a call owns: ids only grow,
+    so an object belongs to the call whose base, last_id + 1 at its entry,
+    its id reaches. A block's exit frees each slot it bound whose object
+    its call owns, so loop-iteration locals are freed every iteration and
+    borrowed objects are left to their owner. Every run raises on an op on
+    a freed object, on a second free, and on a return that leaves an
+    object its call owns still live.
 
     Scalar mode has no heap: slots are plain integer variables, parameters
     are passed by value and consumed as copies, and the trace's var field is
@@ -231,10 +232,9 @@ def _run(program: Program, cfg: ExecConfig) -> Tuple[list, RunStats]:
                     value = 0
                 else:
                     last_id += 1
-                    value = live[last_id] = HeapObject(last_id, f)
+                    value = live[last_id] = HeapObject(last_id)
                     if len(live) > max_live:
                         max_live = len(live)
-                    f.owned += 1
             if first:
                 f.saved.append(f.slots[slot])
             f.slots[slot] = value
@@ -325,10 +325,9 @@ def _run(program: Program, cfg: ExecConfig) -> Tuple[list, RunStats]:
                 op(f)
             for slot in unbind:
                 obj = f.slots[slot]
-                if not scalar and obj.owner is f:  # a borrowed object is left to its owner
+                if not scalar and obj.id >= f.base:  # a borrowed object is left to its owner
                     if live.pop(obj.id, None) is None:
                         _broken(f"use of freed object {obj.id}")
-                    f.owned -= 1
                 f.slots[slot] = f.saved.pop()
         return run
 
@@ -385,13 +384,13 @@ def _run(program: Program, cfg: ExecConfig) -> Tuple[list, RunStats]:
             body = block(fn.body, tally, 1)
 
             def run(params: list) -> None:
-                f = _Frame(fn.slot_count, params)
+                f = _Frame(fn.slot_count, params, last_id + 1)
                 for op in body:
                     op(f)
-                if f.owned:
+                if live and next(reversed(live)) >= f.base:  # live holds ids in increasing order
                     _broken(
                         f"ownership broken: function {fid} returns with "
-                        f"{f.owned} objects it allocated still live"
+                        f"{sum(i >= f.base for i in live)} objects it allocated still live"
                     )
             compiled[fid] = (run if body else None), tally
         return compiled[fid]

@@ -152,12 +152,14 @@ def test_load_manifest_bad_schema(tmp_path):
         (tmp_path / bench.MANIFEST_NAME).write_text(json.dumps(manifest))
         with pytest.raises(BenchError, match="schema"):
             load_manifest(str(tmp_path))
-    # v1 kept a sha256 of the spec in place of its text
-    v1 = {"schema": "lsysbench/manifest/v1", "specSha256": "0" * 64}
-    (tmp_path / bench.MANIFEST_NAME).write_text(json.dumps(v1))
-    with pytest.raises(BenchError, match="^manifest schema lsysbench/manifest/v1 was written "
-                                         "by an older lsysbench; run gen again$"):
-        load_manifest(str(tmp_path))
+    # v1 kept a sha256 of the spec in place of its text; a v2 source could
+    # print its trace without --debug
+    for old in ({"schema": "lsysbench/manifest/v1", "specSha256": "0" * 64},
+                {"schema": "lsysbench/manifest/v2", "debugTrace": True}):
+        (tmp_path / bench.MANIFEST_NAME).write_text(json.dumps(old))
+        with pytest.raises(BenchError, match=f"^manifest schema {old['schema']} was written "
+                                             "by an older lsysbench; run gen again$"):
+            load_manifest(str(tmp_path))
 
 
 def test_program_from_manifest_rejects_wrong_spec(spec_file, tmp_path):
@@ -331,20 +333,6 @@ def test_check_checksum_only_mode(spec_file, tmp_path, capsys):
         ok = cmd_check(spec_file, out, CC_STRICT, paths=[0, 1], checksum_only=True)
     assert ok is True
     assert "pass" in capsys.readouterr().out
-
-
-@needs_c
-def test_check_checksum_only_ignores_a_baked_in_trace(spec_file, tmp_path, capsys):
-    # A --debug-trace build prints its trace without --debug; checksum-only
-    # mode compares the CHECKSUM line alone.
-    out = str(tmp_path / "out")
-    gen_quiet(spec_file, out, 4, default_plan(),
-              codegen.EmitConfig(backend="c", debug_trace=True))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        ok = cmd_check(spec_file, out, CC_STRICT, paths=[0, 1], checksum_only=True)
-        assert ok is True, capsys.readouterr().out
-        assert cmd_check(spec_file, out, CC_STRICT, paths=[1]) is True
     with open(os.path.join(out, "main.c"), encoding="utf-8") as fh:
         text = fh.read()
     with open(os.path.join(out, "main.c"), "w", encoding="utf-8") as fh:
@@ -356,12 +344,9 @@ def test_check_checksum_only_ignores_a_baked_in_trace(spec_file, tmp_path, capsy
     assert "first divergence at event 0: got 'CHECKSUM " in printed
 
 
-def splitlines_report(got, want, checksum_only=False):
+def splitlines_report(got, want):
     """The mismatch report as check made it from whole texts compared by
     splitlines(), for the outputs where that report was already right."""
-    if checksum_only:
-        got = "".join(line for line in got.splitlines(keepends=True)
-                      if line.startswith("CHECKSUM "))
     if got == want:
         return None
     got_lines, want_lines = got.splitlines(), want.splitlines()
@@ -426,15 +411,19 @@ def test_check_compares_pieces_and_reports_each_divergence_as_before(
         "CHECKSUM line": (changed(len(lines) - 1, "CHECKSUM 12345\n"), False),
         "cut off mid-line": (want[:cut], False),
         "extra output after CHECKSUM": (want + "EXTRA\n", False),
-        "checksum-only, trace baked in": (changed(len(lines) - 1, "CHECKSUM 12345\n"), True),
+        # the whole output is compared with the CHECKSUM line: a trace
+        # printed without --debug diverges at its first line
+        "checksum-only, trace printed": (want, True),
     }
     for name, (text, checksum_only) in cases.items():
         row = check_printing(spec_file, out, tmp_path, text, checksum_only)
-        expected = splitlines_report(text, lines[-1] if checksum_only else want, checksum_only)
+        expected = splitlines_report(text, lines[-1] if checksum_only else want)
         assert (row["status"], row["detail"]) == ("trace-mismatch", expected), name
     capsys.readouterr()
     assert splitlines_report(cases["last event of a piece"][0], want) == (
         f"first divergence at event 2: got {lines[2][:-1] + '7'!r}, want {lines[2][:-1]!r}")
+    assert splitlines_report(want, lines[-1]) == (
+        f"first divergence at event 0: got {lines[0][:-1]!r}, want {lines[-1][:-1]!r}")
 
 
 def test_check_reports_a_line_ending_difference_at_its_event(spec_file, tmp_path, capsys):
@@ -539,13 +528,12 @@ def test_gen_holds_little_more_than_the_program_it_plans(tmp_path, capsys):
 
 @pytest.mark.parametrize("backend", sorted(codegen.BACKENDS))
 @pytest.mark.parametrize("split_files", [False, True])
-@pytest.mark.parametrize("debug_trace", [False, True])
-def test_gen_writes_the_files_emit_returns(tmp_path, capsys, backend, split_files, debug_trace):
+def test_gen_writes_the_files_emit_returns(tmp_path, capsys, backend, split_files):
     # gen streams each file to disk; emit collects the same walker's text
     spec = tmp_path / "churn.lsys"
     spec.write_text(CALL_CHURN_SPEC)
     out = tmp_path / "out"
-    cfg = codegen.EmitConfig(backend=backend, split_files=split_files, debug_trace=debug_trace)
+    cfg = codegen.EmitConfig(backend=backend, split_files=split_files)
     manifest = gen_quiet(str(spec), str(out), 5, default_plan(seed=3), cfg)
     capsys.readouterr()
     with warnings.catch_warnings():

@@ -1,6 +1,8 @@
+import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -44,6 +46,18 @@ def test_parser_has_all_subcommands():
         assert name in text
 
 
+def test_readme_cli_reference_names_every_option_and_no_other():
+    # the subcommands' options, and the emitted binary's --debug
+    text = (PYPROJECT.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## CLI reference\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    (commands,) = [action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    options = {option for parser in commands.values() for action in parser._actions
+               for option in action.option_strings if option.startswith("--")}
+    assert named == (options - {"--help"}) | {"--debug"}
+
+
 def test_gen_subcommand_writes_out_dir(spec_file, tmp_path, capsys):
     out = str(tmp_path / "out")
     code = run_cli(["gen", spec_file, "--generations", "4", "--out", out])
@@ -64,6 +78,15 @@ def test_gen_go_backend_split(spec_file, tmp_path):
     assert run_cli(["gen", spec_file, "--backend", "go", "--split-files", "--out", out]) == 0
     manifest = bench.load_manifest(out)
     assert manifest["files"] == ["main.go"]  # single function: F files
+
+
+def test_gen_has_no_debug_trace_flag(spec_file, tmp_path, capsys):
+    # the binary prints its trace with --debug alone
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(["gen", spec_file, "--debug-trace", "--out", str(tmp_path / "out")])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --debug-trace" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_gen_missing_spec_file_is_error(tmp_path, capsys):
@@ -332,6 +355,25 @@ def test_commands_refuse_a_manifest_key_of_the_wrong_type(
                                      spec_file, tmp_path, capsys, monkeypatch)
     assert err.startswith("error: ")
     assert err.rstrip().endswith(f"{key!r} must be {want}, got {value!r}; run `gen` again")
+
+
+@pytest.mark.parametrize("command, name", [
+    ("check", "../x.c"),
+    ("measure", "../x.c"),
+    ("sweep-pgo", "../x.c"),
+    ("sweep-pgo", "sub/x.c"),
+    ("check", ""),
+    ("measure", "."),
+    ("sweep-pgo", ".."),
+])
+def test_commands_refuse_a_manifest_file_that_is_no_plain_name(
+        command, name, spec_file, tmp_path, capsys, monkeypatch):
+    # out/../x.c exists: only the name is refused, before any copy or compile
+    (tmp_path / "x.c").write_text("int main(void) { return 0; }\n")
+    err = _exit_2_on_edited_manifest(command, lambda manifest: manifest["files"].append(name),
+                                     spec_file, tmp_path, capsys, monkeypatch)
+    assert err.startswith("error: ")
+    assert err.rstrip().endswith(f"'files' holds {name!r}, not a plain file name; run `gen` again")
 
 
 @pytest.mark.parametrize("command", ["check", "measure"])

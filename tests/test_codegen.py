@@ -154,7 +154,7 @@ def test_render_is_a_function_of_its_block_and_depth(backend):
 
 def test_emit_is_deterministic_and_pure():
     program = make_program(CALL_CHURN_SPEC, 3, container="sortedList")
-    cfg = EmitConfig(backend="c", split_files=True, debug_trace=True)
+    cfg = EmitConfig(backend="c", split_files=True)
     first = emit(program, cfg)
     second = emit(program, cfg)
     assert [(f.relative_path, f.contents) for f in first] == \
@@ -170,16 +170,6 @@ def test_emitted_text_mentions_every_function():
     header = next(f.contents for f in files if f.relative_path == "runtime.h")
     for fn in program.functions:
         assert "void f%d(ls_params data, uint64_t path);" % fn.id in header
-
-
-def test_debug_trace_flag_bakes_default():
-    program = small_program()
-    on = emit(program, EmitConfig(backend="c", debug_trace=True))
-    off = emit(program, EmitConfig(backend="c", debug_trace=False))
-    on_main = next(f.contents for f in on if f.relative_path == "main.c")
-    off_main = next(f.contents for f in off if f.relative_path == "main.c")
-    assert "int ls_debug = 1;" in on_main
-    assert "int ls_debug = 0;" in off_main
 
 
 # ---------------------------------------------------------------------------
@@ -270,18 +260,6 @@ def test_c_non_debug_prints_only_checksum(tmp_path):
     assert out == oracle.run_to_text(program, oracle.ExecConfig(path=1, debug_trace=False))
     assert out.startswith("CHECKSUM ")
     assert len(out.splitlines()) == 1
-
-
-@needs_c
-def test_c_baked_debug_traces_without_flag(tmp_path):
-    program = small_program()
-    files = emit(program, EmitConfig(backend="c", debug_trace=True))
-    write_files(files, str(tmp_path))
-    binary = str(tmp_path / "prog")
-    proc = compile_c(str(tmp_path), c_sources(files), binary, C_COMPILER, ["-O0"])
-    assert proc.returncode == 0, proc.stderr
-    out = run_binary(binary, 1, debug=False).stdout
-    assert out == oracle.run_to_text(program, oracle.ExecConfig(path=1, debug_trace=True))
 
 
 @needs_c
@@ -452,7 +430,7 @@ def test_source_file_is_frozen():
 DIGEST_SPECS = ([(CALL_CHURN_SPEC, g) for g in (3, 5, 8)]
                 + [(CONTAINER_STRESS_SPEC, g) for g in (4, 7)])
 # (files, sha256) of everything the test below emits.
-EMITTED_FILES_DIGEST = (2424, "fc16185ba80b91fac076e978bc559dfb9418fb027b5b9940d0f3b79b9a9f56a2")
+EMITTED_FILES_DIGEST = (1212, "aca306e213037a4db4e2b0f039963fe2b7d275457edbb637796fdc16d4048f4c")
 
 
 def digest_programs(kind, seed):
@@ -466,8 +444,8 @@ def digest_programs(kind, seed):
 
 
 def test_emitted_sources_digest_is_pinned():
-    # The golden fixtures pin single-file, non-debug output of one program;
-    # this pins both layouts and both debug defaults on larger programs.
+    # The golden fixtures pin single-file output of one program; this pins
+    # both layouts on larger programs.
     digest = hashlib.sha256()
     files = 0
     with warnings.catch_warnings():
@@ -477,12 +455,10 @@ def test_emitted_sources_digest_is_pinned():
                 for program in digest_programs(kind, seed):
                     for backend in ("c", "go"):
                         for split in (False, True):
-                            for debug in (False, True):
-                                cfg = EmitConfig(backend=backend, split_files=split,
-                                                 debug_trace=debug)
-                                for f in emit(program, cfg):
-                                    digest.update(f.relative_path.encode() + b"\0")
-                                    digest.update(f.contents.encode() + b"\0")
-                                    files += 1
+                            cfg = EmitConfig(backend=backend, split_files=split)
+                            for f in emit(program, cfg):
+                                digest.update(f.relative_path.encode() + b"\0")
+                                digest.update(f.contents.encode() + b"\0")
+                                files += 1
     assert files == EMITTED_FILES_DIGEST[0]
     assert digest.hexdigest() == EMITTED_FILES_DIGEST[1]
