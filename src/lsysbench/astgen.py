@@ -10,7 +10,7 @@ from __future__ import annotations
 import gc
 import itertools
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Union
 
 from .grammar import Construct, ItemSeq, NonTerminal, SpecError, Terminal
@@ -182,9 +182,11 @@ def _prune(seq: ItemSeq, memo: Dict[int, tuple]) -> tuple:
 
 
 _TERMINAL_STMTS = {"new": New, "insert": Insert, "remove": Remove, "contains": Contains}
+# a 1-block LOOP's cond; numbers key on id(block), so it must stay alive
+_EMPTY = ItemSeq()
 
 
-def extract_functions(seq: ItemSeq, plan: Optional[OperandPlan] = None) -> Program:
+def extract_functions(seq: ItemSeq) -> Program:
     """Extract every CALL block into its own function, one per distinct
     block structure; the residual top-level sequence becomes the entry
     function and always takes the highest id.
@@ -194,8 +196,7 @@ def extract_functions(seq: ItemSeq, plan: Optional[OperandPlan] = None) -> Progr
     function is lowered once."""
     extraction = _Extraction()
     entry_id = extraction.intern(seq)
-    program = Program(functions=extraction.functions, entry_id=entry_id,
-                      plan=plan or OperandPlan())
+    program = Program(functions=extraction.functions, entry_id=entry_id)
     assert_call_invariants(program)
     return program
 
@@ -214,7 +215,8 @@ class _Extraction:
     def number(self, block: ItemSeq) -> int:
         """A small int per distinct structure: two blocks get one number
         exactly when their items have the same terminal kinds and the same
-        construct kinds over blocks of the same numbers."""
+        construct kinds over blocks of the same numbers. LOOP(x) is
+        numbered as LOOP(, x), since both lower to one Loop."""
         n = self.numbers.get(id(block))
         if n is None:
             structure = []
@@ -222,7 +224,8 @@ class _Extraction:
                 if isinstance(item, Terminal):
                     structure.append(item.kind)
                 elif isinstance(item, Construct):
-                    structure.append((item.kind, *map(self.number, item.blocks)))
+                    pad = (_EMPTY,) if item.kind == "LOOP" and len(item.blocks) == 1 else ()
+                    structure.append((item.kind, *map(self.number, pad + item.blocks)))
                 else:
                     raise SpecError(
                         f"nonterminal {item.name!r} survived pruning; run prune_nonterminals first")
@@ -363,9 +366,9 @@ def available_vars(fn: FunctionDef, call_site: Call) -> List[int]:
     return result
 
 
-def plan_operands(program: Program, plan: Optional[OperandPlan] = None) -> Program:
-    """Return a new program whose slots and values are filled in; the input
-    program is left unchanged.
+def plan_operands(program: Program, plan: OperandPlan) -> Program:
+    """Fill in the program's slots and values under `plan`, in place, and
+    return it. Planning a planned program again plans it afresh.
 
     A single PRNG stream seeded with plan.seed drives functions in id order
     and statements in pre-order (If: cond, then, else; Loop: cond, body).
@@ -374,18 +377,15 @@ def plan_operands(program: Program, plan: Optional[OperandPlan] = None) -> Progr
     visible, then always draws twice: once for the target slot and once for
     the operand value.
     """
-    plan = replace(program.plan if plan is None else plan)
     rng = Lcg(plan.seed)
 
-    # Argument lists are evaluated left to right, which keeps the RNG order
-    # given above.
     def plan_block(stmts: List[Stmt], inherited: List[int]) -> List[Stmt]:
         out: List[Stmt] = []
         local: List[int] = []
         for st in stmts:
             visible = inherited + local
             if isinstance(st, New):
-                st = New(next(slots))
+                st.slot = next(slots)
                 local.append(st.slot)
             elif isinstance(st, OPERAND_STMTS):
                 if not visible:
@@ -393,24 +393,27 @@ def plan_operands(program: Program, plan: Optional[OperandPlan] = None) -> Progr
                     out.append(fresh)
                     local.append(fresh.slot)
                     visible = [fresh.slot]
-                st = type(st)(visible[rng.next() % len(visible)], rng.next() % plan.value_range)
+                st.slot = visible[rng.next() % len(visible)]
+                st.value = rng.next() % plan.value_range
             elif isinstance(st, If):
-                st = If(plan_block(st.cond, visible), plan_block(st.then, visible),
-                        None if st.orelse is None else plan_block(st.orelse, visible),
-                        st.bit_index, st.bit_index_raw)
+                st.cond = plan_block(st.cond, visible)
+                st.then = plan_block(st.then, visible)
+                if st.orelse is not None:
+                    st.orelse = plan_block(st.orelse, visible)
             elif isinstance(st, Loop):
-                st = Loop(plan_block(st.cond, visible), plan_block(st.body, visible))
+                st.cond = plan_block(st.cond, visible)
+                st.body = plan_block(st.body, visible)
             else:
-                st = Call(st.callee_id, visible)
+                st.available_slots = visible
             out.append(st)
         return out
 
-    functions = []
-    for fn in sorted(program.functions, key=lambda f: f.id):
+    for fn in program.functions:
         slots = itertools.count()  # per-function slot ordinals
-        body = plan_block(fn.body, [])
-        functions.append(replace(fn, body=body, slot_count=next(slots)))
-    return replace(program, functions=functions, plan=plan)
+        fn.body = plan_block(fn.body, [])
+        fn.slot_count = next(slots)
+    program.plan = plan
+    return program
 
 
 def verify_slot_safety(program: Program) -> None:
@@ -456,9 +459,9 @@ def lower(seq: ItemSeq, plan: Optional[OperandPlan] = None) -> Program:
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        program = extract_functions(prune_nonterminals(seq), plan)
+        program = extract_functions(prune_nonterminals(seq))
         assign_all_path_bits(program)
-        return plan_operands(program)
+        return plan_operands(program, plan or OperandPlan())
     finally:
         if was_enabled:
             gc.enable()

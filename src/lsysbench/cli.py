@@ -155,8 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "gen":
             emit_cfg = codegen.EmitConfig(backend=args.backend, split_files=args.split_files)
@@ -184,25 +183,22 @@ def main(argv: Optional[List[str]] = None) -> int:
                 json_path=args.json,
             )
             return 1 if any(m.failed for m in results) else 0
-        if args.command == "sweep-pgo":
-            sweep = bench.SweepConfig(args.bits) if args.bits else bench.SweepConfig()
-            bench.cmd_sweep_pgo(
-                args.spec, args.out, args.cc_base, args.cc_train, args.cc_opt,
-                sweep=sweep,
-                train_path=args.train_path,
-                repetitions=args.repetitions,
-                warmups=args.warmups,
-                csv_path=args.csv,
-            )
-            return 0
+        sweep = bench.SweepConfig(args.bits) if args.bits else bench.SweepConfig()
+        bench.cmd_sweep_pgo(
+            args.spec, args.out, args.cc_base, args.cc_train, args.cc_opt,
+            sweep=sweep,
+            train_path=args.train_path,
+            repetitions=args.repetitions,
+            warmups=args.warmups,
+            csv_path=args.csv,
+        )
+        return 0
     # OSError: an unreadable spec or an unwritable --out
     except (grammar.SpecError, bench.BenchError, codegen.BackendError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
         return 130
-    parser.error(f"unknown command: {args.command}")
-    return 2
 
 
 if __name__ == "__main__":

@@ -16,8 +16,8 @@ CONSTRUCT_ARITY = {"IF": (2, 3), "LOOP": (1, 2), "CALL": (1, 1)}
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
-# gen's peak, while planning copies the lowered program, is ~0.23 KB per
-# item (stress g=16: 524,283 items, 120 MB max RSS), so this cap is ~0.5 GB.
+# gen's peak is ~0.14 KB per item (stress g=16: 524,283 items, 72.7 MB max
+# RSS; g=17: 202 MB), so this cap is ~0.3 GB.
 DEFAULT_ITEM_CAP = 2 * 10**6
 
 # Constructs nested inside constructs. The recursive walkers take frames

@@ -104,13 +104,28 @@ def random_seq_nonempty(rng: random.Random, depth: int, max_len: int = 5) -> Ite
     return ItemSeq((Terminal("insert"),))
 
 
+def with_loop_conds(seq: ItemSeq) -> ItemSeq:
+    """The sequence with every 1-block LOOP(x) written as LOOP(, x), the
+    2-block form that lowers to the same Loop."""
+    items = []
+    for item in seq.items:
+        if isinstance(item, Construct):
+            blocks = tuple(map(with_loop_conds, item.blocks))
+            if item.kind == "LOOP" and len(blocks) == 1:
+                blocks = (ItemSeq(), *blocks)
+            item = Construct(item.kind, blocks)
+        items.append(item)
+    return ItemSeq(tuple(items))
+
+
 def reference_functions(seq: ItemSeq) -> list:
     """The function bodies, in id order, of a pruned sequence whose CALL
-    blocks are deduplicated by their canonical_serialize text: the
-    reference that astgen.extract_functions' structural numbering is
-    tested against. A callee takes its id before its caller, and the entry
-    comes last; blocks are lowered in extraction's order (an IF's else
-    block first, then its cond and then blocks)."""
+    blocks are deduplicated by their canonical_serialize text, with each
+    1-block LOOP keyed as its 2-block form: the reference that
+    astgen.extract_functions' structural numbering is tested against. A
+    callee takes its id before its caller, and the entry comes last;
+    blocks are lowered in extraction's order (an IF's else block first,
+    then its cond and then blocks)."""
     terminals = {"new": New, "insert": Insert, "remove": Remove, "contains": Contains}
     ids, bodies = {}, []
 
@@ -138,7 +153,7 @@ def reference_functions(seq: ItemSeq) -> list:
                 stmts.append(Call(callee_id=intern(item.blocks[0])))
         return stmts
 
-    intern(seq)
+    intern(with_loop_conds(seq))
     return bodies
 
 

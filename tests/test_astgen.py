@@ -1,4 +1,3 @@
-import copy
 import gc
 import hashlib
 import json
@@ -211,7 +210,8 @@ def test_extract_matches_a_dedup_keyed_by_canonical_text():
     # bodies
     rng = random.Random(99)
     seqs = [random_seq(rng, depth=4) for _ in range(400)]
-    # CALL bodies that differ only in a construct's kind or block count
+    # CALL bodies that differ only in a construct's kind or block count;
+    # LOOP(insert) and LOOP(, insert) lower alike, so they share one function
     seqs.append(parse_items("CALL(LOOP(insert)) CALL(CALL(insert)) CALL(LOOP(, insert)) "
                             "CALL(IF(new, insert)) CALL(LOOP(new, insert)) CALL(IF(new, insert, ))"))
     for spec_text in (CALL_CHURN_SPEC, CONTAINER_STRESS_SPEC):
@@ -223,6 +223,16 @@ def test_extract_matches_a_dedup_keyed_by_canonical_text():
             seq = prune_nonterminals(seq)
             program = extract_functions(seq)
             assert [fn.body for fn in program.functions] == reference_functions(seq)
+
+
+def test_extract_dedups_loop_forms_that_lower_alike():
+    program = extract_functions(parse_items("CALL(LOOP(insert)) CALL(LOOP(, insert))"))
+    assert [fn.body for fn in program.functions] == [
+        [Loop(cond=[], body=[Insert()])], [Call(0), Call(0)]]
+    # IF(new, insert) and IF(new, insert, ) stay apart: an orelse of None
+    # and one of [] emit different code
+    program = extract_functions(parse_items("CALL(IF(new, insert)) CALL(IF(new, insert, ))"))
+    assert len(program.functions) == 3
 
 
 def test_extract_holds_no_text_of_the_blocks():
@@ -352,21 +362,67 @@ def test_plan_value_range_respected():
             assert 0 <= st.value < 7
 
 
-def test_plan_is_deterministic_and_pure():
-    seq = parse_items("new IF(insert, remove new contains) CALL(insert remove)")
-    base = extract_functions(prune_nonterminals(seq))
-    assign_all_path_bits(base)
-    before = copy.deepcopy(base)
-    p1 = plan_operands(base, OperandPlan(seed=11))
-    p2 = plan_operands(base, OperandPlan(seed=11))
-    assert p1 == p2
-    assert base == before
-    p3 = plan_operands(base, OperandPlan(seed=12))
-    assert p3 != p1
-    inputs = {id(st) for fn in base.functions for st in iter_statements(fn.body)}
-    for planned in (p1, p2, p3):
-        for fn in planned.functions:
-            assert not any(id(st) in inputs for st in iter_statements(fn.body))
+def extracted(seq):
+    program = extract_functions(prune_nonterminals(seq))
+    assign_all_path_bits(program)
+    return program
+
+
+def test_plan_is_deterministic():
+    def planned(seed):
+        program = extracted(parse_items("new IF(insert, remove new contains) CALL(insert remove)"))
+        assert plan_operands(program, OperandPlan(seed=seed)) is program
+        return program
+
+    assert planned(11) == planned(11)
+    assert planned(12) != planned(11)
+
+
+def lowering_inputs():
+    """300 random sequences, then churn and stress at generations 0-8."""
+    rng = random.Random(77)
+    seqs = [random_seq(rng, depth=4) for _ in range(300)]
+    for spec_text in (CALL_CHURN_SPEC, CONTAINER_STRESS_SPEC):
+        spec = parse_spec(spec_text)
+        seqs += [derive(spec, g) for g in range(9)]
+    return seqs
+
+
+def test_replanning_a_program_plans_it_afresh():
+    # criterion 04 plans one program under each container kind in turn
+    first = OperandPlan(seed=3, value_range=50, container_kind="sortedList")
+    second = OperandPlan(seed=4, value_range=1000, container_kind="scalar")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for seq in lowering_inputs():
+            replanned = plan_operands(plan_operands(extracted(seq), first), second)
+            assert replanned == plan_operands(extracted(seq), second)
+
+
+def test_extraction_shares_no_statement_object():
+    # planning fills statements in place, so a statement reached from two
+    # places would be planned twice
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for seq in lowering_inputs():
+            program = extracted(seq)
+            ids = [id(st) for fn in program.functions for st in iter_statements(fn.body)]
+            assert len(ids) == len(set(ids))
+
+
+def test_lowering_holds_one_statement_tree():
+    # stress g=12: 5.5 MB of traced peak when planning built a second copy
+    # of every statement, 3.0 MB filling in the extracted one
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        seq = derive(parse_spec(CONTAINER_STRESS_SPEC), 12)
+        tracemalloc.start()
+        try:
+            lower(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 4_000_000, peak
 
 
 # sha256 over the planned programs' reprs. It pins the planner's RNG order
