@@ -275,52 +275,34 @@ def assert_call_invariants(program: Program) -> None:
 # ---------------------------------------------------------------------------
 # PATH bit assignment
 
-def assign_path_bits(fn: FunctionDef, trace: Optional[list] = None) -> FunctionDef:
-    """Assign a PATH bit to every If with a counter stack.
-
-    The stack starts as [1]. An If first walks its cond at the current
-    level, takes bit (top - 1), and pushes top + 1; both branch arms walk
-    under that one frame. On exit the child counter is popped and the new
-    top becomes max(old top, child), so later siblings never reuse a bit
-    assigned inside the subtree. Loops and calls never push.
-
-    When `trace` is a list, every assign/join event is appended to it as a
-    dict with the stack snapshot, matching the committed fixture tables.
-    """
-    stack = [1]
-    max_raw = -1
-
-    def walk(stmts: List[Stmt]) -> None:
-        nonlocal max_raw
-        for st in stmts:
-            if isinstance(st, If):
-                walk(st.cond)
-                raw = stack[-1] - 1
-                st.bit_index_raw = raw
-                st.bit_index = raw % PATH_BITS
-                max_raw = max(max_raw, raw)
-                stack.append(stack[-1] + 1)
-                if trace is not None:
-                    trace.append({"event": "assign", "bit": raw, "stack_after": list(stack)})
-                walk(st.then)
-                if st.orelse is not None:
-                    walk(st.orelse)
-                child = stack.pop()
-                stack[-1] = max(stack[-1], child)
-                if trace is not None:
-                    trace.append({"event": "join", "stack_after": list(stack)})
-            elif isinstance(st, Loop):
-                walk(st.cond)
-                walk(st.body)
-
-    walk(fn.body)
-    fn.max_bit_index = max_raw
-    if max_raw >= PATH_BITS:
+def assign_path_bits(fn: FunctionDef) -> FunctionDef:
+    """Number the function's Ifs 0, 1, ... in one pre-order walk: an If's
+    cond first, then the If, then its arms; a Loop walks its cond, then its
+    body. An If inside a CALL belongs to the callee, which numbers from 0.
+    The raw number wraps into the 64 PATH bits."""
+    bits = itertools.count()
+    _number_ifs(fn.body, bits)
+    fn.max_bit_index = next(bits) - 1
+    if fn.max_bit_index >= PATH_BITS:
         warnings.warn(
-            f"function {fn.id} needs bit {max_raw}; indices wrap around the "
+            f"function {fn.id} needs bit {fn.max_bit_index}; indices wrap around the "
             f"{PATH_BITS} PATH bits"
         )
     return fn
+
+
+def _number_ifs(stmts: List[Stmt], bits: Iterator[int]) -> None:
+    for st in stmts:
+        if isinstance(st, If):
+            _number_ifs(st.cond, bits)
+            st.bit_index_raw = raw = next(bits)
+            st.bit_index = raw % PATH_BITS
+            _number_ifs(st.then, bits)
+            if st.orelse is not None:
+                _number_ifs(st.orelse, bits)
+        elif isinstance(st, Loop):
+            _number_ifs(st.cond, bits)
+            _number_ifs(st.body, bits)
 
 
 def assign_all_path_bits(program: Program) -> Program:
@@ -331,40 +313,6 @@ def assign_all_path_bits(program: Program) -> Program:
 
 # ---------------------------------------------------------------------------
 # variable visibility and operand planning
-
-def available_vars(fn: FunctionDef, call_site: Call) -> List[int]:
-    """Slots visible at a call site, in definition order: every New that is a
-    strict predecessor in the same statement list or in an enclosing list's
-    prefix. Definitions inside sibling branches, cond blocks, or loop bodies
-    do not escape."""
-    result: Optional[List[int]] = None
-
-    def walk(stmts: List[Stmt], inherited: List[int]) -> None:
-        nonlocal result
-        local: List[int] = []
-        for st in stmts:
-            if result is not None:
-                return
-            visible = inherited + local
-            if st is call_site:
-                result = visible
-                return
-            if isinstance(st, New):
-                local.append(st.slot)
-            elif isinstance(st, If):
-                walk(st.cond, visible)
-                walk(st.then, visible)
-                if st.orelse is not None:
-                    walk(st.orelse, visible)
-            elif isinstance(st, Loop):
-                walk(st.cond, visible)
-                walk(st.body, visible)
-
-    walk(fn.body, [])
-    if result is None:
-        raise ValueError("call site not found in this function")
-    return result
-
 
 def plan_operands(program: Program, plan: OperandPlan) -> Program:
     """Fill in the program's slots and values under `plan`, in place, and
@@ -379,20 +327,20 @@ def plan_operands(program: Program, plan: OperandPlan) -> Program:
     """
     rng = Lcg(plan.seed)
 
-    def plan_block(stmts: List[Stmt], inherited: List[int]) -> List[Stmt]:
+    def plan_block(stmts: List[Stmt], visible: List[int]) -> List[Stmt]:
+        """Plan stmts with `visible` holding the slots visible on entry; the
+        block's own News append to it and are dropped again on exit."""
+        entry = len(visible)
         out: List[Stmt] = []
-        local: List[int] = []
         for st in stmts:
-            visible = inherited + local
             if isinstance(st, New):
                 st.slot = next(slots)
-                local.append(st.slot)
+                visible.append(st.slot)
             elif isinstance(st, OPERAND_STMTS):
                 if not visible:
                     fresh = New(next(slots))
                     out.append(fresh)
-                    local.append(fresh.slot)
-                    visible = [fresh.slot]
+                    visible.append(fresh.slot)
                 st.slot = visible[rng.next() % len(visible)]
                 st.value = rng.next() % plan.value_range
             elif isinstance(st, If):
@@ -404,8 +352,9 @@ def plan_operands(program: Program, plan: OperandPlan) -> Program:
                 st.cond = plan_block(st.cond, visible)
                 st.body = plan_block(st.body, visible)
             else:
-                st.available_slots = visible
+                st.available_slots = visible[:]
             out.append(st)
+        del visible[entry:]
         return out
 
     for fn in program.functions:
@@ -414,36 +363,6 @@ def plan_operands(program: Program, plan: OperandPlan) -> Program:
         fn.slot_count = next(slots)
     program.plan = plan
     return program
-
-
-def verify_slot_safety(program: Program) -> None:
-    """Standalone check that every operand slot and every call-site slot list
-    agrees with an independent visibility walk."""
-    for fn in program.functions:
-        _verify_block(fn, fn.body, [])
-
-
-def _verify_block(fn: FunctionDef, stmts: List[Stmt], inherited: List[int]) -> None:
-    local: List[int] = []
-    for st in stmts:
-        visible = inherited + local
-        if isinstance(st, New):
-            assert st.slot is not None
-            local.append(st.slot)
-        elif isinstance(st, OPERAND_STMTS):
-            assert st.slot in visible, f"slot {st.slot} not visible in function {fn.id}"
-            assert st.value is not None
-        elif isinstance(st, If):
-            _verify_block(fn, st.cond, visible)
-            _verify_block(fn, st.then, visible)
-            if st.orelse is not None:
-                _verify_block(fn, st.orelse, visible)
-        elif isinstance(st, Loop):
-            _verify_block(fn, st.cond, visible)
-            _verify_block(fn, st.body, visible)
-        else:
-            assert st.available_slots == visible
-            assert st.available_slots == available_vars(fn, st)
 
 
 # ---------------------------------------------------------------------------

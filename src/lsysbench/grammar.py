@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Tuple, Union
 
 TERMINAL_KINDS = ("new", "insert", "remove", "contains")
 CONSTRUCT_KINDS = ("IF", "LOOP", "CALL")
@@ -21,9 +21,9 @@ NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 DEFAULT_ITEM_CAP = 2 * 10**6
 
 # Constructs nested inside constructs. The recursive walkers take frames
-# per level (render_items 2), and gen overflows Python's stack at
-# 330 levels; the deepest derivation under the item cap (churn g=19) nests
-# 38 deep.
+# per level (nesting_depth 2: itself and its generator), and gen overflows
+# Python's stack at 330 levels; the deepest derivation under the item cap
+# (churn g=19) nests 38 deep.
 MAX_NESTING = 128
 
 
@@ -164,50 +164,6 @@ def parse_spec(text: str) -> LSystemSpec:
 
 
 # ---------------------------------------------------------------------------
-# rendering
-
-def render_items(seq: ItemSeq, allow_nonterminals: bool = True,
-                 memo: Optional[Dict[int, str]] = None) -> str:
-    """The text of seq, as a spec writes it. The text of each sequence and
-    construct is kept in memo by id, so a node that a hash-consed
-    derivation shares is rendered once; a memo kept across calls needs its
-    nodes to outlive it."""
-    if memo is None:
-        memo = {}
-    text = memo.get(id(seq))
-    if text is None:
-        parts = []
-        for item in seq.items:
-            if isinstance(item, Terminal):
-                parts.append(item.kind)
-            elif isinstance(item, NonTerminal):
-                if not allow_nonterminals:
-                    raise SpecError(
-                        f"nonterminal {item.name!r} in a sequence expected to be pruned")
-                parts.append(item.name)
-            else:
-                part = memo.get(id(item))
-                if part is None:
-                    part = memo[id(item)] = "%s(%s)" % (item.kind, ",".join(
-                        render_items(b, allow_nonterminals, memo) for b in item.blocks))
-                parts.append(part)
-        text = memo[id(seq)] = " ".join(parts)
-    return text
-
-
-def canonical_serialize(seq: ItemSeq) -> str:
-    """Deterministic text form of a pruned sequence; injective, reparseable."""
-    return render_items(seq, allow_nonterminals=False)
-
-
-def render_spec(spec: LSystemSpec) -> str:
-    lines = [f"AXIOM = {render_items(spec.axiom)}"]
-    for lhs, rhs in spec.productions.items():
-        lines.append(f"{lhs} = {render_items(rhs)}")
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
 # rewriting
 
 # What each nonterminal of a spec has become after some rewrites, by name,
@@ -323,27 +279,3 @@ def nesting_depth(seq: ItemSeq, depths: Mapping[str, int] = MappingProxyType({})
         elif isinstance(item, Construct):
             deepest = max(deepest, 1 + max(nesting_depth(b, depths) for b in item.blocks))
     return deepest
-
-
-def count_terminals(seq: ItemSeq) -> Dict[str, int]:
-    counts = {kind: 0 for kind in TERMINAL_KINDS}
-    _count_into(seq, counts)
-    return counts
-
-
-def _count_into(seq: ItemSeq, counts: Dict[str, int]) -> None:
-    for item in seq.items:
-        if isinstance(item, Terminal):
-            counts[item.kind] += 1
-        elif isinstance(item, Construct):
-            for b in item.blocks:
-                _count_into(b, counts)
-
-
-def has_nonterminals(seq: ItemSeq) -> bool:
-    for item in seq.items:
-        if isinstance(item, NonTerminal):
-            return True
-        if isinstance(item, Construct) and any(has_nonterminals(b) for b in item.blocks):
-            return True
-    return False

@@ -1,19 +1,31 @@
-"""Shared fixtures: reference grammars, a random program generator, bit
-assignment property checks, and toolchain helpers."""
+"""Shared fixtures: reference grammars, reference walkers that the
+lowering is tested against, a random program generator, bit assignment
+property checks, and toolchain helpers."""
 
 import os
 import random
 import shutil
 import subprocess
 
-from lsysbench.astgen import Call, Contains, If, Insert, Loop, New, Remove, iter_statements
+from lsysbench.astgen import (
+    OPERAND_STMTS,
+    Call,
+    Contains,
+    If,
+    Insert,
+    Loop,
+    New,
+    Remove,
+    iter_statements,
+)
 from lsysbench.grammar import (
+    TERMINAL_KINDS,
     Construct,
     ItemSeq,
     LSystemSpec,
     NonTerminal,
+    SpecError,
     Terminal,
-    canonical_serialize,
 )
 
 # Container-stress grammar: alternates object creation with insert/contains
@@ -43,6 +55,80 @@ A3 = insert insert;
 B = LOOP(CALL(B) C);
 C = B insert remove contains B;
 """
+
+# ---------------------------------------------------------------------------
+# item sequences: rendering and counting
+
+
+def render_items(seq: ItemSeq, allow_nonterminals: bool = True) -> str:
+    """The text of seq, as a spec writes it. The text of each sequence and
+    construct is kept by id, so a node that a hash-consed derivation
+    shares is rendered once."""
+    memo = {}
+
+    def render(seq):
+        text = memo.get(id(seq))
+        if text is None:
+            parts = []
+            for item in seq.items:
+                if isinstance(item, Terminal):
+                    parts.append(item.kind)
+                elif isinstance(item, NonTerminal):
+                    if not allow_nonterminals:
+                        raise SpecError(
+                            f"nonterminal {item.name!r} in a sequence expected to be pruned")
+                    parts.append(item.name)
+                else:
+                    part = memo.get(id(item))
+                    if part is None:
+                        part = memo[id(item)] = "%s(%s)" % (
+                            item.kind, ",".join(map(render, item.blocks)))
+                    parts.append(part)
+            text = memo[id(seq)] = " ".join(parts)
+        return text
+
+    return render(seq)
+
+
+def canonical_serialize(seq: ItemSeq) -> str:
+    """Deterministic text form of a pruned sequence; injective, reparseable."""
+    return render_items(seq, allow_nonterminals=False)
+
+
+def render_spec(spec: LSystemSpec) -> str:
+    lines = [f"AXIOM = {render_items(spec.axiom)}"]
+    for lhs, rhs in spec.productions.items():
+        lines.append(f"{lhs} = {render_items(rhs)}")
+    return "\n".join(lines) + "\n"
+
+
+def count_terminals(seq: ItemSeq) -> dict:
+    counts = {kind: 0 for kind in TERMINAL_KINDS}
+    _count_into(seq, counts)
+    return counts
+
+
+def _count_into(seq: ItemSeq, counts: dict) -> None:
+    for item in seq.items:
+        if isinstance(item, Terminal):
+            counts[item.kind] += 1
+        elif isinstance(item, Construct):
+            for b in item.blocks:
+                _count_into(b, counts)
+
+
+def has_nonterminals(seq: ItemSeq) -> bool:
+    for item in seq.items:
+        if isinstance(item, NonTerminal):
+            return True
+        if isinstance(item, Construct) and any(has_nonterminals(b) for b in item.blocks):
+            return True
+    return False
+
+
+# ---------------------------------------------------------------------------
+# derivation and extraction references
+
 
 def rewrite_once(spec: LSystemSpec, seq: ItemSeq) -> ItemSeq:
     """One parallel rewrite: every nonterminal with a production is replaced
@@ -158,11 +244,119 @@ def reference_functions(seq: ItemSeq) -> list:
 
 
 # ---------------------------------------------------------------------------
-# bit assignment property checks
+# variable visibility references
+
+
+def available_vars(fn, call_site: Call) -> list:
+    """Slots visible at a call site, in definition order: every New that is a
+    strict predecessor in the same statement list or in an enclosing list's
+    prefix. Definitions inside sibling branches, cond blocks, or loop bodies
+    do not escape."""
+    result = None
+
+    def walk(stmts, inherited):
+        nonlocal result
+        local = []
+        for st in stmts:
+            if result is not None:
+                return
+            visible = inherited + local
+            if st is call_site:
+                result = visible
+                return
+            if isinstance(st, New):
+                local.append(st.slot)
+            elif isinstance(st, If):
+                walk(st.cond, visible)
+                walk(st.then, visible)
+                if st.orelse is not None:
+                    walk(st.orelse, visible)
+            elif isinstance(st, Loop):
+                walk(st.cond, visible)
+                walk(st.body, visible)
+
+    walk(fn.body, [])
+    if result is None:
+        raise ValueError("call site not found in this function")
+    return result
+
+
+def verify_slot_safety(program) -> None:
+    """Standalone check that every operand slot and every call-site slot list
+    agrees with an independent visibility walk."""
+    for fn in program.functions:
+        _verify_block(fn, fn.body, [])
+
+
+def _verify_block(fn, stmts, inherited) -> None:
+    local = []
+    for st in stmts:
+        visible = inherited + local
+        if isinstance(st, New):
+            assert st.slot is not None
+            local.append(st.slot)
+        elif isinstance(st, OPERAND_STMTS):
+            assert st.slot in visible, f"slot {st.slot} not visible in function {fn.id}"
+            assert st.value is not None
+        elif isinstance(st, If):
+            _verify_block(fn, st.cond, visible)
+            _verify_block(fn, st.then, visible)
+            if st.orelse is not None:
+                _verify_block(fn, st.orelse, visible)
+        elif isinstance(st, Loop):
+            _verify_block(fn, st.cond, visible)
+            _verify_block(fn, st.body, visible)
+        else:
+            assert st.available_slots == visible
+            assert st.available_slots == available_vars(fn, st)
+
+
+# ---------------------------------------------------------------------------
+# bit assignment reference and property checks
 
 
 def all_ifs(stmts):
     return [st for st in iter_statements(stmts) if isinstance(st, If)]
+
+
+def stack_path_bits(stmts, trace=None) -> list:
+    """The raw PATH bit of every If in stmts, in iter_statements order, by
+    the counter-stack rule: the reference that astgen.assign_path_bits'
+    one counter is tested against.
+
+    The stack starts as [1]. An If first walks its cond at the current
+    level, takes bit (top - 1), and pushes top + 1; both branch arms walk
+    under that one frame. On exit the child counter is popped and the new
+    top becomes max(old top, child), so later siblings never reuse a bit
+    assigned inside the subtree. Loops and calls never push.
+
+    When `trace` is a list, every assign/join event is appended to it as a
+    dict with the stack snapshot, as the bitpath_*.json fixture tables list
+    them."""
+    stack = [1]
+    bits = {}
+
+    def walk(stmts):
+        for st in stmts:
+            if isinstance(st, If):
+                walk(st.cond)
+                raw = bits[id(st)] = stack[-1] - 1
+                stack.append(stack[-1] + 1)
+                if trace is not None:
+                    trace.append({"event": "assign", "bit": raw, "stack_after": list(stack)})
+                walk(st.then)
+                if st.orelse is not None:
+                    walk(st.orelse)
+                child = stack.pop()
+                stack[-1] = max(stack[-1], child)
+                if trace is not None:
+                    trace.append({"event": "join", "stack_after": list(stack)})
+            elif isinstance(st, Loop):
+                walk(st.cond)
+                walk(st.body)
+
+    walk(stmts)
+    return [bits[id(st)] for st in all_ifs(stmts)]
 
 
 def subtree_raw_bits(if_stmt: If) -> set:

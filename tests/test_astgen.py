@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import random
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -13,10 +14,13 @@ from helpers import (
     CONTAINER_STRESS_SPEC,
     all_ifs,
     assert_bitpath_properties,
+    available_vars,
     derive_by_rewriting,
     random_seq,
     random_seq_nonempty,
     reference_functions,
+    stack_path_bits,
+    verify_slot_safety,
 )
 from lsysbench import astgen
 from lsysbench.astgen import (
@@ -36,13 +40,11 @@ from lsysbench.astgen import (
     assert_call_invariants,
     assign_all_path_bits,
     assign_path_bits,
-    available_vars,
     extract_functions,
     iter_statements,
     lower,
     plan_operands,
     prune_nonterminals,
-    verify_slot_safety,
 )
 from lsysbench.grammar import ItemSeq, NonTerminal, SpecError, derive, parse_items, parse_spec
 
@@ -64,10 +66,28 @@ def test_bitpath_hand_execution_fixtures(name):
     program = build_program(fixture["program"])
     fn = program.entry
     trace = []
-    assign_path_bits(fn, trace=trace)
+    assert stack_path_bits(fn.body, trace) == fixture["bits_preorder"]
     assert trace == fixture["steps"]
+    assign_path_bits(fn)
     assert [st.bit_index_raw for st in all_ifs(fn.body)] == fixture["bits_preorder"]
     assert fn.max_bit_index == fixture["max_bit_index"]
+
+
+def test_bit_counter_matches_the_counter_stack_reference():
+    rng = random.Random(31)
+    seqs = [random_seq(rng, depth=4) for _ in range(500)]
+    for spec_text in (CALL_CHURN_SPEC, CONTAINER_STRESS_SPEC):
+        spec = parse_spec(spec_text)
+        seqs += [derive(spec, g) for g in range(11)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for seq in seqs:
+            program = assign_all_path_bits(extract_functions(prune_nonterminals(seq)))
+            for fn in program.functions:
+                want = stack_path_bits(fn.body)
+                assert [st.bit_index_raw for st in all_ifs(fn.body)] == want
+                assert [st.bit_index for st in all_ifs(fn.body)] == [b % 64 for b in want]
+                assert fn.max_bit_index == max(want, default=-1)
 
 
 def test_no_if_gives_sentinel():
@@ -81,8 +101,9 @@ def test_loop_and_call_do_not_push():
     assign_all_path_bits(program)
     entry = program.entry
     bits = [st.bit_index_raw for st in all_ifs(entry.body)]
-    # loop body If takes bit 0 and its join raises the level, the trailing
-    # If takes 1; the If inside CALL belongs to the callee (fresh stack).
+    # the loop body's If takes bit 0 and the trailing If takes 1, as a loop
+    # takes no bit of its own; the If inside CALL belongs to the callee,
+    # whose count starts again from 0.
     assert bits == [0, 1]
     callee = next(f for f in program.functions if f.id != entry.id)
     assert [st.bit_index_raw for st in all_ifs(callee.body)] == [0]
@@ -440,6 +461,17 @@ def test_planner_output_digest_is_pinned():
                 program = lower(seq, OperandPlan(seed=seed, container_kind=kind))
                 digest.update(repr(program).encode())
     assert digest.hexdigest() == PLANNER_DIGEST
+
+
+def test_planning_is_linear_in_a_blocks_bindings():
+    # 20,000 new insert pairs in one block: 1.4 s when every statement
+    # copied the slots visible before it, ~0.02 s keeping one list
+    program = extract_functions(parse_items("new insert " * 20000))
+    start = time.perf_counter()
+    plan_operands(program, OperandPlan())
+    elapsed = time.perf_counter() - start
+    assert program.entry.slot_count == 20000
+    assert elapsed < 0.5, elapsed
 
 
 def test_plan_slot_count_counts_materialized():

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import json
 import os
@@ -56,6 +57,23 @@ def test_readme_cli_reference_names_every_option_and_no_other():
     options = {option for parser in commands.values() for action in parser._actions
                for option in action.option_strings if option.startswith("--")}
     assert named == (options - {"--help"}) | {"--debug"}
+
+
+def test_every_public_function_in_src_is_called_there_or_documented():
+    # src/ holds what the commands and README's Python API run; a walker
+    # that only tests call belongs in tests/helpers.py
+    root = PYPROJECT.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((root / "src" / "lsysbench").rglob("*.py"))]
+    referenced = {node.id if isinstance(node, ast.Name) else node.attr
+                  for tree in trees for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute))}
+    public = {node.name for tree in trees for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    unused = [name for name in sorted(public - referenced)
+              if not re.search(rf"\b{name}\b", readme)]
+    assert unused == []
 
 
 def test_gen_subcommand_writes_out_dir(spec_file, tmp_path, capsys):

@@ -7,8 +7,12 @@ from helpers import (
     CALL_CHURN_SPEC,
     CONTAINER_STRESS_SPEC,
     FAN_OUT_INIT_SPEC,
+    canonical_serialize,
+    count_terminals,
     derive_by_rewriting,
+    has_nonterminals,
     random_seq,
+    render_spec,
     rewrite_once,
 )
 from lsysbench import grammar
@@ -20,14 +24,10 @@ from lsysbench.grammar import (
     SpecError,
     SpecParseError,
     Terminal,
-    canonical_serialize,
-    count_terminals,
     derive,
-    has_nonterminals,
     nesting_depth,
     parse_items,
     parse_spec,
-    render_spec,
     total_items,
 )
 
