@@ -166,7 +166,7 @@ def _prune(seq: ItemSeq, memo: Dict[int, tuple]) -> tuple:
     hit = memo.get(id(seq))
     if hit is None:
         items, dropped = [], 0
-        for item in seq.items:
+        for item in seq:
             if isinstance(item, NonTerminal):
                 dropped += 1
                 continue
@@ -177,13 +177,11 @@ def _prune(seq: ItemSeq, memo: Dict[int, tuple]) -> tuple:
                     item = Construct(item.kind, tuple(b for b, _ in blocks))
                 dropped += inside
             items.append(item)
-        hit = memo[id(seq)] = (ItemSeq(tuple(items)) if dropped else seq, dropped)
+        hit = memo[id(seq)] = (tuple(items) if dropped else seq, dropped)
     return hit
 
 
 _TERMINAL_STMTS = {"new": New, "insert": Insert, "remove": Remove, "contains": Contains}
-# a 1-block LOOP's cond; numbers key on id(block), so it must stay alive
-_EMPTY = ItemSeq()
 
 
 def extract_functions(seq: ItemSeq) -> Program:
@@ -220,11 +218,11 @@ class _Extraction:
         n = self.numbers.get(id(block))
         if n is None:
             structure = []
-            for item in block.items:
+            for item in block:
                 if isinstance(item, Terminal):
                     structure.append(item.kind)
                 elif isinstance(item, Construct):
-                    pad = (_EMPTY,) if item.kind == "LOOP" and len(item.blocks) == 1 else ()
+                    pad = ((),) if item.kind == "LOOP" and len(item.blocks) == 1 else ()
                     structure.append((item.kind, *map(self.number, pad + item.blocks)))
                 else:
                     raise SpecError(
@@ -246,7 +244,7 @@ class _Extraction:
         """The statements of a numbered block, so one holding no nonterminal."""
         lower_block = self.lower_block
         stmts: List[Stmt] = []
-        for item in block.items:
+        for item in block:
             if isinstance(item, Terminal):
                 stmts.append(_TERMINAL_STMTS[item.kind]())
             elif item.kind == "IF":

@@ -31,7 +31,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import BinaryIO, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import astgen, codegen, grammar, oracle
@@ -49,6 +49,8 @@ _MANIFEST_KEYS = {"specName": str, "specText": str, "generations": int, "seed": 
                   "oracleChecksumPath1": int}
 
 SWEEP_COLUMNS = ["i", "path", "t_ms", "ti_ms", "ratio"]
+# sweep-pgo's default bit counts i; each runs PATH = 2^i - 1
+SWEEP_BITS = (1, 2, 4, 8, 16, 32, 63)
 
 
 class BenchError(Exception):
@@ -90,22 +92,6 @@ def _camel_case(name: str) -> str:
 MEASUREMENT_COLUMNS = [_camel_case(f.name) for f in fields(Measurement)]
 
 
-@dataclass
-class SweepConfig:
-    """Path sweep: each bit count i turns into PATH = 2^i - 1."""
-
-    bit_counts: List[int] = field(default_factory=lambda: [1, 2, 4, 8, 16, 32, 63])
-
-    def __post_init__(self):
-        for i in self.bit_counts:
-            if not 1 <= i <= 63:
-                raise ValueError(f"sweep bit count out of range [1, 63]: {i}")
-
-    @staticmethod
-    def path_of(i: int) -> int:
-        return (1 << i) - 1
-
-
 # ---------------------------------------------------------------------------
 # pipeline helpers
 
@@ -131,7 +117,6 @@ def build_manifest(
     spec_name: str,
     spec_text: str,
     generations: int,
-    plan: astgen.OperandPlan,
     emit_cfg: codegen.EmitConfig,
     program: astgen.Program,
     file_names: Sequence[str],
@@ -145,10 +130,10 @@ def build_manifest(
         "specName": spec_name,
         "specText": spec_text,
         "generations": generations,
-        "seed": plan.seed,
-        "valueRange": plan.value_range,
-        "tripCount": plan.trip_count,
-        "containerKind": plan.container_kind,
+        "seed": program.plan.seed,
+        "valueRange": program.plan.value_range,
+        "tripCount": program.plan.trip_count,
+        "containerKind": program.plan.container_kind,
         "backend": emit_cfg.backend,
         "splitFiles": emit_cfg.split_files,
         "functionCount": len(program.functions),
@@ -222,12 +207,13 @@ def check_spec(spec_text: str, manifest: dict) -> None:
     )
 
 
-def program_from_manifest(spec_text: str, manifest: dict, seed: Optional[int] = None) -> astgen.Program:
-    check_spec(spec_text, manifest)
-    return build_program(spec_text, manifest["generations"], plan_from_manifest(manifest, seed))
+def program_from_manifest(manifest: dict, seed: Optional[int] = None) -> astgen.Program:
+    """The program gen built, at another planner seed if one is given."""
+    return build_program(manifest["specText"], manifest["generations"],
+                         plan_from_manifest(manifest, seed))
 
 
-def oracle_checksums(spec_text: str, manifest: dict) -> Callable[[int], int]:
+def oracle_checksums(manifest: dict) -> Callable[[int], int]:
     """The oracle's checksum at a PATH: the manifest's at PATH 1, else
     oracle.interpret's on the manifest's program, rebuilt at its first use."""
     program = None
@@ -237,7 +223,7 @@ def oracle_checksums(spec_text: str, manifest: dict) -> Callable[[int], int]:
         if path == 1:
             return manifest["oracleChecksumPath1"]
         if program is None:
-            program = program_from_manifest(spec_text, manifest)
+            program = program_from_manifest(manifest)
         return oracle.interpret(program, oracle.ExecConfig(path=path))[1].checksum
     return at
 
@@ -455,7 +441,7 @@ def cmd_gen(
     sources = codegen.sources(program, emit_cfg)
     spec_name = os.path.basename(spec_path)
     # the oracle runs first, so a run it refuses writes no source
-    manifest = build_manifest(spec_name, spec_text, generations, plan, emit_cfg, program,
+    manifest = build_manifest(spec_name, spec_text, generations, emit_cfg, program,
                               [name for name, _ in sources], total_ops)
     # no old manifest beside new sources: an interrupted gen leaves none
     path = os.path.join(out_dir, MANIFEST_NAME)
@@ -524,8 +510,7 @@ def cmd_check(
     if not paths:  # else no binary runs and the check passes vacuously
         raise BenchError("check needs at least one PATH")
     manifest = load_manifest(out_dir)
-    spec_text = read_spec_file(spec_path)
-    check_spec(spec_text, manifest)
+    check_spec(read_spec_file(spec_path), manifest)
     seed_list = list(seeds) if seeds else [manifest["seed"]]
     emit_cfg = codegen.EmitConfig(backend=manifest["backend"], split_files=manifest["splitFiles"])
     rows: List[Dict[str, object]] = []
@@ -545,14 +530,14 @@ def cmd_check(
             program = None
             src_dir = out_dir
             if seed != manifest["seed"]:
-                program = program_from_manifest(spec_text, manifest, seed)
+                program = program_from_manifest(manifest, seed)
                 write_source_files(codegen.sources(program, emit_cfg), workdir)
                 src_dir = workdir
             binary = os.path.join(workdir, "prog")
             finish = start_compile(cc_template, src_dir, source_file_names(manifest), binary)
             try:
                 if program is None:
-                    program = program_from_manifest(spec_text, manifest, seed)
+                    program = program_from_manifest(manifest, seed)
                 wants = [oracle.run_to_pieces(program, oracle.ExecConfig(
                     path=path, debug_trace=not checksum_only)) for path in paths]
             except BaseException:
@@ -608,9 +593,8 @@ def cmd_measure(
         raise BenchError(f"flag sets {list(flag_sets)} given, but the command template "
                          f"has no {{flags}} placeholder: {cc_template}")
     manifest = load_manifest(out_dir)
-    spec_text = read_spec_file(spec_path)
-    check_spec(spec_text, manifest)
-    expected_checksum = oracle_checksums(spec_text, manifest)(path) if oracle_check else None
+    check_spec(read_spec_file(spec_path), manifest)
+    expected_checksum = oracle_checksums(manifest)(path) if oracle_check else None
 
     src_files = source_file_names(manifest)
     results: List[Measurement] = []
@@ -691,13 +675,14 @@ def cmd_sweep_pgo(
     cc_base: str,
     cc_train: str,
     cc_opt: str,
-    sweep: SweepConfig,
+    bit_counts: Sequence[int],
     train_path: int = 1,
     repetitions: int = 10,
     warmups: int = 3,
     csv_path: Optional[str] = None,
 ) -> List[Dict[str, object]]:
-    """Baseline vs profile-trained binary over PATH = 2^i - 1 sweeps.
+    """Baseline vs profile-trained binary over PATH = 2^i - 1, for each
+    bit count i in bit_counts.
 
     The training binary runs once at train_path; profile data lands in the
     working directory (LLVM_PROFILE_FILE is pointed there for clang-style
@@ -711,12 +696,14 @@ def cmd_sweep_pgo(
     each raise BenchError.
     """
     _check_run_counts(repetitions, warmups)
+    for i in bit_counts:
+        if not 1 <= i <= 63:
+            raise ValueError(f"sweep bit count out of range [1, 63]: {i}")
     for template in (cc_base, cc_train, cc_opt):  # a bad one fails before any compile
         render_template(template, dict.fromkeys(("in", "out"), "x"))
     manifest = load_manifest(out_dir)
-    spec_text = read_spec_file(spec_path)
-    check_spec(spec_text, manifest)
-    oracle_checksum = oracle_checksums(spec_text, manifest)
+    check_spec(read_spec_file(spec_path), manifest)
+    oracle_checksum = oracle_checksums(manifest)
     src_files = source_file_names(manifest)
 
     with tempfile.TemporaryDirectory(prefix="lsysbench-pgo-") as workdir:
@@ -751,8 +738,8 @@ def cmd_sweep_pgo(
         opt_bin = build(cc_opt, "prog-opt")
 
         rows: List[Dict[str, object]] = []
-        for i in sweep.bit_counts:
-            path = SweepConfig.path_of(i)
+        for i in bit_counts:
+            path = (1 << i) - 1
             t_ms, base_out = _median_run_ms(base_bin, path, repetitions, warmups, cwd=workdir)
             ti_ms, opt_out = _median_run_ms(opt_bin, path, repetitions, warmups, cwd=workdir)
             base_sum, opt_sum = parse_checksum(base_out), parse_checksum(opt_out)

@@ -34,7 +34,7 @@ def _u64_value(what: str):
         try:
             return _checked_u64(what, int(text))
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+            raise argparse.ArgumentTypeError(f"{what} must be in [0, 2^64), got {text!r}")
     return parse
 
 
@@ -143,9 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="profile-consuming compile command ({in}/{out})")
     p_sweep.add_argument("--train-path", type=_u64_value("PATH"), default=1,
                          help="PATH value for the training run (default 1)")
-    p_sweep.add_argument("--bits", type=_int_list, default=None, metavar="I1,I2,...",
+    p_sweep.add_argument("--bits", type=_int_list, default=bench.SWEEP_BITS, metavar="I1,I2,...",
                          help="bit counts i; each runs PATH = 2^i - 1 "
-                              "(default 1,2,4,8,16,32,63)")
+                              f"(default {','.join(map(str, bench.SWEEP_BITS))})")
     p_sweep.add_argument("--repetitions", type=int, default=10,
                          help="timed repetitions per binary and path (default 10)")
     p_sweep.add_argument("--warmups", type=int, default=3,
@@ -183,10 +183,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 json_path=args.json,
             )
             return 1 if any(m.failed for m in results) else 0
-        sweep = bench.SweepConfig(args.bits) if args.bits else bench.SweepConfig()
         bench.cmd_sweep_pgo(
             args.spec, args.out, args.cc_base, args.cc_train, args.cc_opt,
-            sweep=sweep,
+            bit_counts=args.bits,
             train_path=args.train_path,
             repetitions=args.repetitions,
             warmups=args.warmups,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, Iterator, List, Mapping, Tuple, Union
+from typing import Dict, List, Mapping, Tuple, Union
 
 TERMINAL_KINDS = ("new", "insert", "remove", "contains")
 CONSTRUCT_KINDS = ("IF", "LOOP", "CALL")
@@ -18,12 +18,12 @@ NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 # gen's peak is ~0.14 KB per item (stress g=16: 524,283 items, 72.7 MB max
 # RSS; g=17: 202 MB), so this cap is ~0.3 GB.
-DEFAULT_ITEM_CAP = 2 * 10**6
+MAX_ITEMS = 2 * 10**6
 
-# Constructs nested inside constructs. The recursive walkers take frames
-# per level (nesting_depth 2: itself and its generator), and gen overflows
-# Python's stack at 330 levels; the deepest derivation under the item cap
-# (churn g=19) nests 38 deep.
+# Constructs nested inside constructs, in a spec body and in a derivation.
+# The recursive walkers take up to 3 frames per level (nesting_depth), and
+# gen overflowed Python's stack at about 330 levels; the deepest derivation
+# under the item cap (churn g=19) nests 38 deep.
 MAX_NESTING = 128
 
 
@@ -59,17 +59,8 @@ class Construct:
 
 
 SymbolItem = Union[Terminal, NonTerminal, Construct]
-
-
-@dataclass(frozen=True)
-class ItemSeq:
-    items: Tuple[SymbolItem, ...] = ()
-
-    def __iter__(self) -> Iterator[SymbolItem]:
-        return iter(self.items)
-
-    def __len__(self) -> int:
-        return len(self.items)
+# a rule body, a construct block or a derivation
+ItemSeq = Tuple[SymbolItem, ...]
 
 
 @dataclass(frozen=True)
@@ -103,6 +94,8 @@ def parse_items(text: str, line: int = 1, col_offset: int = 0) -> ItemSeq:
             if tokens[pos][0] != "(":
                 raise SpecParseError(f"{tok} requires a parenthesized block list", line, col)
             pos += 1
+            if len(stack) > MAX_NESTING:
+                raise SpecParseError(f"constructs nest more than {MAX_NESTING} deep", line, col)
             stack.append((tok, col, [[]]))
         elif kw and tok == ",":
             blocks.append([])
@@ -114,11 +107,11 @@ def parse_items(text: str, line: int = 1, col_offset: int = 0) -> ItemSeq:
                                      line, kw_col)
             stack.pop()
             _, _, outer = stack[-1]
-            outer[-1].append(Construct(kw, tuple(ItemSeq(tuple(b)) for b in blocks)))
+            outer[-1].append(Construct(kw, tuple(map(tuple, blocks))))
         elif tok == "":
             if kw:
                 raise SpecParseError(f"unterminated {kw}(...)", line, col)
-            return ItemSeq(tuple(blocks[0]))
+            return tuple(blocks[0])
         elif tok in ("(", ")", ","):
             raise SpecParseError(f"unexpected {tok!r}", line, col)
         else:
@@ -168,15 +161,15 @@ def parse_spec(text: str) -> LSystemSpec:
 
 # What each nonterminal of a spec has become after some rewrites, by name,
 # and what each construct of the spec has become, by id.
-_Rules = Dict[str, Tuple[SymbolItem, ...]]
+_Rules = Dict[str, ItemSeq]
 _Nodes = Dict[int, Construct]
 
 
-def derive(spec: LSystemSpec, generations: int, max_items: int = DEFAULT_ITEM_CAP) -> ItemSeq:
+def derive(spec: LSystemSpec, generations: int) -> ItemSeq:
     """The axiom after `generations` parallel rewrites: each one replaces
     every nonterminal that has a production by its rhs, inside construct
     blocks too. Every generation's item count and nesting depth are worked
-    out from the productions first, so a derivation above max_items or
+    out from the productions first, so a derivation above MAX_ITEMS or
     MAX_NESTING fails before anything is rewritten.
 
     The result is hash-consed: what a nonterminal or a construct of the
@@ -194,9 +187,9 @@ def derive(spec: LSystemSpec, generations: int, max_items: int = DEFAULT_ITEM_CA
         sizes = {lhs: total_items(rhs, sizes) for lhs, rhs in spec.productions.items()}
         depths = {lhs: nesting_depth(rhs, depths) for lhs, rhs in spec.productions.items()}
         n = total_items(spec.axiom, sizes)
-        if n > max_items:
+        if n > MAX_ITEMS:
             raise DerivationLimitError(
-                f"generation {gen} has {n} items, above the cap of {max_items}"
+                f"generation {gen} has {n} items, above the cap of {MAX_ITEMS}"
             )
         depth = nesting_depth(spec.axiom, depths)
         if depth > MAX_NESTING:
@@ -210,7 +203,7 @@ def derive(spec: LSystemSpec, generations: int, max_items: int = DEFAULT_ITEM_CA
     nodes: _Nodes = {}
     for _ in range(generations):
         rules, nodes = expand(spec, constructs, rules, nodes)
-    return ItemSeq(_splice(spec.axiom, rules, nodes))
+    return _splice(spec.axiom, rules, nodes)
 
 
 def expand(spec: LSystemSpec, constructs: List[Construct], rules: _Rules,
@@ -224,16 +217,16 @@ def expand(spec: LSystemSpec, constructs: List[Construct], rules: _Rules,
     next_rules = {lhs: _splice(rhs, rules, nodes) for lhs, rhs in spec.productions.items()}
     next_nodes: _Nodes = {}
     for c in constructs:
-        next_nodes[id(c)] = Construct(c.kind, tuple(ItemSeq(_splice(b, next_rules, next_nodes))
+        next_nodes[id(c)] = Construct(c.kind, tuple(_splice(b, next_rules, next_nodes)
                                                     for b in c.blocks))
     return next_rules, next_nodes
 
 
-def _splice(seq: ItemSeq, rules: _Rules, nodes: _Nodes) -> Tuple[SymbolItem, ...]:
+def _splice(seq: ItemSeq, rules: _Rules, nodes: _Nodes) -> ItemSeq:
     """seq's items, each nonterminal replaced by the items of rules[name] and
     each construct by nodes[id]; an item absent from both stays."""
     out: List[SymbolItem] = []
-    for item in seq.items:
+    for item in seq:
         if isinstance(item, NonTerminal):
             out.extend(rules.get(item.name, (item,)))
         elif isinstance(item, Construct):
@@ -244,7 +237,7 @@ def _splice(seq: ItemSeq, rules: _Rules, nodes: _Nodes) -> Tuple[SymbolItem, ...
 
 
 def _constructs_into(seq: ItemSeq, out: List[Construct]) -> None:
-    for item in seq.items:
+    for item in seq:
         if isinstance(item, Construct):
             for b in item.blocks:
                 _constructs_into(b, out)
@@ -258,7 +251,7 @@ def total_items(seq: ItemSeq, sizes: Mapping[str, int] = MappingProxyType({})) -
     """Items in seq, nested ones included; a nonterminal counts as
     sizes[name] items, 1 if absent."""
     n = 0
-    for item in seq.items:
+    for item in seq:
         if isinstance(item, NonTerminal):
             n += sizes.get(item.name, 1)
             continue
@@ -273,7 +266,7 @@ def nesting_depth(seq: ItemSeq, depths: Mapping[str, int] = MappingProxyType({})
     """How deep constructs nest in seq; a nonterminal nests depths[name]
     deep, 0 if absent."""
     deepest = 0
-    for item in seq.items:
+    for item in seq:
         if isinstance(item, NonTerminal):
             deepest = max(deepest, depths.get(item.name, 0))
         elif isinstance(item, Construct):

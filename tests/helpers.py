@@ -70,7 +70,7 @@ def render_items(seq: ItemSeq, allow_nonterminals: bool = True) -> str:
         text = memo.get(id(seq))
         if text is None:
             parts = []
-            for item in seq.items:
+            for item in seq:
                 if isinstance(item, Terminal):
                     parts.append(item.kind)
                 elif isinstance(item, NonTerminal):
@@ -109,7 +109,7 @@ def count_terminals(seq: ItemSeq) -> dict:
 
 
 def _count_into(seq: ItemSeq, counts: dict) -> None:
-    for item in seq.items:
+    for item in seq:
         if isinstance(item, Terminal):
             counts[item.kind] += 1
         elif isinstance(item, Construct):
@@ -118,7 +118,7 @@ def _count_into(seq: ItemSeq, counts: dict) -> None:
 
 
 def has_nonterminals(seq: ItemSeq) -> bool:
-    for item in seq.items:
+    for item in seq:
         if isinstance(item, NonTerminal):
             return True
         if isinstance(item, Construct) and any(has_nonterminals(b) for b in item.blocks):
@@ -135,20 +135,20 @@ def rewrite_once(spec: LSystemSpec, seq: ItemSeq) -> ItemSeq:
     by its rhs; nonterminals inside construct blocks are rewritten too. The
     reference that grammar.derive's hash-consed derivation is tested against."""
     out = []
-    for item in seq.items:
+    for item in seq:
         if isinstance(item, NonTerminal):
             rhs = spec.productions.get(item.name)
             if rhs is None:
                 out.append(item)
             else:
-                out.extend(rhs.items)
+                out.extend(rhs)
         elif isinstance(item, Construct):
             out.append(
                 Construct(item.kind, tuple(rewrite_once(spec, b) for b in item.blocks))
             )
         else:
             out.append(item)
-    return ItemSeq(tuple(out))
+    return tuple(out)
 
 
 def derive_by_rewriting(spec: LSystemSpec, generations: int) -> ItemSeq:
@@ -179,29 +179,29 @@ def random_seq(rng: random.Random, depth: int, max_len: int = 5) -> ItemSeq:
             items.append(Construct(kind, blocks))
         else:
             items.append(Terminal(rng.choice(TERMINAL_POOL)))
-    return ItemSeq(tuple(items))
+    return tuple(items)
 
 
 def random_seq_nonempty(rng: random.Random, depth: int, max_len: int = 5) -> ItemSeq:
     for _ in range(50):
         seq = random_seq(rng, depth, max_len)
-        if seq.items:
+        if seq:
             return seq
-    return ItemSeq((Terminal("insert"),))
+    return (Terminal("insert"),)
 
 
 def with_loop_conds(seq: ItemSeq) -> ItemSeq:
     """The sequence with every 1-block LOOP(x) written as LOOP(, x), the
     2-block form that lowers to the same Loop."""
     items = []
-    for item in seq.items:
+    for item in seq:
         if isinstance(item, Construct):
             blocks = tuple(map(with_loop_conds, item.blocks))
             if item.kind == "LOOP" and len(blocks) == 1:
-                blocks = (ItemSeq(), *blocks)
+                blocks = ((), *blocks)
             item = Construct(item.kind, blocks)
         items.append(item)
-    return ItemSeq(tuple(items))
+    return tuple(items)
 
 
 def reference_functions(seq: ItemSeq) -> list:
@@ -225,7 +225,7 @@ def reference_functions(seq: ItemSeq) -> list:
 
     def lower(block):
         stmts = []
-        for item in block.items:
+        for item in block:
             if isinstance(item, Terminal):
                 stmts.append(terminals[item.kind]())
             elif item.kind == "IF":

@@ -46,7 +46,7 @@ from lsysbench.astgen import (
     plan_operands,
     prune_nonterminals,
 )
-from lsysbench.grammar import ItemSeq, NonTerminal, SpecError, derive, parse_items, parse_spec
+from lsysbench.grammar import NonTerminal, SpecError, derive, parse_items, parse_spec
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -145,8 +145,8 @@ def test_prune_drops_nonterminals_with_warning():
     seq = parse_items("new A LOOP(B insert)")
     with pytest.warns(UserWarning, match="nonterminal"):
         pruned = prune_nonterminals(seq)
-    assert NonTerminal("A") not in pruned.items
-    loop = pruned.items[1]
+    assert NonTerminal("A") not in pruned
+    loop = pruned[1]
     assert len(loop.blocks[0]) == 1
 
 

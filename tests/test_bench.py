@@ -20,7 +20,6 @@ from lsysbench import astgen, bench, codegen, oracle
 from lsysbench.bench import (
     BenchError,
     Measurement,
-    SweepConfig,
     cmd_check,
     cmd_gen,
     cmd_measure,
@@ -99,7 +98,7 @@ def test_gen_manifest_checksum_matches_oracle(spec_file, tmp_path):
     manifest = gen_quiet(spec_file, out, 4, default_plan(), codegen.EmitConfig(backend="c"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        program = program_from_manifest(CONTAINER_STRESS_SPEC, manifest)
+        program = program_from_manifest(manifest)
     stats = oracle.interpret(program, oracle.ExecConfig(path=1))[1]
     assert manifest["oracleChecksumPath1"] == stats.checksum
 
@@ -162,12 +161,12 @@ def test_load_manifest_bad_schema(tmp_path):
             load_manifest(str(tmp_path))
 
 
-def test_program_from_manifest_rejects_wrong_spec(spec_file, tmp_path):
+def test_check_spec_rejects_wrong_spec(spec_file, tmp_path):
     out = str(tmp_path / "out")
     manifest = gen_quiet(spec_file, out, 4, default_plan(), codegen.EmitConfig(backend="c"))
     assert manifest["specText"] == CONTAINER_STRESS_SPEC
     with pytest.raises(BenchError) as excinfo:
-        program_from_manifest("X = insert\n", manifest)
+        bench.check_spec("X = insert\n", manifest)
     assert str(excinfo.value) == (
         "spec file differs from the one gen used (line 1: got 'X = insert\\n', "
         "want 'A = new B B\\n'); regenerate with gen or pass the original spec")
@@ -212,15 +211,11 @@ def test_write_json_lines(tmp_path):
     assert [json.loads(line) for line in lines] == [{"a": 2, "b": 1}, {"a": 3, "b": 4}]
 
 
-def test_sweep_config_paths():
-    assert SweepConfig.path_of(1) == 1
-    assert SweepConfig.path_of(8) == 255
-    assert SweepConfig.path_of(63) == 2**63 - 1
-    assert SweepConfig([1, 63]).bit_counts == [1, 63]
-    with pytest.raises(ValueError, match="out of range"):
-        SweepConfig([0])
-    with pytest.raises(ValueError, match="out of range"):
-        SweepConfig([64])
+def test_sweep_pgo_refuses_bit_counts_out_of_range(tmp_path):
+    # checked first: the out directory holds no manifest to load
+    for i in (0, 64):
+        with pytest.raises(ValueError, match=rf"^sweep bit count out of range \[1, 63\]: {i}$"):
+            cmd_sweep_pgo("s.lsys", str(tmp_path), "a", "b", "c", bit_counts=[1, i])
 
 
 def test_measurement_row_schema():
@@ -377,7 +372,7 @@ def check_printing(spec_file, out, tmp_path, text, checksum_only=False):
 def generated_program(out):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return program_from_manifest(CONTAINER_STRESS_SPEC, load_manifest(out))
+        return program_from_manifest(load_manifest(out))
 
 
 def traced_lines(program):
@@ -491,7 +486,7 @@ def test_check_never_holds_the_expected_trace_or_the_output_whole(tmp_path, caps
     gen_quiet(str(spec), out, 10, default_plan(), codegen.EmitConfig(backend="c"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        program = program_from_manifest(CALL_CHURN_SPEC, load_manifest(out))
+        program = program_from_manifest(load_manifest(out))
         trace = oracle.run_to_text(program, oracle.ExecConfig(path=1, debug_trace=True))
         trace_bytes = len(trace)
         del program, trace
@@ -538,7 +533,7 @@ def test_gen_writes_the_files_emit_returns(tmp_path, capsys, backend, split_file
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        files = codegen.emit(program_from_manifest(CALL_CHURN_SPEC, manifest), cfg)
+        files = codegen.emit(program_from_manifest(manifest), cfg)
     assert any(f.relative_path.startswith("f") for f in files) == split_files
     assert manifest["files"] == sorted(f.relative_path for f in files)
     assert sorted(os.listdir(out)) == sorted(manifest["files"] + ["manifest.json"])
@@ -825,7 +820,7 @@ def test_measure_path1_checks_against_the_manifest_checksum(spec_file, tmp_path,
     assert "checksum mismatch" in m.error
 
     monkeypatch.setattr(bench.oracle, "interpret", interpret)
-    program = program_from_manifest(CONTAINER_STRESS_SPEC, manifest)
+    program = program_from_manifest(manifest)
     (m,) = measure(2)
     capsys.readouterr()
     assert not m.failed, m.error
@@ -850,7 +845,7 @@ def test_measure_and_sweep_reject_bad_run_counts(repetitions, warmups, message,
         cmd_measure(spec_file, out, CC_FLAGS, flag_sets=[""],
                     repetitions=repetitions, warmups=warmups)
     with pytest.raises(ValueError, match=message):
-        cmd_sweep_pgo(spec_file, out, "a", "b", "c", sweep=SweepConfig([1]),
+        cmd_sweep_pgo(spec_file, out, "a", "b", "c", bit_counts=[1],
                       repetitions=repetitions, warmups=warmups)
 
 
@@ -898,16 +893,22 @@ def test_measure_a_failing_binary_fails_its_row_with_exit_code_and_stderr(
     assert all(m.compile_time_ms > 0 and m.run_time_ms == 0 for m in results)
 
 
-@pytest.mark.parametrize("cc, size_cmd", [("cc {foo} {in} -o {out}", None),
-                                          ("cc {in} -o {out}", "size {foo}")])
+_BAD_TEMPLATES = [("cc {foo} {in} -o {out}", None, r"unknown placeholder \{foo\}"),
+                  ("cc {in} -o {out}", "size {foo}", r"unknown placeholder \{foo\}"),
+                  ("", None, "^empty command template: ''$")]
+
+
+# ids name the templates only
+@pytest.mark.parametrize("cc, size_cmd, message", _BAD_TEMPLATES,
+                         ids=[f"{cc}-{size_cmd}" for cc, size_cmd, _ in _BAD_TEMPLATES])
 def test_measure_refuses_a_bad_template_before_starting_a_child(
-        spec_file, tmp_path, monkeypatch, cc, size_cmd):
+        spec_file, tmp_path, monkeypatch, cc, size_cmd, message):
     # a usage error (exit 2), not a failed row
     out = str(tmp_path / "out")
     gen_quiet(spec_file, out, 3, default_plan(), codegen.EmitConfig(backend="c"))
     started = []
     monkeypatch.setattr(bench, "_start", lambda argv, *args, **kwargs: started.append(argv))
-    with pytest.raises(BenchError, match=r"unknown placeholder \{foo\}"):
+    with pytest.raises(BenchError, match=message):
         cmd_measure(spec_file, out, cc, flag_sets=[""], size_cmd=size_cmd)
     assert started == []
 
@@ -959,7 +960,7 @@ def test_sweep_pgo_schema_and_ratios(spec_file, tmp_path, capsys):
         warnings.simplefilter("ignore")
         rows = cmd_sweep_pgo(
             spec_file, out, base, train, opt,
-            sweep=SweepConfig([1, 32]), train_path=1,
+            bit_counts=[1, 32], train_path=1,
             repetitions=3, warmups=1, csv_path=csv_path,
         )
     capsys.readouterr()
@@ -990,14 +991,14 @@ def test_sweep_pgo_refuses_an_optimized_binary_built_without_its_profile(
     gen_quiet(spec_file, out, 4, default_plan(), codegen.EmitConfig(backend="c"))
     with pytest.raises(BenchError, match="prog-opt was compiled without its profile"):
         cmd_sweep_pgo(spec_file, out, cc_o2(), cc_o2(), cc_o2("-fprofile-use"),
-                      sweep=SweepConfig([1]))
+                      bit_counts=[1])
     capsys.readouterr()
 
 
 def oracle_sums(out, paths):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        program = program_from_manifest(CONTAINER_STRESS_SPEC, load_manifest(out))
+        program = program_from_manifest(load_manifest(out))
     return {path: oracle.interpret(program, oracle.ExecConfig(path=path))[1].checksum
             for path in paths}
 
@@ -1016,7 +1017,7 @@ def test_sweep_pgo_checks_the_checksums_it_times(spec_file, tmp_path, capsys, mo
     monkeypatch.setattr(bench, "_median_run_ms", fake_median)
     with pytest.raises(BenchError, match=f"checksum mismatch at path=3: baseline printed "
                                          f"{sums[3]}, optimized {sums[3] + 1}$"):
-        cmd_sweep_pgo(spec_file, out, cc_o2(), cc_o2(), cc_o2(), sweep=SweepConfig([1, 2]))
+        cmd_sweep_pgo(spec_file, out, cc_o2(), cc_o2(), cc_o2(), bit_counts=[1, 2])
     capsys.readouterr()
 
 
@@ -1035,7 +1036,7 @@ def test_sweep_pgo_checks_the_baseline_against_the_oracle(spec_file, tmp_path, c
     monkeypatch.setattr(bench, "_median_run_ms", fake_median)
     with pytest.raises(BenchError, match=f"checksum mismatch at path=3: baseline printed "
                                          f"{sums[3] + 1}, oracle {sums[3]}$"):
-        cmd_sweep_pgo(spec_file, out, cc_o2(), cc_o2(), cc_o2(), sweep=SweepConfig([1, 2]))
+        cmd_sweep_pgo(spec_file, out, cc_o2(), cc_o2(), cc_o2(), bit_counts=[1, 2])
     capsys.readouterr()
 
 
@@ -1052,7 +1053,7 @@ def test_sweep_pgo_fails_when_the_profile_merge_fails(spec_file, tmp_path, capsy
     # a training "compile" that leaves a raw profile where the run would
     train = "sh -c '%s -std=c99 {in} -o \"$0\" && touch default.profraw' {out}" % C_COMPILER
     with pytest.raises(BenchError, match="llvm-profdata merge failed: exit=3 bad profile data"):
-        cmd_sweep_pgo(spec_file, out, cc_o2(), train, cc_o2(), sweep=SweepConfig([1]))
+        cmd_sweep_pgo(spec_file, out, cc_o2(), train, cc_o2(), bit_counts=[1])
     capsys.readouterr()
 
 
@@ -1061,7 +1062,7 @@ def test_sweep_pgo_fails_when_the_training_run_fails(spec_file, tmp_path, capsys
     gen_quiet(spec_file, out, 3, default_plan(), codegen.EmitConfig(backend="c"))
     cc = script_cc(tmp_path, "echo no profile >&2; exit 3")
     with pytest.raises(BenchError, match="^training run failed: exit=3 no profile$"):
-        cmd_sweep_pgo(spec_file, out, cc, cc, cc, sweep=SweepConfig([1]))
+        cmd_sweep_pgo(spec_file, out, cc, cc, cc, bit_counts=[1])
     capsys.readouterr()
 
 
@@ -1073,7 +1074,7 @@ def test_sweep_pgo_missing_tooling_is_explanatory(spec_file, tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(BenchError, match="compile failed"):
-            cmd_sweep_pgo(spec_file, out, bad, bad, bad, sweep=SweepConfig([1]))
+            cmd_sweep_pgo(spec_file, out, bad, bad, bad, bit_counts=[1])
     capsys.readouterr()
 
 
@@ -1083,5 +1084,5 @@ def test_sweep_pgo_fails_when_a_compile_writes_no_binary(spec_file, tmp_path, ca
     with pytest.raises(BenchError, match=r"^compile failed for prog-base .*: "
                                          r"exit=0 but wrote no binary .*prog$"):
         cmd_sweep_pgo(spec_file, out, "true {in} {out}", "true {in} {out}", "true {in} {out}",
-                      sweep=SweepConfig([1]))
+                      bit_counts=[1])
     capsys.readouterr()

@@ -209,6 +209,7 @@ def test_path_flags_reject_values_outside_64_bits(command, flag, value, capsys):
     (["gen", "s.lsys"], "--seed", "-1"),
     (USAGE_PREFIXES["check"], "--seeds", "3,18446744073709551616"),
     (USAGE_PREFIXES["check"], "--seeds", "-1"),
+    (["gen", "s.lsys"], "--seed", "abc"),
 ])
 def test_seed_flags_reject_values_outside_64_bits(prefix, flag, value, capsys):
     # The emitted C bakes the seed into UINT64_C(...), and Go into uint64(...):
@@ -224,6 +225,7 @@ def test_seed_flags_reject_values_outside_64_bits(prefix, flag, value, capsys):
 @pytest.mark.parametrize("command, flag, value", [
     ("check", "--paths", ""),
     ("check", "--paths", ","),
+    ("check", "--paths", "1,x"),
     ("check", "--seeds", ""),
     ("check", "--seeds", " , "),
     ("sweep-pgo", "--bits", ""),
@@ -453,22 +455,27 @@ def test_check_nonzero_exit_on_corruption(spec_file, tmp_path, capsys):
 def test_sweep_pgo_subcommand(spec_file, tmp_path, capsys):
     out = str(tmp_path / "out")
     assert run_cli(["gen", spec_file, "--out", out]) == 0
-    csv_path = str(tmp_path / "sweep.csv")
-    code = run_cli([
+    argv = [
         "sweep-pgo", spec_file, "--out", out,
         "--cc-base", "%s -std=c99 -O2 {in} -o {out}" % C_COMPILER,
         "--cc-train", "%s -std=c99 -O2 -fprofile-generate {in} -o {out}" % C_COMPILER,
         "--cc-opt", "%s -std=c99 -O2 -fprofile-use -Werror=missing-profile {in} -o {out}"
         % C_COMPILER,
-        "--bits", "1", "--repetitions", "2", "--warmups", "0", "--csv", csv_path,
-    ])
-    assert code == 0
+        "--repetitions", "2", "--warmups", "0",
+    ]
+    csv_path = str(tmp_path / "sweep.csv")
+    assert run_cli(argv + ["--bits", "1", "--csv", csv_path]) == 0
     with open(csv_path, encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1
     assert rows[0]["i"] == "1"
     assert rows[0]["path"] == "1"
     capsys.readouterr()
+    # without --csv the table goes to stdout, over the default bit counts
+    assert run_cli(argv) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [int(row["i"]) for row in rows] == list(bench.SWEEP_BITS)
+    assert [int(row["path"]) for row in rows] == [2**i - 1 for i in bench.SWEEP_BITS]
 
 
 def test_measure_unknown_compiler_exits_nonzero(spec_file, tmp_path, capsys):

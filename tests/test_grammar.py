@@ -19,7 +19,6 @@ from lsysbench import grammar
 from lsysbench.grammar import (
     Construct,
     DerivationLimitError,
-    ItemSeq,
     NonTerminal,
     SpecError,
     SpecParseError,
@@ -34,9 +33,9 @@ from lsysbench.grammar import (
 
 def test_parse_simple_spec():
     spec = parse_spec("A = new B B\nB = insert\n")
-    assert spec.axiom == ItemSeq((Terminal("new"), NonTerminal("B"), NonTerminal("B")))
+    assert spec.axiom == (Terminal("new"), NonTerminal("B"), NonTerminal("B"))
     assert set(spec.productions) == {"A", "B"}
-    assert spec.productions["B"] == ItemSeq((Terminal("insert"),))
+    assert spec.productions["B"] == (Terminal("insert"),)
 
 
 def test_axiom_defaults_to_first_rule_rhs():
@@ -46,7 +45,7 @@ def test_axiom_defaults_to_first_rule_rhs():
 
 def test_axiom_override():
     spec = parse_spec("AXIOM = Y Y\nX = insert\nY = remove\n")
-    assert spec.axiom == ItemSeq((NonTerminal("Y"), NonTerminal("Y")))
+    assert spec.axiom == (NonTerminal("Y"), NonTerminal("Y"))
     assert "AXIOM" not in spec.productions
 
 
@@ -58,31 +57,31 @@ def test_comments_semicolons_blank_lines():
     A1 =   insert   insert;
     """
     spec = parse_spec(text)
-    assert spec.productions["A0"] == ItemSeq((NonTerminal("A1"), NonTerminal("A1")))
-    assert spec.productions["A1"] == ItemSeq((Terminal("insert"), Terminal("insert")))
+    assert spec.productions["A0"] == (NonTerminal("A1"), NonTerminal("A1"))
+    assert spec.productions["A1"] == (Terminal("insert"), Terminal("insert"))
 
 
 def test_constructs_parse():
     spec = parse_spec("A = IF(insert, remove, contains) LOOP(new) CALL(B)\n")
-    if_item, loop_item, call_item = spec.axiom.items
+    if_item, loop_item, call_item = spec.axiom
     assert if_item == Construct(
         "IF",
         (
-            ItemSeq((Terminal("insert"),)),
-            ItemSeq((Terminal("remove"),)),
-            ItemSeq((Terminal("contains"),)),
+            (Terminal("insert"),),
+            (Terminal("remove"),),
+            (Terminal("contains"),),
         ),
     )
-    assert loop_item == Construct("LOOP", (ItemSeq((Terminal("new"),)),))
-    assert call_item == Construct("CALL", (ItemSeq((NonTerminal("B"),)),))
+    assert loop_item == Construct("LOOP", ((Terminal("new"),),))
+    assert call_item == Construct("CALL", ((NonTerminal("B"),),))
     assert isinstance(call_item, Construct)
 
 
 def test_empty_blocks_allowed():
     seq = parse_items("IF(,) LOOP() CALL()")
-    assert seq.items[0] == Construct("IF", (ItemSeq(()), ItemSeq(())))
-    assert seq.items[1] == Construct("LOOP", (ItemSeq(()),))
-    assert seq.items[2] == Construct("CALL", (ItemSeq(()),))
+    assert seq[0] == Construct("IF", ((), ()))
+    assert seq[1] == Construct("LOOP", ((),))
+    assert seq[2] == Construct("CALL", ((),))
 
 
 _PARSE_ERRORS = [
@@ -107,12 +106,17 @@ _PARSE_ERRORS = [
     ("1A = insert\n", 1, 1, "invalid rule name '1A'"),
     (" = insert\n", 1, 1, "invalid rule name ''"),
     ("  B C = x\n", 1, 3, "invalid rule name 'B C'"),
+    # the 129th IF opens at column 4 + 128 * len("IF(insert, ") + 1; at 500
+    # levels gen raised RecursionError
+    *[("A = " + "IF(insert, " * depth + "insert" + ")" * depth + "\n", 1, 1413,
+       "constructs nest more than 128 deep") for depth in (129, 500)],
 ]
 
 
-# ids name the text, line and column only
+# ids name the text, or its start and length, line and column only
 @pytest.mark.parametrize("text,line,col,message", _PARSE_ERRORS,
-                         ids=[f"{text}-{line}-{col}" for text, line, col, _ in _PARSE_ERRORS])
+                         ids=[f"{text if len(text) < 40 else f'{text[:15]}... {len(text)} chars'}"
+                              f"-{line}-{col}" for text, line, col, _ in _PARSE_ERRORS])
 def test_parse_errors_have_positions(text, line, col, message):
     with pytest.raises(SpecParseError) as exc:
         parse_spec(text)
@@ -175,14 +179,14 @@ def test_rewrite_is_parallel_not_iterated():
     # it must not explode within a single pass.
     spec = parse_spec("A = A A\n")
     g1 = rewrite_once(spec, spec.axiom)
-    assert g1 == ItemSeq((NonTerminal("A"),) * 4)
+    assert g1 == (NonTerminal("A"),) * 4
     g2 = rewrite_once(spec, g1)
     assert len(g2) == 8
 
 
 def test_rewrite_descends_into_blocks():
     spec = parse_spec("A = LOOP(B IF(B, B))\nB = insert\n")
-    g1 = rewrite_once(spec, ItemSeq((NonTerminal("A"),)))
+    g1 = rewrite_once(spec, (NonTerminal("A"),))
     g2 = rewrite_once(spec, g1)
     assert not has_nonterminals(g2)
     assert count_terminals(g2)["insert"] == 3
@@ -191,7 +195,7 @@ def test_rewrite_descends_into_blocks():
 def test_unknown_nonterminal_is_kept():
     spec = parse_spec("A = B C\nB = insert\n")
     g1 = rewrite_once(spec, spec.axiom)
-    assert NonTerminal("C") in g1.items
+    assert NonTerminal("C") in g1
 
 
 def test_derive_generation_zero_is_axiom():
@@ -228,21 +232,23 @@ def test_derive_init_gadget_insert_count():
     assert not has_nonterminals(g4)
 
 
-def test_derive_item_cap():
+def test_derive_item_cap(monkeypatch):
+    monkeypatch.setattr(grammar, "MAX_ITEMS", 10_000)
     spec = parse_spec("A = A A\n")
     with pytest.raises(DerivationLimitError):
-        derive(spec, 30, max_items=10_000)
-    assert len(derive(spec, 3, max_items=10_000)) == 16
+        derive(spec, 30)
+    assert len(derive(spec, 3)) == 16
 
 
 def test_derive_refuses_an_oversized_derivation_before_rewriting(monkeypatch):
     calls = []
     real = grammar.expand
     monkeypatch.setattr(grammar, "expand", lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(grammar, "MAX_ITEMS", 10_000)
     spec = parse_spec(CONTAINER_STRESS_SPEC)
     with pytest.raises(DerivationLimitError,
                        match="generation 11 has 24571 items, above the cap of 10000"):
-        derive(spec, 40, max_items=10_000)
+        derive(spec, 40)
     assert calls == []
 
 
@@ -261,7 +267,7 @@ def test_default_cap_refuses_what_cannot_fit_in_memory_before_rewriting(monkeypa
     assert len(calls) == 17 + 19
 
 
-def test_derive_item_counts_are_exact_before_rewriting():
+def test_derive_item_counts_are_exact_before_rewriting(monkeypatch):
     # every generation of these specs is larger than the one before, so a
     # cap one below a generation's size is first crossed there
     specs = (CONTAINER_STRESS_SPEC, CALL_CHURN_SPEC,
@@ -270,9 +276,12 @@ def test_derive_item_counts_are_exact_before_rewriting():
         spec = parse_spec(text)
         for g in range(1, 8):
             n = total_items(derive(spec, g))
-            assert len(derive(spec, g, max_items=n)) > 0
-            with pytest.raises(DerivationLimitError, match=f"generation {g} has {n} items"):
-                derive(spec, g, max_items=n - 1)
+            with monkeypatch.context() as patch:
+                patch.setattr(grammar, "MAX_ITEMS", n)
+                assert len(derive(spec, g)) > 0
+                patch.setattr(grammar, "MAX_ITEMS", n - 1)
+                with pytest.raises(DerivationLimitError, match=f"generation {g} has {n} items"):
+                    derive(spec, g)
 
 
 def test_derive_refuses_constructs_nested_above_the_cap_before_rewriting(monkeypatch):
@@ -308,14 +317,14 @@ def _with_nonterminals(seq, rng, names):
     """seq with about a third of its terminals, nested ones too, replaced by
     a nonterminal drawn from names."""
     items = []
-    for item in seq.items:
+    for item in seq:
         if isinstance(item, Construct):
             item = Construct(item.kind, tuple(_with_nonterminals(b, rng, names)
                                               for b in item.blocks))
         elif rng.random() < 0.35:
             item = NonTerminal(rng.choice(names))
         items.append(item)
-    return ItemSeq(tuple(items))
+    return tuple(items)
 
 
 def test_derive_equals_the_iterated_one_step_rewrite():
@@ -350,7 +359,7 @@ def test_derive_shares_equal_subtrees():
         if id(s) in seen:
             continue
         seen.add(id(s))
-        for item in s.items:
+        for item in s:
             if isinstance(item, Construct):
                 constructs.add(id(item))
                 stack.extend(item.blocks)
@@ -364,25 +373,23 @@ def test_derive_negative_generations():
 
 
 def test_canonical_format_exact():
-    seq = ItemSeq(
-        (
-            Terminal("new"),
-            Construct(
-                "IF",
-                (
-                    ItemSeq((Terminal("insert"),)),
-                    ItemSeq((Construct("LOOP", (ItemSeq((Terminal("new"),)),)),)),
-                ),
+    seq = (
+        Terminal("new"),
+        Construct(
+            "IF",
+            (
+                (Terminal("insert"),),
+                (Construct("LOOP", ((Terminal("new"),),)),),
             ),
-        )
+        ),
     )
     assert canonical_serialize(seq) == "new IF(insert,LOOP(new))"
-    assert canonical_serialize(ItemSeq(())) == ""
+    assert canonical_serialize(()) == ""
 
 
 def test_canonical_rejects_nonterminals():
     with pytest.raises(SpecError):
-        canonical_serialize(ItemSeq((NonTerminal("A"),)))
+        canonical_serialize((NonTerminal("A"),))
 
 
 def test_canonical_roundtrip_and_injectivity():

@@ -257,9 +257,10 @@ def test_unbound_slot_use_aborts():
     fn = FunctionDef(
         id=0, body=[Insert(slot=0, value=5)], slot_count=1
     )
-    program = Program(functions=[fn], entry_id=0)
-    with pytest.raises(OracleInvariantError):
-        interpret(program)
+    for kind in CONTAINER_KINDS:
+        program = Program(functions=[fn], entry_id=0, plan=OperandPlan(container_kind=kind))
+        with pytest.raises(OracleInvariantError, match="^use of unbound slot 0$"):
+            interpret(program)
 
 
 def test_unbound_call_argument_aborts():
