@@ -28,7 +28,6 @@ import signal
 import statistics
 import string
 import subprocess
-import sys
 import tempfile
 import time
 from dataclasses import dataclass, fields
@@ -284,18 +283,20 @@ def _start(
     """Start argv in a process group of its own and return its finisher.
 
     ``finish()`` reaps the child and returns ``(ms, CompletedProcess)`` with
-    str output, timed from the start to the reap; ``finish(cancel=True)``
-    kills the child first. A kill, also one after an interrupted wait,
-    reaches the whole group, so that no child of the child (cc1, as, ld) is
-    left behind. stdout and stderr go to temporary files, which a large
-    trace crosses faster than a pipe. A caller's ``stdout`` file receives
-    the output instead and stays open for the caller to read; the
-    CompletedProcess's stdout is then "". An interrupt that arrives inside Popen after the
-    fork kills and reaps the child's group too.
+    str output, its line endings as written, timed from the start to the
+    reap; ``finish(cancel=True)`` kills the child first. A kill, also one
+    after an interrupted wait, reaches the whole group, so that no child of
+    the child (cc1, as, ld) is left behind. stdout and stderr go to
+    temporary files, which a large trace crosses faster than a pipe. A
+    caller's ``stdout`` file receives the output instead and stays open for
+    the caller to read; the CompletedProcess's stdout is then "". An
+    interrupt that arrives inside Popen after the fork kills and reaps the
+    child's group too.
     """
     with contextlib.ExitStack() as files:  # closed on every way out but a started child
-        out = files.enter_context(tempfile.TemporaryFile("w+")) if stdout is None else stdout
-        err = files.enter_context(tempfile.TemporaryFile("w+"))
+        out = (files.enter_context(tempfile.TemporaryFile("w+", newline=""))
+               if stdout is None else stdout)
+        err = files.enter_context(tempfile.TemporaryFile("w+", newline=""))
         start = time.perf_counter()
         child = subprocess.Popen.__new__(subprocess.Popen)  # kept, should __init__ raise
         try:
@@ -427,17 +428,14 @@ def cmd_gen(
     generations: int,
     plan: astgen.OperandPlan,
     emit_cfg: codegen.EmitConfig,
-) -> Optional[dict]:
-    """Generate sources and a manifest; returns the manifest (None if empty)."""
+) -> dict:
+    """Generate sources and a manifest; returns the manifest. A program with
+    no op is refused before anything is written, as a run the oracle refuses."""
     spec_text = read_spec_file(spec_path)
     program = build_program(spec_text, generations, plan)
     total_ops = count_ops(program)
     if total_ops == 0:
-        print(
-            "warning: derivation contains no behavioral operations; nothing to emit",
-            file=sys.stderr,
-        )
-        return None
+        raise BenchError("derivation contains no behavioral operations; nothing to emit")
     sources = codegen.sources(program, emit_cfg)
     spec_name = os.path.basename(spec_path)
     # the oracle runs first, so a run it refuses writes no source
@@ -500,10 +498,11 @@ def cmd_check(
 ) -> bool:
     """Compile the emitted program and diff each run against the oracle.
 
-    The compile runs in the background while the oracle computes the
-    expected trace of every PATH; then it is reaped and the binary runs at
-    each PATH. An oracle failure or an interrupt kills the compile or the
-    running binary with its process group.
+    The compile runs in the background while the oracle computes the first
+    PATH's expected trace; then it is reaped and the binary runs at each
+    PATH, each later PATH's trace computed just before its run, so one
+    PATH's trace is held at a time. An oracle failure or an interrupt kills
+    the compile or the running binary with its process group.
     Returns True when every (seed, path) combination passes. Failure
     categories: compile-failure, runtime-failure, trace-mismatch.
     """
@@ -522,12 +521,16 @@ def cmd_check(
         where = f"seed={seed}" + ("" if path is None else f" path={path}")
         print(f"[{status}] {where}{tail}")
 
+    def expected(program: astgen.Program, path: int) -> List[str]:
+        return oracle.run_to_pieces(program, oracle.ExecConfig(
+            path=path, debug_trace=not checksum_only))
+
     for seed in seed_list:
         with tempfile.TemporaryDirectory(prefix="lsysbench-check-") as workdir:
-            # gcc compiles while the oracle computes the expected traces. The
-            # manifest seed's sources are on disk already; another seed's
-            # program is built and emitted first.
-            program = None
+            # gcc compiles while the oracle computes the first PATH's
+            # expected trace. The manifest seed's sources are on disk
+            # already; another seed's program is built and emitted first.
+            program = want = None  # the last seed's go first
             src_dir = out_dir
             if seed != manifest["seed"]:
                 program = program_from_manifest(manifest, seed)
@@ -538,8 +541,7 @@ def cmd_check(
             try:
                 if program is None:
                     program = program_from_manifest(manifest, seed)
-                wants = [oracle.run_to_pieces(program, oracle.ExecConfig(
-                    path=path, debug_trace=not checksum_only)) for path in paths]
+                want = expected(program, paths[0])
             except BaseException:
                 finish(cancel=True)
                 raise
@@ -548,7 +550,10 @@ def cmd_check(
                 report(seed, None, "compile-failure", failure)
                 ok = False
                 continue
-            for path, want in zip(paths, wants):
+            for k, path in enumerate(paths):
+                if k:
+                    want = None  # the last PATH's trace goes before this one's is computed
+                    want = expected(program, path)
                 argv = [binary, str(path)]
                 if not checksum_only:
                     argv.append("--debug")
@@ -630,9 +635,10 @@ def cmd_measure(
                     if not first.isdecimal():
                         raise BenchError(f"size command failed: {first!r} is not a byte count")
                     m.text_bytes = int(first)
-                if expected_checksum is not None and m.checksum != expected_checksum:
-                    raise BenchError(f"checksum mismatch: got {m.checksum}, "
-                                     f"oracle {expected_checksum}")
+                mismatch = (None if expected_checksum is None
+                            else _checksum_mismatch(stdout, expected_checksum))
+                if mismatch is not None:
+                    raise BenchError(f"checksum mismatch: {mismatch}")
             except BenchError as exc:  # the only place a row fails
                 m.failed, m.error = True, str(exc)
 
@@ -655,6 +661,12 @@ def _check_run_counts(repetitions: int, warmups: int) -> None:
         raise ValueError(f"repetitions must be at least 1, got {repetitions}")
     if warmups < 0:
         raise ValueError(f"warmups must be at least 0, got {warmups}")
+
+
+def _checksum_mismatch(stdout: str, checksum: int) -> Optional[str]:
+    """None if stdout is the oracle's CHECKSUM line alone, as a binary run
+    without --debug prints it, else a report naming the first unequal line."""
+    return _first_divergence(io.BytesIO(stdout.encode()), [f"CHECKSUM {checksum}\n"])
 
 
 def _median_run_ms(binary: str, path: int, repetitions: int, warmups: int,
@@ -691,9 +703,8 @@ def cmd_sweep_pgo(
     binary it was compiled into, so every binary is compiled as ``prog`` and
     renamed after: the optimized compile then finds the training profile.
     An optimized compile that reports a missing profile, a failed profile
-    merge, a baseline that prints other than the oracle's checksum at a
-    swept PATH, and an optimized binary that prints other than the baseline
-    each raise BenchError.
+    merge, and a baseline or optimized binary whose stdout at a swept PATH
+    is other than the oracle's CHECKSUM line each raise BenchError.
     """
     _check_run_counts(repetitions, warmups)
     for i in bit_counts:
@@ -742,11 +753,11 @@ def cmd_sweep_pgo(
             path = (1 << i) - 1
             t_ms, base_out = _median_run_ms(base_bin, path, repetitions, warmups, cwd=workdir)
             ti_ms, opt_out = _median_run_ms(opt_bin, path, repetitions, warmups, cwd=workdir)
-            base_sum, opt_sum = parse_checksum(base_out), parse_checksum(opt_out)
-            for other, name in ((oracle_checksum(path), "oracle"), (opt_sum, "optimized")):
-                if base_sum != other:
-                    raise BenchError(f"checksum mismatch at path={path}: baseline printed "
-                                     f"{base_sum}, {name} {other}")
+            want = oracle_checksum(path)
+            for stdout, name in ((base_out, "baseline"), (opt_out, "optimized")):
+                mismatch = _checksum_mismatch(stdout, want)
+                if mismatch is not None:
+                    raise BenchError(f"checksum mismatch at path={path} ({name} binary): {mismatch}")
             ratio = t_ms / ti_ms if ti_ms > 0 else 0.0
             rows.append({
                 "i": i,

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Dict, List, Mapping, Tuple, Union
+from itertools import chain
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 TERMINAL_KINDS = ("new", "insert", "remove", "contains")
 CONSTRUCT_KINDS = ("IF", "LOOP", "CALL")
@@ -21,7 +21,7 @@ NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 MAX_ITEMS = 2 * 10**6
 
 # Constructs nested inside constructs, in a spec body and in a derivation.
-# The recursive walkers take up to 3 frames per level (nesting_depth), and
+# Pruning, extraction, planning and emit walk a derivation recursively, and
 # gen overflowed Python's stack at about 330 levels; the deepest derivation
 # under the item cap (churn g=19) nests 38 deep.
 MAX_NESTING = 128
@@ -168,37 +168,28 @@ _Nodes = Dict[int, Construct]
 def derive(spec: LSystemSpec, generations: int) -> ItemSeq:
     """The axiom after `generations` parallel rewrites: each one replaces
     every nonterminal that has a production by its rhs, inside construct
-    blocks too. Every generation's item count and nesting depth are worked
-    out from the productions first, so a derivation above MAX_ITEMS or
-    MAX_NESTING fails before anything is rewritten.
+    blocks too. The item count and nesting depth of every generation, 0
+    included, are worked out from the productions first, so a derivation
+    above MAX_ITEMS or MAX_NESTING fails before anything is rewritten.
 
     The result is hash-consed: what a nonterminal or a construct of the
     spec becomes after g rewrites is built once, as one object, and shared
     by every place it occurs, so the derivation holds O(rules x g) distinct
-    constructs. It is built bottom-up, one generation at a time, like the
-    size and depth tables."""
+    constructs. Like the size table, it is built one generation at a time."""
     if generations < 0:
         raise ValueError("generations must be >= 0")
-    # nonterminal -> items it has become by this generation, and how deep
-    # the constructs it has become nest
-    sizes: Dict[str, int] = {}
-    depths: Dict[str, int] = {}
-    for gen in range(1, generations + 1):
-        sizes = {lhs: total_items(rhs, sizes) for lhs, rhs in spec.productions.items()}
-        depths = {lhs: nesting_depth(rhs, depths) for lhs, rhs in spec.productions.items()}
-        n = total_items(spec.axiom, sizes)
+    # nonterminal -> (items, nesting depth) of what it has become by this generation
+    table: Dict[str, Tuple[int, int]] = {}
+    for gen in range(generations + 1):
+        n, depth = _size(spec.axiom, table)
         if n > MAX_ITEMS:
             raise DerivationLimitError(
-                f"generation {gen} has {n} items, above the cap of {MAX_ITEMS}"
-            )
-        depth = nesting_depth(spec.axiom, depths)
+                f"generation {gen} has {n} items, above the cap of {MAX_ITEMS}")
         if depth > MAX_NESTING:
             raise DerivationLimitError(
-                f"generation {gen} nests constructs {depth} deep, above the cap of {MAX_NESTING}"
-            )
-    constructs: List[Construct] = []
-    for seq in (spec.axiom, *spec.productions.values()):
-        _constructs_into(seq, constructs)
+                f"generation {gen} nests constructs {depth} deep, above the cap of {MAX_NESTING}")
+        table = {lhs: _size(rhs, table) for lhs, rhs in spec.productions.items()}
+    constructs = _constructs((spec.axiom, *spec.productions.values()))
     rules: _Rules = {}
     nodes: _Nodes = {}
     for _ in range(generations):
@@ -236,39 +227,46 @@ def _splice(seq: ItemSeq, rules: _Rules, nodes: _Nodes) -> ItemSeq:
     return tuple(out)
 
 
-def _constructs_into(seq: ItemSeq, out: List[Construct]) -> None:
-    for item in seq:
-        if isinstance(item, Construct):
-            for b in item.blocks:
-                _constructs_into(b, out)
-            out.append(item)
+def _constructs(seqs: Sequence[ItemSeq]) -> List[Construct]:
+    """The constructs in seqs, nested ones included, each after the
+    constructs nested in it."""
+    found, stack = [], list(seqs)  # found lists each before those nested in it
+    while stack:
+        for item in stack.pop():
+            if isinstance(item, Construct):
+                found.append(item)
+                stack.extend(item.blocks)
+    return found[::-1]
 
 
 # ---------------------------------------------------------------------------
 # inspection helpers
 
-def total_items(seq: ItemSeq, sizes: Mapping[str, int] = MappingProxyType({})) -> int:
-    """Items in seq, nested ones included; a nonterminal counts as
-    sizes[name] items, 1 if absent."""
-    n = 0
-    for item in seq:
-        if isinstance(item, NonTerminal):
-            n += sizes.get(item.name, 1)
-            continue
-        n += 1
-        if isinstance(item, Construct):
-            for b in item.blocks:
-                n += total_items(b, sizes)
-    return n
+def total_items(seq: ItemSeq) -> int:
+    """Items in seq, nested ones included."""
+    return _size(seq, {})[0]
 
 
-def nesting_depth(seq: ItemSeq, depths: Mapping[str, int] = MappingProxyType({})) -> int:
-    """How deep constructs nest in seq; a nonterminal nests depths[name]
-    deep, 0 if absent."""
-    deepest = 0
-    for item in seq:
-        if isinstance(item, NonTerminal):
-            deepest = max(deepest, depths.get(item.name, 0))
-        elif isinstance(item, Construct):
-            deepest = max(deepest, 1 + max(nesting_depth(b, depths) for b in item.blocks))
-    return deepest
+def nesting_depth(seq: ItemSeq) -> int:
+    """How deep constructs nest in seq."""
+    return _size(seq, {})[1]
+
+
+def _size(seq: ItemSeq, table: Mapping[str, Tuple[int, int]]) -> Tuple[int, int]:
+    """(items, nesting depth) of seq, walked a nesting level at a time, not
+    by recursion; a nonterminal counts as table[name], (1, 0) if absent."""
+    items = depth = 0
+    level, blocks = 0, [seq]  # the blocks that lie inside `level` constructs
+    while blocks:
+        depth = max(depth, level)
+        inner: List[ItemSeq] = []
+        for item in chain.from_iterable(blocks):
+            if isinstance(item, NonTerminal):
+                n, d = table.get(item.name, (1, 0))
+                items, depth = items + n, max(depth, level + d)
+            else:
+                items += 1
+                if isinstance(item, Construct):
+                    inner += item.blocks
+        level, blocks = level + 1, inner
+    return items, depth

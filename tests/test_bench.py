@@ -12,6 +12,7 @@ import tempfile
 import time
 import tracemalloc
 import warnings
+import weakref
 
 import pytest
 
@@ -31,6 +32,7 @@ from lsysbench.bench import (
     write_csv,
     write_json_lines,
 )
+from lsysbench.cli import main
 
 C_COMPILER = find_c_compiler()
 needs_c = pytest.mark.skipif(C_COMPILER is None, reason="no C toolchain found on PATH")
@@ -113,14 +115,25 @@ def test_gen_twice_is_byte_identical(spec_file, tmp_path):
     assert tree_hash(outs[0]) == tree_hash(outs[1])
 
 
-def test_gen_empty_program_warns_and_writes_nothing(tmp_path, capsys):
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_gen_refuses_an_empty_program_and_writes_nothing(spec_file, tmp_path, capsys):
+    # Before, gen warned and exited 0, and the last gen's files stayed in
+    # --out, so check went on passing on them.
+    out = str(tmp_path / "out")
+    gen_quiet(spec_file, out, 3, default_plan(), codegen.EmitConfig(backend="c"))
+    before = tree_hash(out)
     spec = tmp_path / "empty.lsys"
     spec.write_text("A = B C\n")
-    out = str(tmp_path / "out")
-    manifest = gen_quiet(str(spec), out, 0, default_plan(), codegen.EmitConfig(backend="c"))
-    assert manifest is None
-    assert not os.path.exists(out)
-    assert "nothing to emit" in capsys.readouterr().err
+    message = "derivation contains no behavioral operations; nothing to emit"
+    with pytest.raises(BenchError, match=f"^{message}$"):
+        cmd_gen(str(spec), out, 0, default_plan(), codegen.EmitConfig(backend="c"))
+    capsys.readouterr()
+    assert main(["gen", str(spec), "--out", out, "--generations", "0"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert tree_hash(out) == before
+    fresh = str(tmp_path / "fresh")
+    assert main(["gen", str(spec), "--out", fresh]) == 2
+    assert not os.path.exists(fresh)
 
 
 def test_gen_manifest_json_is_sorted_and_stable(spec_file, tmp_path):
@@ -569,9 +582,37 @@ def test_check_compiles_while_the_oracle_runs(spec_file, tmp_path, monkeypatch):
         warnings.simplefilter("ignore")
         assert cmd_check(spec_file, out, CC_STRICT, paths=paths, seeds=[0, 11])
     # seed 0 is the manifest's: its sources are on disk, so gcc starts first;
-    # seed 11 is built and emitted before its compile starts
-    tail = ["oracle"] * len(paths) + ["reap"] + ["run"] * len(paths)
+    # seed 11 is built and emitted before its compile starts. The first
+    # PATH's oracle run overlaps the compile, each later one precedes its run.
+    tail = ["oracle", "reap", "run"] + ["oracle", "run"] * (len(paths) - 1)
     assert events == (["compile", "build"] + tail + ["build", "emit", "compile"] + tail)
+
+
+@needs_c
+def test_check_holds_one_paths_expected_trace_at_a_time(spec_file, tmp_path, monkeypatch):
+    # churn g=13 at -O0: --paths 0,1,2 read 423-430 MB of max RSS when every
+    # PATH's trace was computed before the first run, and reads what
+    # --paths 1 does, 171-175 MB, one at a time (Python 3.10-3.13)
+    out = str(tmp_path / "out")
+    gen_quiet(spec_file, out, 4, default_plan(), codegen.EmitConfig(backend="c"))
+    real = oracle.run_to_pieces
+    computed = []
+
+    class Pieces(list):  # a list that a weak reference can point at
+        pass
+
+    def one_at_a_time(program, cfg):
+        held = [path for path, ref in computed if ref() is not None]
+        assert not held, f"PATH {cfg.path}'s trace computed while PATH {held}'s is held"
+        pieces = Pieces(real(program, cfg))
+        computed.append((cfg.path, weakref.ref(pieces)))
+        return pieces
+
+    monkeypatch.setattr(oracle, "run_to_pieces", one_at_a_time)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cmd_check(spec_file, out, CC_STRICT, paths=[0, 1, 2], seeds=[0, 11])
+    assert [path for path, _ in computed] == [0, 1, 2] * 2
 
 
 def exited(pid, timeout=5.0):
@@ -1015,8 +1056,9 @@ def test_sweep_pgo_checks_the_checksums_it_times(spec_file, tmp_path, capsys, mo
         return 1.0, "CHECKSUM %d\n" % (sums[path] + bad)
 
     monkeypatch.setattr(bench, "_median_run_ms", fake_median)
-    with pytest.raises(BenchError, match=f"checksum mismatch at path=3: baseline printed "
-                                         f"{sums[3]}, optimized {sums[3] + 1}$"):
+    with pytest.raises(BenchError, match=f"^checksum mismatch at path=3 \\(optimized binary\\): "
+                                         f"first divergence at event 0: got 'CHECKSUM {sums[3] + 1}', "
+                                         f"want 'CHECKSUM {sums[3]}'$"):
         cmd_sweep_pgo(spec_file, out, cc_o2(), cc_o2(), cc_o2(), bit_counts=[1, 2])
     capsys.readouterr()
 
@@ -1034,9 +1076,47 @@ def test_sweep_pgo_checks_the_baseline_against_the_oracle(spec_file, tmp_path, c
         return 1.0, "CHECKSUM %d\n" % (sums[path] + (path == 3))
 
     monkeypatch.setattr(bench, "_median_run_ms", fake_median)
-    with pytest.raises(BenchError, match=f"checksum mismatch at path=3: baseline printed "
-                                         f"{sums[3] + 1}, oracle {sums[3]}$"):
+    with pytest.raises(BenchError, match=f"^checksum mismatch at path=3 \\(baseline binary\\): "
+                                         f"first divergence at event 0: got 'CHECKSUM {sums[3] + 1}', "
+                                         f"want 'CHECKSUM {sums[3]}'$"):
         cmd_sweep_pgo(spec_file, out, cc_o2(), cc_o2(), cc_o2(), bit_counts=[1, 2])
+    capsys.readouterr()
+
+
+STRAY_LINES = {"a trace line first": ("OP kind=new var=0 val=0 res=1", "{checksum}"),
+               "a line after": ("{checksum}", "done"),
+               "a CRLF ending": ("{checksum}\r",)}
+
+
+def stray_line_cc(tmp_path, sums, lines):
+    """A --cc template whose "binary" prints the oracle's CHECKSUM line at
+    each PATH of sums, with a stray line or a stray \\r beside it."""
+    cases = " ".join(f"{path}) c='CHECKSUM {checksum}';;" for path, checksum in sums.items())
+    text = "".join(line + "\n" for line in lines)
+    fmt = text.format(checksum="%s").replace("\r", "\\r").replace("\n", "\\n")
+    return script_cc(tmp_path, f"case $1 in {cases} esac; printf '{fmt}'" + ' "$c"' * len(lines))
+
+
+@pytest.mark.parametrize("lines", STRAY_LINES.values(), ids=STRAY_LINES.keys())
+def test_measure_and_sweep_accept_only_the_checksum_line(spec_file, tmp_path, capsys, lines):
+    # Before, the last CHECKSUM line was parsed, so any other line passed,
+    # its printing timed with the run; and stdout was read with each \r\n
+    # turned into \n, which check --checksum-only refuses.
+    out = str(tmp_path / "out")
+    gen_quiet(spec_file, out, 3, default_plan(), codegen.EmitConfig(backend="c"))
+    sums = oracle_sums(out, (1, 3))
+    cc = stray_line_cc(tmp_path, sums, lines)
+    got = lines[0].format(checksum=f"CHECKSUM {sums[1]}")
+    want = f"CHECKSUM {sums[1]}"
+    stray = (f"first divergence at event 0: got {got!r}, want {want!r}" if got != want
+             else f"first divergence at event 1: got {lines[1]!r}, want '<missing>'")
+    (m,) = cmd_measure(spec_file, out, cc, flag_sets=[""], repetitions=1, warmups=0)
+    assert m.failed
+    assert m.error == f"checksum mismatch: {stray}"
+    assert m.checksum == sums[1]
+    with pytest.raises(BenchError, match=re.escape(f"checksum mismatch at path=1 (baseline "
+                                                   f"binary): {stray}") + "$"):
+        cmd_sweep_pgo(spec_file, out, cc, cc, cc, bit_counts=[1, 2])
     capsys.readouterr()
 
 

@@ -15,7 +15,7 @@ from helpers import (
     render_spec,
     rewrite_once,
 )
-from lsysbench import grammar
+from lsysbench import astgen, grammar
 from lsysbench.grammar import (
     Construct,
     DerivationLimitError,
@@ -238,6 +238,10 @@ def test_derive_item_cap(monkeypatch):
     with pytest.raises(DerivationLimitError):
         derive(spec, 30)
     assert len(derive(spec, 3)) == 16
+    # the axiom itself is generation 0
+    wide = parse_spec("A = " + "new " * 10_001)
+    with pytest.raises(DerivationLimitError, match="^generation 0 has 10001 items"):
+        derive(wide, 0)
 
 
 def test_derive_refuses_an_oversized_derivation_before_rewriting(monkeypatch):
@@ -296,6 +300,35 @@ def test_derive_refuses_constructs_nested_above_the_cap_before_rewriting(monkeyp
         derive(spec, 170)
     assert calls == []
     assert nesting_depth(derive(spec, cap - 1)) == cap
+
+
+def _nested_loops(depth):
+    """`new LOOP(new LOOP(... insert))`, `depth` LOOPs deep: 2 * depth + 1 items."""
+    seq = (Terminal("insert"),)
+    for _ in range(depth):
+        seq = (Terminal("new"), Construct("LOOP", (seq,)))
+    return seq
+
+
+def test_derive_measures_generation_zero_without_recursion():
+    # A spec built in Python skips parse_items's cap. Before, derive(spec, 0)
+    # passed a 600-deep axiom on to lowering, which died in RecursionError,
+    # and at g=1 the depth table itself overflowed the stack.
+    deep = grammar.LSystemSpec(axiom=_nested_loops(600), productions={"A": (Terminal("new"),)})
+    for g in (0, 1):
+        with pytest.raises(DerivationLimitError, match=f"^generation 0 nests constructs 600 deep, "
+                                                       f"above the cap of {grammar.MAX_NESTING}$"):
+            derive(deep, g)
+    assert total_items(deep.axiom) == 1201
+    assert nesting_depth(deep.axiom) == 600
+    cap = grammar.LSystemSpec(axiom=_nested_loops(grammar.MAX_NESTING), productions={})
+    for g in (0, 1):
+        assert derive(cap, g) == cap.axiom
+    assert len(astgen.lower(derive(cap, 1)).functions) == 1
+    # a rule no generation reaches is not checked, and derive walks it
+    # without recursion too
+    unreached = grammar.LSystemSpec(axiom=(Terminal("new"),), productions={"A": _nested_loops(2000)})
+    assert derive(unreached, 3) == (Terminal("new"),)
 
 
 def test_derive_nesting_depths_are_exact_before_rewriting(monkeypatch):
