@@ -175,9 +175,16 @@ def derive(spec: LSystemSpec, generations: int) -> ItemSeq:
     The result is hash-consed: what a nonterminal or a construct of the
     spec becomes after g rewrites is built once, as one object, and shared
     by every place it occurs, so the derivation holds O(rules x g) distinct
-    constructs. Like the size table, it is built one generation at a time."""
+    constructs. Like the size table, it is built one generation at a time.
+
+    Only what a checked generation holds is built: a rule or construct that
+    generation f holds first is, after k rewrites, part of generation f + k,
+    so it is built only while f + k <= generations, and a rule that no
+    generation holds is never built."""
     if generations < 0:
         raise ValueError("generations must be >= 0")
+    first_rules, first_nodes = _first_generations(spec)
+    reached = {lhs: spec.productions[lhs] for lhs in first_rules}
     # nonterminal -> (items, nesting depth) of what it has become by this generation
     table: Dict[str, Tuple[int, int]] = {}
     for gen in range(generations + 1):
@@ -188,12 +195,15 @@ def derive(spec: LSystemSpec, generations: int) -> ItemSeq:
         if depth > MAX_NESTING:
             raise DerivationLimitError(
                 f"generation {gen} nests constructs {depth} deep, above the cap of {MAX_NESTING}")
-        table = {lhs: _size(rhs, table) for lhs, rhs in spec.productions.items()}
-    constructs = _constructs((spec.axiom, *spec.productions.values()))
+        table = {lhs: _size(rhs, table) for lhs, rhs in reached.items()}
+    constructs = _constructs((spec.axiom, *reached.values()))
     rules: _Rules = {}
     nodes: _Nodes = {}
-    for _ in range(generations):
-        rules, nodes = expand(spec, constructs, rules, nodes)
+    for left in reversed(range(generations)):  # rewrites left after this one
+        step = LSystemSpec(spec.axiom, {lhs: rhs for lhs, rhs in reached.items()
+                                        if first_rules[lhs] <= left})
+        rules, nodes = expand(step, [c for c in constructs if first_nodes[id(c)] <= left],
+                              rules, nodes)
     return _splice(spec.axiom, rules, nodes)
 
 
@@ -211,6 +221,29 @@ def expand(spec: LSystemSpec, constructs: List[Construct], rules: _Rules,
         next_nodes[id(c)] = Construct(c.kind, tuple(_splice(b, next_rules, next_nodes)
                                                     for b in c.blocks))
     return next_rules, next_nodes
+
+
+def _first_generations(spec: LSystemSpec) -> Tuple[Dict[str, int], Dict[int, int]]:
+    """The earliest generation that holds each rule the axiom reaches, by
+    name, and each construct, by id: a breadth-first walk from the axiom,
+    nested blocks included. What the axiom holds is in generation 0, and
+    what a rule's body holds in the rule's generation + 1."""
+    rules: Dict[str, int] = {}
+    nodes: Dict[int, int] = {}
+    gen, seqs = 0, [spec.axiom]  # the sequences that generation gen holds first
+    while seqs:
+        found: List[ItemSeq] = []
+        while seqs:
+            for item in seqs.pop():
+                if isinstance(item, NonTerminal):
+                    if item.name in spec.productions and item.name not in rules:
+                        rules[item.name] = gen
+                        found.append(spec.productions[item.name])
+                elif isinstance(item, Construct) and id(item) not in nodes:
+                    nodes[id(item)] = gen
+                    seqs.extend(item.blocks)
+        gen, seqs = gen + 1, found
+    return rules, nodes
 
 
 def _splice(seq: ItemSeq, rules: _Rules, nodes: _Nodes) -> ItemSeq:

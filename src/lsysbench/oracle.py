@@ -136,12 +136,11 @@ _SCALAR_OPS = {
 
 
 class _Frame:
-    __slots__ = ("slots", "params", "saved", "base")
+    __slots__ = ("slots", "params", "base")
 
     def __init__(self, slot_count: int, params: List[HeapObject], base: int):
         self.slots: List[Optional[HeapObject]] = [None] * slot_count
         self.params = iter(params)  # the passed objects New has not yet bound
-        self.saved: List[Optional[HeapObject]] = []  # shadowed bindings
         self.base = base  # the first id the call can allocate: it owns each id from here
 
 
@@ -159,9 +158,11 @@ def interpret(program: Program, cfg: Optional[ExecConfig] = None) -> Tuple[List[
     so an object belongs to the call whose base, last_id + 1 at its entry,
     its id reaches. A block's exit frees each slot it bound whose object
     its call owns, so loop-iteration locals are freed every iteration and
-    borrowed objects are left to their owner. Every run raises on an op on
-    a freed object, on a second free, and on a return that leaves an
-    object its call owns still live.
+    borrowed objects are left to their owner. A slot is bound at most once
+    per activation of its block, as the planner gives each New its own
+    slot. Every run raises on a New on a slot already bound, on an op on a
+    freed object, on a second free, and on a return that leaves an object
+    its call owns still live.
 
     Scalar mode has no heap: slots are plain integer variables, parameters
     are passed by value and consumed as copies, and the trace's var field is
@@ -216,14 +217,13 @@ def _run(program: Program, cfg: ExecConfig) -> Tuple[list, RunStats]:
 
     # Each op closure below folds its event into cs, and records it when
     # traced; hi (opcode and val) and line are fixed per statement.
-    def new(slot: int, first: bool):
-        # only a slot's first binding in a block is saved for the block's
-        # exit; a same-block rebinding drops the old object unfreed, and its
-        # function's return raises (the generator never emits one)
+    def new(slot: int):
         hi, line = checksum_update(0, "new", 0, 0, 0), _Line("new", 0) if traced else None
 
         def op(f: _Frame) -> None:
             nonlocal cs, last_id, max_live
+            if f.slots[slot] is not None:
+                _broken(f"rebinding of bound slot {slot}")
             value = next(f.params, None)  # a value copy in scalar
             res = 0
             if value is None:
@@ -235,8 +235,6 @@ def _run(program: Program, cfg: ExecConfig) -> Tuple[list, RunStats]:
                     value = live[last_id] = HeapObject(last_id)
                     if len(live) > max_live:
                         max_live = len(live)
-            if first:
-                f.saved.append(f.slots[slot])
             f.slots[slot] = value
             var = slot if scalar else value.id
             cs = (cs * CHECKSUM_PRIME + hi + (var << _VAR_SHIFT) + res) & _MASK64
@@ -318,17 +316,15 @@ def _run(program: Program, cfg: ExecConfig) -> Tuple[list, RunStats]:
         return op
 
     def scope(seq: list, bound: List[int]):
-        unbind = bound[::-1]
-
         def run(f: _Frame) -> None:
             for op in seq:
                 op(f)
-            for slot in unbind:
+            for slot in bound:
                 obj = f.slots[slot]
                 if not scalar and obj.id >= f.base:  # a borrowed object is left to its owner
                     if live.pop(obj.id, None) is None:
                         _broken(f"use of freed object {obj.id}")
-                f.slots[slot] = f.saved.pop()
+                f.slots[slot] = None
         return run
 
     def loop(seq: list):
@@ -345,14 +341,12 @@ def _run(program: Program, cfg: ExecConfig) -> Tuple[list, RunStats]:
         function; adds n per op to tally. A block that binds no slot has
         nothing to release at its exit, so its closures join its parent's."""
         seq: list = []
-        bound: List[int] = []  # slots first bound in this block, in order
+        bound: List[int] = []  # slots bound in this block, in order
         for st in stmts:
             if isinstance(st, New):
                 tally[OPCODES["new"]] += n
-                first = st.slot not in bound
-                seq.append(new(st.slot, first))
-                if first:
-                    bound.append(st.slot)
+                seq.append(new(st.slot))
+                bound.append(st.slot)
             elif isinstance(st, (Insert, Remove, Contains)):
                 tally[OPCODES[type(st).__name__.lower()]] += n
                 seq.append(operand_op(st))

@@ -420,6 +420,25 @@ def test_replanning_a_program_plans_it_afresh():
             assert replanned == plan_operands(extracted(seq), second)
 
 
+def test_every_planned_function_binds_each_of_its_slots_once():
+    # the oracle refuses a New on a slot already bound; the planner never
+    # emits one, since each New takes the next per-function slot ordinal.
+    # 300 random sequences, then the benchmark's churn g=11 and stress g=10
+    rng = random.Random(30)
+    seqs = [random_seq(rng, depth=4) for _ in range(300)]
+    seqs += [derive(parse_spec(CALL_CHURN_SPEC), 11), derive(parse_spec(CONTAINER_STRESS_SPEC), 10)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for seq in seqs:
+            for kind in CONTAINER_KINDS:
+                for seed in (0, 1):
+                    program = lower(seq, OperandPlan(seed=seed, container_kind=kind))
+                    for fn in program.functions:
+                        slots = [st.slot for st in iter_statements(fn.body)
+                                 if isinstance(st, New)]
+                        assert sorted(slots) == list(range(fn.slot_count))
+
+
 def test_extraction_shares_no_statement_object():
     # planning fills statements in place, so a statement reached from two
     # places would be planned twice

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -397,6 +398,38 @@ def test_derive_shares_equal_subtrees():
                 constructs.add(id(item))
                 stack.extend(item.blocks)
     assert len(constructs) <= 3 * 17
+
+
+# the axiom, A's body, names no rule, so B is never reached
+UNREACHED_SPEC = "A = new\nB = B B\n"
+# B is first reached in generation 3, so at g=7 it is built for 4 rewrites
+OVER_REACHED_SPEC = "AXIOM = A\nA = new C\nC = D\nD = B\nB = B B B B B B B B\n"
+
+
+def test_derive_builds_each_rule_only_while_a_checked_generation_holds_it(monkeypatch):
+    steps = []
+    real = grammar.expand
+    monkeypatch.setattr(grammar, "expand",
+                        lambda spec, *a: steps.append(set(spec.productions)) or real(spec, *a))
+    assert derive(parse_spec(UNREACHED_SPEC), 5) == (Terminal("new"),)
+    assert steps == [set()] * 5
+    steps.clear()
+    assert total_items(derive(parse_spec(OVER_REACHED_SPEC), 7)) == 1 + 8 ** 4
+    assert steps == [{"A", "B", "C", "D"}] * 4 + [{"A", "C", "D"}, {"A", "C"}, {"A"}]
+
+
+@pytest.mark.parametrize("text, generations", [(UNREACHED_SPEC, 22), (OVER_REACHED_SPEC, 7)],
+                         ids=["unreached", "over-reached"])
+def test_derive_memory_stays_within_the_checked_generations(text, generations):
+    # building every rule for every generation peaked at 83.9 and 40.4 MB
+    spec = parse_spec(text)
+    tracemalloc.start()
+    try:
+        derive(spec, generations)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6, f"derive peaked at {peak / 1e6:.1f} MB"
 
 
 def test_derive_negative_generations():

@@ -242,15 +242,23 @@ def test_cond_locals_not_visible_to_materialized_operand():
     ]
 
 
-def test_hand_built_rebinding_leaks():
-    # same-block slot rebinding drops the first object without freeing it;
-    # the generator never emits this, so it only arises in hand-built
-    # programs like this one, and the function's return reports it
-    fn = FunctionDef(id=0, body=[New(0), New(0)], slot_count=1)
-    program = Program(functions=[fn], entry_id=0)
-    with pytest.raises(OracleInvariantError,
-                       match="ownership broken: function 0 returns with 1 objects"):
-        interpret(program)
+def assert_rebinding_refused(program):
+    for kind in CONTAINER_KINDS:
+        program.plan = OperandPlan(container_kind=kind)
+        for cfg in (ExecConfig(), ExecConfig(debug_trace=True)):
+            with pytest.raises(OracleInvariantError, match="^rebinding of bound slot 0$"):
+                interpret(program, cfg)
+
+
+def test_ownership_verification_catches_a_leaked_rebinding():
+    # a second New on a bound slot would drop the first object unfreed: in C
+    # a same-block one is a redeclaration and a nested one fails -Wshadow.
+    # The planner gives each New its own slot, so only a hand-built program
+    # has one, and the New refuses it before it binds anything
+    nested = If(cond=[], then=[New(0)], orelse=[New(0)], bit_index=0, bit_index_raw=0)
+    for body in ([New(0), New(0)], [New(0), Insert(0, 5), nested]):
+        fn = FunctionDef(id=0, body=body, slot_count=1)
+        assert_rebinding_refused(Program(functions=[fn], entry_id=0))
 
 
 def test_unbound_slot_use_aborts():
@@ -275,15 +283,6 @@ def test_unbound_call_argument_aborts():
         interpret(program)
 
 
-def test_ownership_verification_catches_a_leaked_rebinding():
-    # the same hand-built leak as above: with verification on, the function
-    # returns with an object it allocated still live
-    fn = FunctionDef(id=0, body=[New(0), New(0)], slot_count=1)
-    program = Program(functions=[fn], entry_id=0)
-    with pytest.raises(OracleInvariantError, match="ownership broken"):
-        interpret(program)
-
-
 def test_callee_borrows_the_callers_object():
     # the callee's new aliases the caller's object and inserts into it; the
     # caller sees that insert, and only the caller frees the object
@@ -300,31 +299,21 @@ def test_callee_borrows_the_callers_object():
         assert stats.max_live == 1
 
 
-def test_callee_rebinding_a_borrowed_slot_frees_only_its_own_object():
-    # the callee's second new replaces the borrowed object with its own,
-    # which it frees; the caller's object stays live for the caller's insert
+def test_a_callee_rebinding_a_borrowed_slot_is_refused():
+    # the callee's first New aliases the caller's object; its second New on
+    # the same slot is refused, as one on a slot it allocated would be
     callee = FunctionDef(id=0, body=[New(0), New(0)], slot_count=1)
     entry = FunctionDef(
         id=1, body=[New(0), Call(0, [0]), Insert(0, 7)], slot_count=1,
     )
-    program = Program(functions=[callee, entry], entry_id=1)
-    trace, stats = interpret(program, ExecConfig(debug_trace=True))
-    assert [(e.op, e.var, e.res) for e in trace] == [
-        ("new", 1, 1),
-        ("new", 1, 0),
-        ("new", 2, 1),
-        ("insert", 1, 1),
-    ]
-    assert stats.max_live == 2
+    assert_rebinding_refused(Program(functions=[callee, entry], entry_id=1))
 
 
 def test_ownership_verification_catches_a_leak_inside_a_callee():
+    # the rebinding that would leak is refused inside the callee
     callee = FunctionDef(id=0, body=[New(0), New(0)], slot_count=1)
     entry = FunctionDef(id=1, body=[Call(0, [])], slot_count=0)
-    program = Program(functions=[callee, entry], entry_id=1)
-    with pytest.raises(OracleInvariantError,
-                       match="ownership broken: function 0 returns with 1 objects"):
-        interpret(program)
+    assert_rebinding_refused(Program(functions=[callee, entry], entry_id=1))
 
 
 def inert_chain(entry_body, entry_slots=1):
@@ -383,18 +372,14 @@ def trace_of(trace):
     return [(e.op, e.var, e.val, e.res) for e in trace]
 
 
-def test_a_leaking_no_arg_callee_runs_in_full_every_call():
-    # each call would drop one object unfreed; the first call's return
-    # raises, so no leaking call is ever recorded for replay
+def test_a_rebinding_no_arg_callee_is_refused_in_its_first_call():
+    # each call would drop one object unfreed; the first call raises at the
+    # rebinding, so no such call is ever recorded for replay
     callee = FunctionDef(
         id=0, body=[New(0), Insert(0, 5), New(0), Insert(0, 6)], slot_count=1,
     )
     entry = FunctionDef(id=1, body=[Call(0, []), Call(0, [])])
-    program = Program(functions=[callee, entry], entry_id=1)
-    for cfg in (ExecConfig(), ExecConfig(debug_trace=True)):
-        with pytest.raises(OracleInvariantError,
-                           match="ownership broken: function 0 returns with 1 objects"):
-            interpret(program, cfg)
+    assert_rebinding_refused(Program(functions=[callee, entry], entry_id=1))
 
 
 def test_a_no_arg_callee_peaks_above_what_its_caller_holds():
@@ -433,14 +418,11 @@ def test_a_scalar_no_arg_callee_traces_its_slot_ordinals_every_call():
 
 
 def test_ownership_verification_catches_a_leak_in_a_nested_no_arg_callee():
+    # the rebinding that would leak is refused in the innermost callee
     leaky = FunctionDef(id=0, body=[New(0), New(0)], slot_count=1)
     middle = FunctionDef(id=1, body=[New(0), Call(0, [])], slot_count=1)
     entry = FunctionDef(id=2, body=[Call(1, []), Call(1, [])])
-    program = Program(functions=[leaky, middle, entry], entry_id=2)
-    for cfg in (ExecConfig(), ExecConfig(debug_trace=True)):
-        with pytest.raises(OracleInvariantError,
-                           match="ownership broken: function 0 returns with 1 objects"):
-            interpret(program, cfg)
+    assert_rebinding_refused(Program(functions=[leaky, middle, entry], entry_id=2))
 
 
 # 66,049 calls of fn1, each allocating two objects, one in a nested no-arg
