@@ -250,15 +250,21 @@ def assert_rebinding_refused(program):
                 interpret(program, cfg)
 
 
+def test_hand_built_rebinding_leaks():
+    # a second New on a bound slot would drop the first object unfreed; in C
+    # a same-block one is a redeclaration. The planner gives each New its own
+    # slot, so only a hand-built program has one, and the New refuses it
+    # before it binds anything
+    fn = FunctionDef(id=0, body=[New(0), New(0)], slot_count=1)
+    assert_rebinding_refused(Program(functions=[fn], entry_id=0))
+
+
 def test_ownership_verification_catches_a_leaked_rebinding():
-    # a second New on a bound slot would drop the first object unfreed: in C
-    # a same-block one is a redeclaration and a nested one fails -Wshadow.
-    # The planner gives each New its own slot, so only a hand-built program
-    # has one, and the New refuses it before it binds anything
+    # the nested form of the same leak: in C it fails -Wshadow, and the oracle
+    # refuses it as it refuses the same-block one
     nested = If(cond=[], then=[New(0)], orelse=[New(0)], bit_index=0, bit_index_raw=0)
-    for body in ([New(0), New(0)], [New(0), Insert(0, 5), nested]):
-        fn = FunctionDef(id=0, body=body, slot_count=1)
-        assert_rebinding_refused(Program(functions=[fn], entry_id=0))
+    fn = FunctionDef(id=0, body=[New(0), Insert(0, 5), nested], slot_count=1)
+    assert_rebinding_refused(Program(functions=[fn], entry_id=0))
 
 
 def test_unbound_slot_use_aborts():
