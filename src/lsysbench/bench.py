@@ -252,13 +252,13 @@ def source_file_names(manifest: dict) -> List[str]:
 def render_template(template: str, mapping: Dict[str, str]) -> List[str]:
     """The argv of a command template: each placeholder is replaced by its
     text, then the whole is split as a shell would. So a path is given
-    shlex.quote'd, to stay one argument, and {flags} is given as is."""
-    class _Strict(dict):
-        def __missing__(self, key):
-            raise BenchError(f"unknown placeholder {{{key}}} in command template: {template}")
-
-    rendered = template.format_map(_Strict(mapping))
-    argv = shlex.split(rendered)
+    shlex.quote'd, to stay one argument, and {flags} is given as is. Any
+    other field, such as {in.x}, {in[0]}, {out!r} or {in:>5}, is refused."""
+    for _, name, spec, conversion in string.Formatter().parse(template):
+        if name is not None and (spec or conversion or name not in mapping):
+            field = name + (f"!{conversion}" if conversion else "") + (f":{spec}" if spec else "")
+            raise BenchError(f"unknown placeholder {{{field}}} in command template: {template}")
+    argv = shlex.split(template.format_map(mapping))
     if not argv:
         raise BenchError(f"empty command template: {template!r}")
     return argv

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Set, Tuple, Union
 
 TERMINAL_KINDS = ("new", "insert", "remove", "contains")
 CONSTRUCT_KINDS = ("IF", "LOOP", "CALL")
@@ -16,8 +16,10 @@ CONSTRUCT_ARITY = {"IF": (2, 3), "LOOP": (1, 2), "CALL": (1, 1)}
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
-# gen's peak is ~0.14 KB per item (stress g=16: 524,283 items, 72.7 MB max
-# RSS; g=17: 202 MB), so this cap is ~0.3 GB.
+# gen's peak is ~0.14 KB per item on stress (g=16: 524,283 items, 72.7 MB
+# max RSS; g=17: 202 MB), whose derivation repeats itself. A chain such as
+# `A = new insert A` repeats nothing and peaks at ~0.84 KB per item
+# (g=200,000: 400,003 items, 335 MB), so this cap admits ~1.7 GB.
 MAX_ITEMS = 2 * 10**6
 
 # Constructs nested inside constructs, in a spec body and in a derivation.
@@ -159,10 +161,11 @@ def parse_spec(text: str) -> LSystemSpec:
 # ---------------------------------------------------------------------------
 # rewriting
 
-# What each nonterminal of a spec has become after some rewrites, by name,
-# and what each construct of the spec has become, by id.
-_Rules = Dict[str, ItemSeq]
-_Nodes = Dict[int, Construct]
+# What each rule the axiom reaches has become after some rewrites, by name,
+# as a rope: a list of parts, each an item, an earlier rope, or a reference
+# (construct, k, ropes) to a construct of the spec after k rewrites, whose
+# nonterminals read their ropes from `ropes`.
+_Ropes = Dict[str, list]
 
 
 def derive(spec: LSystemSpec, generations: int) -> ItemSeq:
@@ -172,19 +175,21 @@ def derive(spec: LSystemSpec, generations: int) -> ItemSeq:
     included, are worked out from the productions first, so a derivation
     above MAX_ITEMS or MAX_NESTING fails before anything is rewritten.
 
-    The result is hash-consed: what a nonterminal or a construct of the
-    spec becomes after g rewrites is built once, as one object, and shared
-    by every place it occurs, so the derivation holds O(rules x g) distinct
-    constructs. Like the size table, it is built one generation at a time.
-
-    Only what a checked generation holds is built: a rule or construct that
-    generation f holds first is, after k rewrites, part of generation f + k,
-    so it is built only while f + k <= generations, and a rule that no
-    generation holds is never built."""
+    A rule after k + 1 rewrites is its rhs after k, so each generation
+    builds one rope per rule the axiom reaches from the ropes before it,
+    and the axiom's rope is flattened once, at the end. What a construct
+    of the spec becomes after k rewrites is built when the flatten reaches
+    it, as one object shared by every place it occurs. So derive costs the
+    items it returns plus rules x generations."""
     if generations < 0:
         raise ValueError("generations must be >= 0")
-    first_rules, first_nodes = _first_generations(spec)
-    reached = {lhs: spec.productions[lhs] for lhs in first_rules}
+    names, todo = set(), _names(spec.axiom)
+    while todo:  # the rules the axiom reaches, through rule bodies and blocks
+        name = todo.pop()
+        if name in spec.productions and name not in names:
+            names.add(name)
+            todo |= _names(spec.productions[name])
+    reached = {lhs: rhs for lhs, rhs in spec.productions.items() if lhs in names}
     # nonterminal -> (items, nesting depth) of what it has become by this generation
     table: Dict[str, Tuple[int, int]] = {}
     for gen in range(generations + 1):
@@ -196,80 +201,72 @@ def derive(spec: LSystemSpec, generations: int) -> ItemSeq:
             raise DerivationLimitError(
                 f"generation {gen} nests constructs {depth} deep, above the cap of {MAX_NESTING}")
         table = {lhs: _size(rhs, table) for lhs, rhs in reached.items()}
-    constructs = _constructs((spec.axiom, *reached.values()))
-    rules: _Rules = {}
-    nodes: _Nodes = {}
-    for left in reversed(range(generations)):  # rewrites left after this one
-        step = LSystemSpec(spec.axiom, {lhs: rhs for lhs, rhs in reached.items()
-                                        if first_rules[lhs] <= left})
-        rules, nodes = expand(step, [c for c in constructs if first_nodes[id(c)] <= left],
-                              rules, nodes)
-    return _splice(spec.axiom, rules, nodes)
+    ropes: _Ropes = {}
+    for k in range(generations):
+        ropes = expand(reached, ropes, k)
+    return _flatten(_rope(spec.axiom, generations, ropes), {})
 
 
-def expand(spec: LSystemSpec, constructs: List[Construct], rules: _Rules,
-           nodes: _Nodes) -> Tuple[_Rules, _Nodes]:
-    """One generation of derive. Given what each nonterminal of the spec
-    (rules, by name) and each construct of the spec (nodes, by id) have
-    become after g rewrites, empty for g = 0, return what they become after
-    g + 1: a nonterminal becomes its rhs after g rewrites, and a construct
-    holds its blocks after g + 1. `constructs` lists the spec's constructs,
-    each after the constructs nested in it."""
-    next_rules = {lhs: _splice(rhs, rules, nodes) for lhs, rhs in spec.productions.items()}
-    next_nodes: _Nodes = {}
-    for c in constructs:
-        next_nodes[id(c)] = Construct(c.kind, tuple(_splice(b, next_rules, next_nodes)
-                                                    for b in c.blocks))
-    return next_rules, next_nodes
+def expand(productions: Mapping[str, ItemSeq], ropes: _Ropes, k: int) -> _Ropes:
+    """One generation of derive. Given the ropes of what each rule has
+    become after k rewrites, empty for k = 0, return those after k + 1:
+    each rule's rhs after k rewrites."""
+    return {lhs: _rope(rhs, k, ropes) for lhs, rhs in productions.items()}
 
 
-def _first_generations(spec: LSystemSpec) -> Tuple[Dict[str, int], Dict[int, int]]:
-    """The earliest generation that holds each rule the axiom reaches, by
-    name, and each construct, by id: a breadth-first walk from the axiom,
-    nested blocks included. What the axiom holds is in generation 0, and
-    what a rule's body holds in the rule's generation + 1."""
-    rules: Dict[str, int] = {}
-    nodes: Dict[int, int] = {}
-    gen, seqs = 0, [spec.axiom]  # the sequences that generation gen holds first
-    while seqs:
-        found: List[ItemSeq] = []
-        while seqs:
-            for item in seqs.pop():
-                if isinstance(item, NonTerminal):
-                    if item.name in spec.productions and item.name not in rules:
-                        rules[item.name] = gen
-                        found.append(spec.productions[item.name])
-                elif isinstance(item, Construct) and id(item) not in nodes:
-                    nodes[id(item)] = gen
-                    seqs.extend(item.blocks)
-        gen, seqs = gen + 1, found
-    return rules, nodes
-
-
-def _splice(seq: ItemSeq, rules: _Rules, nodes: _Nodes) -> ItemSeq:
-    """seq's items, each nonterminal replaced by the items of rules[name] and
-    each construct by nodes[id]; an item absent from both stays."""
-    out: List[SymbolItem] = []
+def _rope(seq: ItemSeq, k: int, ropes: _Ropes) -> list:
+    """seq after k rewrites: each nonterminal that has a rope is replaced by
+    it (by its one part if it has one, by nothing if it is empty), and for
+    k > 0 each construct by a reference that holds the ropes it names."""
+    rope: list = []
     for item in seq:
-        if isinstance(item, NonTerminal):
-            out.extend(rules.get(item.name, (item,)))
-        elif isinstance(item, Construct):
-            out.append(nodes.get(id(item), item))
+        if isinstance(item, NonTerminal) and item.name in ropes:
+            part = ropes[item.name]
+            if len(part) == 1:
+                rope += part
+            elif part:
+                rope.append(part)
+        elif isinstance(item, Construct) and k:
+            rope.append((item, k, {n: ropes[n] for n in _names(*item.blocks) & ropes.keys()}))
         else:
-            out.append(item)
+            rope.append(item)
+    return rope
+
+
+def _flatten(rope: list, built: Dict[Tuple[int, int], Construct]) -> ItemSeq:
+    """The items of a rope. Nested ropes are walked with a stack; a
+    construct reference becomes the Construct built for it, once per
+    (construct, k) in `built`, so only construct nesting recurses."""
+    out: List[SymbolItem] = []
+    stack = [iter(rope)]
+    while stack:
+        for part in stack[-1]:
+            if isinstance(part, list):
+                stack.append(iter(part))
+                break
+            if isinstance(part, tuple):
+                c, k, ropes = part
+                if (id(c), k) not in built:
+                    built[id(c), k] = Construct(c.kind, tuple(_flatten(_rope(b, k, ropes), built)
+                                                              for b in c.blocks))
+                part = built[id(c), k]
+            out.append(part)
+        else:
+            stack.pop()
     return tuple(out)
 
 
-def _constructs(seqs: Sequence[ItemSeq]) -> List[Construct]:
-    """The constructs in seqs, nested ones included, each after the
-    constructs nested in it."""
-    found, stack = [], list(seqs)  # found lists each before those nested in it
+def _names(*seqs: ItemSeq) -> Set[str]:
+    """The nonterminal names in seqs, nested blocks included."""
+    names: Set[str] = set()
+    stack = list(seqs)
     while stack:
         for item in stack.pop():
-            if isinstance(item, Construct):
-                found.append(item)
+            if isinstance(item, NonTerminal):
+                names.add(item.name)
+            elif isinstance(item, Construct):
                 stack.extend(item.blocks)
-    return found[::-1]
+    return names
 
 
 # ---------------------------------------------------------------------------

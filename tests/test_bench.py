@@ -196,8 +196,13 @@ def test_render_template_placeholders():
 
 
 def test_render_template_unknown_placeholder():
-    with pytest.raises(BenchError, match="placeholder"):
-        render_template("gcc {oops}", {"in": "a.c"})
+    # only a bare placeholder is replaced; {in.x} once raised AttributeError
+    # and {in[0]} handed the compiler the path's first character
+    for field in ("oops", "in.x", "in[0]", "in!r", "in:>5", ""):
+        template = f"gcc {{{field}}} -o {{out}}"
+        with pytest.raises(BenchError, match=f"^unknown placeholder {re.escape('{' + field + '}')} "
+                                             f"in command template: {re.escape(template)}$"):
+            render_template(template, {"in": "a.c", "out": "prog"})
 
 
 def test_parse_checksum():
@@ -936,6 +941,11 @@ def test_measure_a_failing_binary_fails_its_row_with_exit_code_and_stderr(
 
 _BAD_TEMPLATES = [("cc {foo} {in} -o {out}", None, r"unknown placeholder \{foo\}"),
                   ("cc {in} -o {out}", "size {foo}", r"unknown placeholder \{foo\}"),
+                  ("cc {in.x} -o {out}", None, r"unknown placeholder \{in\.x\}"),
+                  ("cc {in[0]} -o {out}", None, r"unknown placeholder \{in\[0\]\}"),
+                  ("cc {in} -o {out!r}", None, r"unknown placeholder \{out!r\}"),
+                  ("cc {in:>5} -o {out}", None, r"unknown placeholder \{in:>5\}"),
+                  ("cc {in} -o {out}", "size {bin.x}", r"unknown placeholder \{bin\.x\}"),
                   ("", None, "^empty command template: ''$")]
 
 

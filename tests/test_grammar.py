@@ -1,5 +1,6 @@
 import random
 import re
+import time
 import tracemalloc
 
 import pytest
@@ -260,7 +261,7 @@ def test_derive_refuses_an_oversized_derivation_before_rewriting(monkeypatch):
 def test_default_cap_refuses_what_cannot_fit_in_memory_before_rewriting(monkeypatch):
     calls = []
     monkeypatch.setattr(grammar, "expand",
-                        lambda spec, constructs, rules, nodes: calls.append(1) or (rules, nodes))
+                        lambda productions, ropes, k: calls.append(1) or ropes)
     stress = parse_spec(CONTAINER_STRESS_SPEC)
     with pytest.raises(DerivationLimitError, match="generation 18 has 2097147 items"):
         derive(stress, 18)
@@ -402,26 +403,37 @@ def test_derive_shares_equal_subtrees():
 
 # the axiom, A's body, names no rule, so B is never reached
 UNREACHED_SPEC = "A = new\nB = B B\n"
-# B is first reached in generation 3, so at g=7 it is built for 4 rewrites
+# B is first reached in generation 3, so at g=7 it is held for 4 rewrites
 OVER_REACHED_SPEC = "AXIOM = A\nA = new C\nC = D\nD = B\nB = B B B B B B B B\n"
+# the IF is first reached in generation 3, so at g=7 it is built for 4
+# rewrites; built for each of the 7, it would hold an 8^7-item block
+LATE_CONSTRUCT_SPEC = "AXIOM = A\nA = new C\nC = D\nD = IF(B, new)\nB = B B B B B B B B\n"
+# every generation is the same 4 items
+STABLE_CONSTRUCT_SPEC = "AXIOM = A\nA = new IF(insert, remove)\n"
 
 
 def test_derive_builds_each_rule_only_while_a_checked_generation_holds_it(monkeypatch):
     steps = []
     real = grammar.expand
     monkeypatch.setattr(grammar, "expand",
-                        lambda spec, *a: steps.append(set(spec.productions)) or real(spec, *a))
+                        lambda productions, *a: steps.append(set(productions)) or real(productions, *a))
     assert derive(parse_spec(UNREACHED_SPEC), 5) == (Terminal("new"),)
     assert steps == [set()] * 5
     steps.clear()
     assert total_items(derive(parse_spec(OVER_REACHED_SPEC), 7)) == 1 + 8 ** 4
-    assert steps == [{"A", "B", "C", "D"}] * 4 + [{"A", "C", "D"}, {"A", "C"}, {"A"}]
+    assert steps == [{"A", "B", "C", "D"}] * 7
 
 
-@pytest.mark.parametrize("text, generations", [(UNREACHED_SPEC, 22), (OVER_REACHED_SPEC, 7)],
-                         ids=["unreached", "over-reached"])
+@pytest.mark.parametrize("text, generations", [(UNREACHED_SPEC, 22), (OVER_REACHED_SPEC, 7),
+                                               (LATE_CONSTRUCT_SPEC, 7), (FAN_OUT_INIT_SPEC, 5000),
+                                               (STABLE_CONSTRUCT_SPEC, 5000)],
+                         ids=["unreached", "over-reached", "late-construct", "fan-out",
+                              "stable-construct"])
 def test_derive_memory_stays_within_the_checked_generations(text, generations):
-    # building every rule for every generation peaked at 83.9 and 40.4 MB
+    # Building every rule for every generation peaked at 83.9 and 40.4 MB on
+    # the first two. A rope table kept per generation peaked at 2.6 MB on
+    # fan-out, and construct references that keep their generation's whole
+    # rope table (so every table before it) at 1.8 MB on the stable one.
     spec = parse_spec(text)
     tracemalloc.start()
     try:
@@ -430,6 +442,17 @@ def test_derive_memory_stays_within_the_checked_generations(text, generations):
     finally:
         tracemalloc.stop()
     assert peak < 10**6, f"derive peaked at {peak / 1e6:.1f} MB"
+
+
+def test_derive_is_linear_in_the_generations_on_a_chain():
+    # copying each generation's whole tuple would be quadratic: ~5 min here
+    start = time.perf_counter()
+    seq = derive(parse_spec("A = new insert A\n"), 200_000)
+    elapsed = time.perf_counter() - start
+    assert len(seq) == 400_003
+    assert count_terminals(seq) == {"new": 200_001, "insert": 200_001, "remove": 0, "contains": 0}
+    assert seq[-1] == NonTerminal("A")
+    assert elapsed < 20, f"derive took {elapsed:.1f} s"
 
 
 def test_derive_negative_generations():
