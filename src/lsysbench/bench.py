@@ -12,7 +12,8 @@ The four commands mirror the CLI subcommands:
 Compiler invocations are user-supplied command templates with ``{in}``,
 ``{out}`` and (for measure) ``{flags}`` placeholders; the tool never guesses
 toolchain flags. Timing wraps each subprocess in a monotonic clock and takes
-the median over repetitions, with warm-up runs discarded.
+the median over repetitions, with warm-up runs discarded; every run of a
+timed binary, warm-ups included, must print the oracle's checksum.
 """
 
 from __future__ import annotations
@@ -585,7 +586,6 @@ def cmd_measure(
     warmups: int = 3,
     path: int = 1,
     size_cmd: Optional[str] = None,
-    oracle_check: bool = True,
     csv_path: Optional[str] = None,
     json_path: Optional[str] = None,
 ) -> List[Measurement]:
@@ -599,7 +599,7 @@ def cmd_measure(
                          f"has no {{flags}} placeholder: {cc_template}")
     manifest = load_manifest(out_dir)
     check_spec(read_spec_file(spec_path), manifest)
-    expected_checksum = oracle_checksums(manifest)(path) if oracle_check else None
+    checksum = oracle_checksums(manifest)(path)
 
     src_files = source_file_names(manifest)
     results: List[Measurement] = []
@@ -626,8 +626,8 @@ def cmd_measure(
                     compile_times.append(elapsed)
                 m.compile_time_ms = statistics.median(compile_times)
                 m.binary_bytes = os.path.getsize(binary)
-                m.run_time_ms, stdout = _median_run_ms(binary, path, repetitions, warmups)
-                m.checksum = parse_checksum(stdout)
+                m.run_time_ms = _median_run_ms(binary, path, repetitions, warmups, checksum)
+                m.checksum = checksum
                 if size_argv:
                     _, proc = timed_run(size_argv)
                     _exit_report(proc, "size command failed")
@@ -635,10 +635,6 @@ def cmd_measure(
                     if not first.isdecimal():
                         raise BenchError(f"size command failed: {first!r} is not a byte count")
                     m.text_bytes = int(first)
-                mismatch = (None if expected_checksum is None
-                            else _checksum_mismatch(stdout, expected_checksum))
-                if mismatch is not None:
-                    raise BenchError(f"checksum mismatch: {mismatch}")
             except BenchError as exc:  # the only place a row fails
                 m.failed, m.error = True, str(exc)
 
@@ -663,22 +659,23 @@ def _check_run_counts(repetitions: int, warmups: int) -> None:
         raise ValueError(f"warmups must be at least 0, got {warmups}")
 
 
-def _checksum_mismatch(stdout: str, checksum: int) -> Optional[str]:
-    """None if stdout is the oracle's CHECKSUM line alone, as a binary run
-    without --debug prints it, else a report naming the first unequal line."""
-    return _first_divergence(io.BytesIO(stdout.encode()), [f"CHECKSUM {checksum}\n"])
-
-
-def _median_run_ms(binary: str, path: int, repetitions: int, warmups: int,
-                   cwd: Optional[str] = None) -> Tuple[float, str]:
-    """Median wall time of the runs after the warm-ups, and the last run's stdout."""
-    argv = [binary, str(path)]
+def _median_run_ms(binary: str, path: int, repetitions: int, warmups: int, checksum: int,
+                   cwd: Optional[str] = None, failure: str = "checksum mismatch") -> float:
+    """Median wall time of the runs after the warm-ups. Every run, warm-ups
+    included, must exit 0 and print the oracle's CHECKSUM line alone, as a
+    binary run without --debug prints it: the first that does not raises
+    BenchError, ``benchmark binary failed: exit=...`` or ``{failure}: first
+    divergence ...``. The one check of a timed binary's output."""
+    argv, want = [binary, str(path)], [f"CHECKSUM {checksum}\n"]
     times = []
     for _ in range(warmups + repetitions):
         elapsed, proc = timed_run(argv, cwd=cwd)
         _exit_report(proc, "benchmark binary failed")
+        mismatch = _first_divergence(io.BytesIO(proc.stdout.encode()), want)
+        if mismatch is not None:
+            raise BenchError(f"{failure}: {mismatch}")
         times.append(elapsed)
-    return statistics.median(times[warmups:]), proc.stdout
+    return statistics.median(times[warmups:])
 
 
 def cmd_sweep_pgo(
@@ -703,8 +700,8 @@ def cmd_sweep_pgo(
     binary it was compiled into, so every binary is compiled as ``prog`` and
     renamed after: the optimized compile then finds the training profile.
     An optimized compile that reports a missing profile, a failed profile
-    merge, and a baseline or optimized binary whose stdout at a swept PATH
-    is other than the oracle's CHECKSUM line each raise BenchError.
+    merge, and a baseline or optimized binary whose stdout on any run at a
+    swept PATH is other than the oracle's CHECKSUM line each raise BenchError.
     """
     _check_run_counts(repetitions, warmups)
     for i in bit_counts:
@@ -751,13 +748,10 @@ def cmd_sweep_pgo(
         rows: List[Dict[str, object]] = []
         for i in bit_counts:
             path = (1 << i) - 1
-            t_ms, base_out = _median_run_ms(base_bin, path, repetitions, warmups, cwd=workdir)
-            ti_ms, opt_out = _median_run_ms(opt_bin, path, repetitions, warmups, cwd=workdir)
             want = oracle_checksum(path)
-            for stdout, name in ((base_out, "baseline"), (opt_out, "optimized")):
-                mismatch = _checksum_mismatch(stdout, want)
-                if mismatch is not None:
-                    raise BenchError(f"checksum mismatch at path={path} ({name} binary): {mismatch}")
+            t_ms, ti_ms = (_median_run_ms(binary, path, repetitions, warmups, want, workdir,
+                                          f"checksum mismatch at path={path} ({name} binary)")
+                           for binary, name in ((base_bin, "baseline"), (opt_bin, "optimized")))
             ratio = t_ms / ti_ms if ti_ms > 0 else 0.0
             rows.append({
                 "i": i,

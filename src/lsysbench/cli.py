@@ -127,8 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_measure.add_argument("--size-cmd", metavar="TEMPLATE",
                            help="command with {bin} whose first output line is a byte "
                                 "count, recorded as textBytes")
-    p_measure.add_argument("--no-oracle-check", action="store_true",
-                           help="skip comparing the binary's checksum to the oracle")
     p_measure.add_argument("--csv", metavar="FILE", help="write rows as CSV")
     p_measure.add_argument("--json", metavar="FILE", help="write rows as JSON lines")
 
@@ -178,7 +176,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 warmups=args.warmups,
                 path=args.path,
                 size_cmd=args.size_cmd,
-                oracle_check=not args.no_oracle_check,
                 csv_path=args.csv,
                 json_path=args.json,
             )

@@ -180,7 +180,9 @@ def derive(spec: LSystemSpec, generations: int) -> ItemSeq:
     and the axiom's rope is flattened once, at the end. What a construct
     of the spec becomes after k rewrites is built when the flatten reaches
     it, as one object shared by every place it occurs. So derive costs the
-    items it returns plus rules x generations."""
+    items it returns plus rules x generations. A generation with no
+    nonterminal left that has a production equals every later one, so
+    derive checks and rewrites no further than the first such generation."""
     if generations < 0:
         raise ValueError("generations must be >= 0")
     names, todo = set(), _names(spec.axiom)
@@ -190,16 +192,20 @@ def derive(spec: LSystemSpec, generations: int) -> ItemSeq:
             names.add(name)
             todo |= _names(spec.productions[name])
     reached = {lhs: rhs for lhs, rhs in spec.productions.items() if lhs in names}
-    # nonterminal -> (items, nesting depth) of what it has become by this generation
-    table: Dict[str, Tuple[int, int]] = {}
+    # nonterminal -> (items, nesting depth, rewritable nonterminals) of what
+    # it has become by this generation
+    table: Dict[str, Tuple[int, int, int]] = dict.fromkeys(reached, (1, 0, 1))
     for gen in range(generations + 1):
-        n, depth = _size(spec.axiom, table)
+        n, depth, rewritable = _size(spec.axiom, table)
         if n > MAX_ITEMS:
             raise DerivationLimitError(
                 f"generation {gen} has {n} items, above the cap of {MAX_ITEMS}")
         if depth > MAX_NESTING:
             raise DerivationLimitError(
                 f"generation {gen} nests constructs {depth} deep, above the cap of {MAX_NESTING}")
+        if not rewritable:  # every later generation is this one
+            generations = gen
+            break
         table = {lhs: _size(rhs, table) for lhs, rhs in reached.items()}
     ropes: _Ropes = {}
     for k in range(generations):
@@ -282,21 +288,22 @@ def nesting_depth(seq: ItemSeq) -> int:
     return _size(seq, {})[1]
 
 
-def _size(seq: ItemSeq, table: Mapping[str, Tuple[int, int]]) -> Tuple[int, int]:
-    """(items, nesting depth) of seq, walked a nesting level at a time, not
-    by recursion; a nonterminal counts as table[name], (1, 0) if absent."""
-    items = depth = 0
+def _size(seq: ItemSeq, table: Mapping[str, Tuple[int, int, int]]) -> Tuple[int, int, int]:
+    """(items, nesting depth, nonterminals that have a production) of seq,
+    walked a nesting level at a time, not by recursion; a nonterminal
+    counts as table[name], (1, 0, 0) if absent."""
+    items = depth = rewritable = 0
     level, blocks = 0, [seq]  # the blocks that lie inside `level` constructs
     while blocks:
         depth = max(depth, level)
         inner: List[ItemSeq] = []
         for item in chain.from_iterable(blocks):
             if isinstance(item, NonTerminal):
-                n, d = table.get(item.name, (1, 0))
-                items, depth = items + n, max(depth, level + d)
+                n, d, r = table.get(item.name, (1, 0, 0))
+                items, depth, rewritable = items + n, max(depth, level + d), rewritable + r
             else:
                 items += 1
                 if isinstance(item, Construct):
                     inner += item.blocks
         level, blocks = level + 1, inner
-    return items, depth
+    return items, depth, rewritable

@@ -29,10 +29,12 @@ OPCODES = {"new": 1, "insert": 2, "remove": 3, "contains": 4}
 _OP_SHIFT, _VAR_SHIFT, _VAL_SHIFT, _FIELD = 48, 32, 16, 0xFFFF
 # trace lines per piece of run_to_pieces' text, ~0.6 MB of churn's
 PIECE_EVENTS = 1 << 14
-# Ops one run may execute. Nested loops multiply, so a small program can ask
-# for more than any run finishes (`A = LOOP(insert A)` at g=127 and trip
-# count 2: 2^129); the largest committed spec under the item cap, churn
-# g=19, runs 3.7 * 10^9.
+# Ops one run may execute, and loop iterations it may run. Nested loops
+# multiply, so a small program can ask for more than any run finishes
+# (`A = LOOP(insert A)` at g=127 and trip count 2: 2^129 ops), even with no
+# op in them (`A = LOOP(A)` at g=60: 2^61 - 2 iterations of empty loops,
+# which the compiled binary runs); the largest committed spec under the
+# item cap, churn g=19, runs 3.7 * 10^9 ops and 3.2 * 10^9 iterations.
 MAX_RUN_OPS = 10**10
 
 
@@ -41,7 +43,8 @@ class OracleInvariantError(RuntimeError):
 
 
 class RunLimitError(ValueError):
-    """A run would execute more than MAX_RUN_OPS ops; raised before the first."""
+    """A run would execute more than MAX_RUN_OPS ops, or run more than
+    MAX_RUN_OPS loop iterations; raised before the first op."""
 
 
 @dataclass
@@ -188,8 +191,10 @@ def interpret(program: Program, cfg: Optional[ExecConfig] = None) -> Tuple[List[
     call is one multiply-add on it, and when traced copies the range with
     the ids moved up: same events, checksum and statistics.
 
-    A run whose op count, settled by the compile, is above MAX_RUN_OPS
-    raises RunLimitError before its first op.
+    A run whose op count or loop iteration count, both settled by the
+    compile, is above MAX_RUN_OPS raises RunLimitError before its first op.
+    Iterations count also where a loop's body compiles to nothing, as the
+    compiled binary still runs them.
     """
     records, stats = _run(program, cfg or ExecConfig())
     return [TraceEvent(line.op, var, line.val, res)
@@ -207,7 +212,8 @@ def _run(program: Program, cfg: ExecConfig) -> Tuple[list, RunStats]:
     records: list = []
     record = records.extend
     cs = CHECKSUM_OFFSET
-    # fid -> (its runner, None if it compiles to nothing; its op counts per call by opcode)
+    # fid -> (its runner, None if it compiles to nothing; per call, its loop
+    # iterations, then its op counts by opcode)
     compiled: Dict[int, Tuple[Optional[Callable[[list], None]], List[int]]] = {}
     # fid -> (A, base, allocs, peak, start, end) of its first no-arg call: its checksum
     # term, last_id at entry, objects allocated, peak live above entry, slice of records
@@ -288,7 +294,7 @@ def _run(program: Program, cfg: ExecConfig) -> Tuple[list, RunStats]:
     def no_arg_call(fid: int, run: Callable[[list], None]):
         # its n events map cs to cs * P^n + A + (d << 32) * C: A is the first call's term,
         # d how far last_id has moved since (each var moves by d), C the sum of P^k, k < n
-        n = sum(compiled[fid][1])
+        n = sum(compiled[fid][1][1:])
         pn = pow(CHECKSUM_PRIME, n, 1 << 64)
         c = (pow(CHECKSUM_PRIME, n, (CHECKSUM_PRIME - 1) << 64) - 1) // (CHECKSUM_PRIME - 1)
 
@@ -338,8 +344,9 @@ def _run(program: Program, cfg: ExecConfig) -> Tuple[list, RunStats]:
 
     def block(stmts, tally: List[int], n: int) -> list:
         """The closures of one block, which runs n times per call of its
-        function; adds n per op to tally. A block that binds no slot has
-        nothing to release at its exit, so its closures join its parent's."""
+        function; adds n per op to tally, and each loop's iterations to
+        tally[0]. A block that binds no slot has nothing to release at its
+        exit, so its closures join its parent's."""
         seq: list = []
         bound: List[int] = []  # slots bound in this block, in order
         for st in stmts:
@@ -355,6 +362,7 @@ def _run(program: Program, cfg: ExecConfig) -> Tuple[list, RunStats]:
                 seq += block(st.cond, tally, n) + block(arm or [], tally, n)
             elif isinstance(st, Loop):
                 trips = n * plan.trip_count
+                tally[0] += trips
                 body = block(st.cond, tally, trips) + block(st.body, tally, trips)
                 if body:
                     seq.append(loop(body))
@@ -391,8 +399,11 @@ def _run(program: Program, cfg: ExecConfig) -> Tuple[list, RunStats]:
 
     try:
         run, tally = function(program.entry_id)
-        if sum(tally) > MAX_RUN_OPS:
-            raise RunLimitError(f"the run at PATH {path} would execute {sum(tally)} ops, "
+        if sum(tally[1:]) > MAX_RUN_OPS:
+            raise RunLimitError(f"the run at PATH {path} would execute {sum(tally[1:])} ops, "
+                                f"above the cap of {MAX_RUN_OPS}")
+        if tally[0] > MAX_RUN_OPS:
+            raise RunLimitError(f"the run at PATH {path} would run {tally[0]} loop iterations, "
                                 f"above the cap of {MAX_RUN_OPS}")
         if run:
             run([])

@@ -901,10 +901,10 @@ def test_median_run_ms_discards_the_warmups(monkeypatch):
 
     def fake_run(argv, cwd=None, env=None):
         calls.append(argv)
-        return next(elapsed), subprocess.CompletedProcess(argv, 0, "CHECKSUM %d\n" % len(calls), "")
+        return next(elapsed), subprocess.CompletedProcess(argv, 0, "CHECKSUM 7\n", "")
 
     monkeypatch.setattr(bench, "timed_run", fake_run)
-    assert bench._median_run_ms("prog", 5, repetitions=3, warmups=2) == (2.0, "CHECKSUM 5\n")
+    assert bench._median_run_ms("prog", 5, repetitions=3, warmups=2, checksum=7) == 2.0
     assert calls == [["prog", "5"]] * 5
 
 
@@ -915,7 +915,7 @@ def test_measure_unknown_compiler_marks_rows_failed(spec_file, tmp_path, capsys)
         warnings.simplefilter("ignore")
         results = cmd_measure(
             spec_file, out, "definitely-not-a-compiler-9000 {flags} {in} -o {out}",
-            flag_sets=["-O0", "-O2"], repetitions=2, warmups=0, oracle_check=False,
+            flag_sets=["-O0", "-O2"], repetitions=2, warmups=0,
         )
     capsys.readouterr()
     assert len(results) == 2
@@ -972,7 +972,7 @@ def test_measure_size_cmd_hook(spec_file, tmp_path, capsys):
         warnings.simplefilter("ignore")
         results = cmd_measure(
             spec_file, out, CC_FLAGS, flag_sets=[""], repetitions=2, warmups=0,
-            size_cmd="stat -c %s {bin}", oracle_check=False,
+            size_cmd="stat -c %s {bin}",
         )
     capsys.readouterr()
     assert results[0].text_bytes == results[0].binary_bytes
@@ -987,7 +987,7 @@ def test_measure_a_failed_size_cmd_marks_the_row_failed(spec_file, tmp_path, cap
         warnings.simplefilter("ignore")
         results = cmd_measure(
             spec_file, out, CC_FLAGS, flag_sets=[""], repetitions=1, warmups=0,
-            size_cmd=size_cmd, oracle_check=False,
+            size_cmd=size_cmd,
         )
     capsys.readouterr()
     assert results[0].failed
@@ -1054,6 +1054,19 @@ def oracle_sums(out, paths):
             for path in paths}
 
 
+def fake_timed_run(checksum):
+    """A timed_run under which the swept binaries print CHECKSUM
+    checksum(binary, path) at once; any other command runs."""
+    real = bench.timed_run
+
+    def timed_run(argv, cwd=None, env=None, stdout=None):
+        if not argv[0].endswith(("prog-base", "prog-opt")):
+            return real(argv, cwd, env, stdout)
+        line = "CHECKSUM %d\n" % checksum(argv[0], int(argv[1]))
+        return 1.0, subprocess.CompletedProcess(argv, 0, line, "")
+    return timed_run
+
+
 @needs_c
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_sweep_pgo_checks_the_checksums_it_times(spec_file, tmp_path, capsys, monkeypatch):
@@ -1061,11 +1074,10 @@ def test_sweep_pgo_checks_the_checksums_it_times(spec_file, tmp_path, capsys, mo
     gen_quiet(spec_file, out, 4, default_plan(), codegen.EmitConfig(backend="c"))
     sums = oracle_sums(out, (1, 3))
 
-    def fake_median(binary, path, repetitions, warmups, cwd=None):
-        bad = binary.endswith("prog-opt") and path == 3
-        return 1.0, "CHECKSUM %d\n" % (sums[path] + bad)
+    def checksum(binary, path):
+        return sums[path] + (binary.endswith("prog-opt") and path == 3)
 
-    monkeypatch.setattr(bench, "_median_run_ms", fake_median)
+    monkeypatch.setattr(bench, "timed_run", fake_timed_run(checksum))
     with pytest.raises(BenchError, match=f"^checksum mismatch at path=3 \\(optimized binary\\): "
                                          f"first divergence at event 0: got 'CHECKSUM {sums[3] + 1}', "
                                          f"want 'CHECKSUM {sums[3]}'$"):
@@ -1081,11 +1093,8 @@ def test_sweep_pgo_checks_the_baseline_against_the_oracle(spec_file, tmp_path, c
     out = str(tmp_path / "out")
     gen_quiet(spec_file, out, 4, default_plan(), codegen.EmitConfig(backend="c"))
     sums = oracle_sums(out, (1, 3))
-
-    def fake_median(binary, path, repetitions, warmups, cwd=None):
-        return 1.0, "CHECKSUM %d\n" % (sums[path] + (path == 3))
-
-    monkeypatch.setattr(bench, "_median_run_ms", fake_median)
+    monkeypatch.setattr(bench, "timed_run",
+                        fake_timed_run(lambda binary, path: sums[path] + (path == 3)))
     with pytest.raises(BenchError, match=f"^checksum mismatch at path=3 \\(baseline binary\\): "
                                          f"first divergence at event 0: got 'CHECKSUM {sums[3] + 1}', "
                                          f"want 'CHECKSUM {sums[3]}'$"):
@@ -1123,10 +1132,31 @@ def test_measure_and_sweep_accept_only_the_checksum_line(spec_file, tmp_path, ca
     (m,) = cmd_measure(spec_file, out, cc, flag_sets=[""], repetitions=1, warmups=0)
     assert m.failed
     assert m.error == f"checksum mismatch: {stray}"
-    assert m.checksum == sums[1]
+    assert (m.run_time_ms, m.checksum, m.text_bytes) == (0.0, None, None)
     with pytest.raises(BenchError, match=re.escape(f"checksum mismatch at path=1 (baseline "
                                                    f"binary): {stray}") + "$"):
         cmd_sweep_pgo(spec_file, out, cc, cc, cc, bit_counts=[1, 2])
+    capsys.readouterr()
+
+
+def test_measure_and_sweep_check_every_run_warmups_included(spec_file, tmp_path, capsys):
+    # Before, only the last run's stdout was checked, so a binary that is
+    # wrong on its first run, a warm-up, passed.
+    out = str(tmp_path / "out")
+    gen_quiet(spec_file, out, 3, default_plan(), codegen.EmitConfig(backend="c"))
+    sums = oracle_sums(out, (1, 3))
+    cases = " ".join(f"{path}) right={checksum} wrong={checksum + 1};;"
+                     for path, checksum in sums.items())
+    cc = script_cc(tmp_path, f"case $1 in {cases} esac; if [ -e \"$0.ran\" ]; then "
+                             f"echo CHECKSUM $right; else touch \"$0.ran\"; echo CHECKSUM $wrong; fi")
+    wrong = (f"first divergence at event 0: got 'CHECKSUM {sums[1] + 1}', "
+             f"want 'CHECKSUM {sums[1]}'")
+    (m,) = cmd_measure(spec_file, out, cc, flag_sets=[""], repetitions=2, warmups=1)
+    assert (m.failed, m.error) == (True, f"checksum mismatch: {wrong}")
+    assert (m.run_time_ms, m.checksum) == (0.0, None)
+    with pytest.raises(BenchError, match=re.escape(f"checksum mismatch at path=1 (baseline "
+                                                   f"binary): {wrong}") + "$"):
+        cmd_sweep_pgo(spec_file, out, cc, cc, cc, bit_counts=[1, 2], repetitions=2, warmups=1)
     capsys.readouterr()
 
 

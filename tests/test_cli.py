@@ -257,7 +257,7 @@ def test_run_count_flags_reject_values_that_were_clamped(
 
 @pytest.mark.parametrize("command, extra", [
     ("check", []),
-    ("measure", ["--no-oracle-check"]),
+    ("measure", []),
     ("sweep-pgo", []),
 ])
 def test_commands_refuse_a_spec_other_than_the_manifests(
@@ -483,7 +483,7 @@ def test_measure_unknown_compiler_exits_nonzero(spec_file, tmp_path, capsys):
     assert run_cli(["gen", spec_file, "--out", out]) == 0
     code = run_cli(["measure", spec_file, "--out", out,
                     "--cc", "not-a-real-compiler {flags} {in} -o {out}",
-                    "--repetitions", "1", "--warmups", "0", "--no-oracle-check"])
+                    "--repetitions", "1", "--warmups", "0"])
     assert code == 1
     capsys.readouterr()
 
@@ -628,6 +628,28 @@ def test_gen_refuses_a_run_above_the_op_cap(tmp_path):
         "error: the run at PATH 1 would execute %d ops, above the cap of %d"
         % (2**129, oracle.MAX_RUN_OPS))
     assert not out.exists()
+
+
+def test_gen_refuses_a_run_above_the_loop_iteration_cap(tmp_path):
+    # 60 nested loops with no op in them: the oracle ran none of them and
+    # gen exited 0, but the binary runs 2^61 - 2 iterations at trip count 2
+    spec = tmp_path / "loops.lsys"
+    spec.write_text("AXIOM = new insert A\nA = LOOP(A)\n")
+    out = tmp_path / "out"
+
+    def gen(generations):
+        return subprocess.run(
+            [sys.executable, "-m", "lsysbench.cli", "gen", str(spec), "--out", str(out),
+             "--generations", str(generations)],
+            capture_output=True, text=True, env=src_env(), timeout=60)
+
+    proc = gen(60)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1] == (
+        "error: the run at PATH 1 would run %d loop iterations, above the cap of %d"
+        % (2**61 - 2, oracle.MAX_RUN_OPS))
+    assert not out.exists()
+    assert gen(27).returncode == 0  # 2^28 - 2 iterations
 
 
 # Runs gen, check and measure in one fresh interpreter (pytest's own has

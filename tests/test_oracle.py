@@ -678,6 +678,28 @@ def test_interpret_refuses_a_run_above_the_op_cap_before_its_first_op(path, monk
     assert frames == []  # no function was entered, so no op ran
 
 
+@pytest.mark.parametrize("trips, iterations", [(2, 2 + 2 * (2 + 4)), (3, 3 + 3 * (3 + 9))])
+def test_interpret_refuses_a_run_above_the_loop_iteration_cap_before_its_first_op(
+        trips, iterations, monkeypatch):
+    # The loops hold no op, so the run compiles them to nothing, but the
+    # binary runs them all: `A = LOOP(A)` at g=60 asked for 2^61 - 2
+    # iterations and 2 ops. The callee's iterations count once per call.
+    program = lower_text("new insert LOOP(CALL(LOOP(LOOP())))", trip_count=trips)
+    frames = []
+    real_frame = oracle._Frame
+    monkeypatch.setattr(oracle, "_Frame", lambda *args: frames.append(args) or real_frame(*args))
+    monkeypatch.setattr(oracle, "MAX_RUN_OPS", iterations)
+    assert sum(interpret(program, ExecConfig(path=1))[1].op_counts.values()) == 2
+    assert frames
+    frames.clear()
+    monkeypatch.setattr(oracle, "MAX_RUN_OPS", iterations - 1)
+    for traced in (False, True):
+        with pytest.raises(oracle.RunLimitError, match="^the run at PATH 1 would run %d loop "
+                           "iterations, above the cap of %d$" % (iterations, iterations - 1)):
+            interpret(program, ExecConfig(path=1, debug_trace=traced))
+    assert frames == []  # no function was entered, so no op ran
+
+
 def test_program_plan_sets_container_kind():
     program = lower_text("new contains", container_kind="array")
     program.plan = OperandPlan(seed=0, container_kind="scalar")
