@@ -177,9 +177,9 @@ def load_manifest(out_dir: str) -> dict:
     return manifest
 
 
-def plan_from_manifest(manifest: dict, seed: Optional[int] = None) -> astgen.OperandPlan:
+def plan_from_manifest(manifest: dict) -> astgen.OperandPlan:
     return astgen.OperandPlan(
-        seed=manifest["seed"] if seed is None else seed,
+        seed=manifest["seed"],
         value_range=manifest["valueRange"],
         trip_count=manifest["tripCount"],
         container_kind=manifest["containerKind"],
@@ -207,10 +207,10 @@ def check_spec(spec_text: str, manifest: dict) -> None:
     )
 
 
-def program_from_manifest(manifest: dict, seed: Optional[int] = None) -> astgen.Program:
-    """The program gen built, at another planner seed if one is given."""
+def program_from_manifest(manifest: dict) -> astgen.Program:
+    """The program gen built."""
     return build_program(manifest["specText"], manifest["generations"],
-                         plan_from_manifest(manifest, seed))
+                         plan_from_manifest(manifest))
 
 
 def oracle_checksums(manifest: dict) -> Callable[[int], int]:
@@ -493,84 +493,69 @@ def cmd_check(
     out_dir: str,
     cc_template: str,
     paths: Sequence[int],
-    seeds: Optional[Sequence[int]] = None,
     checksum_only: bool = False,
     report_path: Optional[str] = None,
 ) -> bool:
-    """Compile the emitted program and diff each run against the oracle.
+    """Compile the sources gen wrote and diff each run against the oracle.
 
     The compile runs in the background while the oracle computes the first
     PATH's expected trace; then it is reaped and the binary runs at each
     PATH, each later PATH's trace computed just before its run, so one
     PATH's trace is held at a time. An oracle failure or an interrupt kills
     the compile or the running binary with its process group.
-    Returns True when every (seed, path) combination passes. Failure
-    categories: compile-failure, runtime-failure, trace-mismatch.
+    Returns True when every PATH passes. Failure categories:
+    compile-failure, runtime-failure, trace-mismatch.
     """
     if not paths:  # else no binary runs and the check passes vacuously
         raise BenchError("check needs at least one PATH")
     manifest = load_manifest(out_dir)
     check_spec(read_spec_file(spec_path), manifest)
-    seed_list = list(seeds) if seeds else [manifest["seed"]]
-    emit_cfg = codegen.EmitConfig(backend=manifest["backend"], split_files=manifest["splitFiles"])
+    seed = manifest["seed"]
     rows: List[Dict[str, object]] = []
-    ok = True
 
-    def report(seed: int, path: Optional[int], status: str, detail: str = "") -> None:
+    def report(path: Optional[int], status: str, detail: str = "") -> None:
         rows.append({"seed": seed, "path": path, "status": status, "detail": detail})
         tail = f" {detail}" if detail else ""
         where = f"seed={seed}" + ("" if path is None else f" path={path}")
         print(f"[{status}] {where}{tail}")
 
-    def expected(program: astgen.Program, path: int) -> List[str]:
+    def expected(path: int) -> List[str]:
         return oracle.run_to_pieces(program, oracle.ExecConfig(
             path=path, debug_trace=not checksum_only))
 
-    for seed in seed_list:
-        with tempfile.TemporaryDirectory(prefix="lsysbench-check-") as workdir:
-            # gcc compiles while the oracle computes the first PATH's
-            # expected trace. The manifest seed's sources are on disk
-            # already; another seed's program is built and emitted first.
-            program = want = None  # the last seed's go first
-            src_dir = out_dir
-            if seed != manifest["seed"]:
-                program = program_from_manifest(manifest, seed)
-                write_source_files(codegen.sources(program, emit_cfg), workdir)
-                src_dir = workdir
-            binary = os.path.join(workdir, "prog")
-            finish = start_compile(cc_template, src_dir, source_file_names(manifest), binary)
-            try:
-                if program is None:
-                    program = program_from_manifest(manifest, seed)
-                want = expected(program, paths[0])
-            except BaseException:
-                finish(cancel=True)
-                raise
-            failure = _check_built(finish()[1], binary)
-            if failure is not None:
-                report(seed, None, "compile-failure", failure)
-                ok = False
-                continue
-            for k, path in enumerate(paths):
-                if k:
-                    want = None  # the last PATH's trace goes before this one's is computed
-                    want = expected(program, path)
-                argv = [binary, str(path)]
-                if not checksum_only:
-                    argv.append("--debug")
-                with tempfile.TemporaryFile() as got:
-                    _, run = timed_run(argv, stdout=got)
-                    if run.returncode != 0:
-                        report(seed, path, "runtime-failure", _exit_report(run))
-                        ok = False
-                        continue
-                    got.seek(0)
-                    mismatch = _first_divergence(got, want)
-                if mismatch is None:
-                    report(seed, path, "pass")
-                else:
-                    report(seed, path, "trace-mismatch", mismatch)
-                    ok = False
+    with tempfile.TemporaryDirectory(prefix="lsysbench-check-") as workdir:
+        # gcc compiles while the oracle computes the first PATH's expected trace
+        binary = os.path.join(workdir, "prog")
+        finish = start_compile(cc_template, out_dir, source_file_names(manifest), binary)
+        try:
+            program = program_from_manifest(manifest)
+            want = expected(paths[0])
+        except BaseException:
+            finish(cancel=True)
+            raise
+        failure = _check_built(finish()[1], binary)
+        if failure is not None:
+            report(None, "compile-failure", failure)
+            paths = []  # no binary to run
+        for k, path in enumerate(paths):
+            if k:
+                want = None  # the last PATH's trace goes before this one's is computed
+                want = expected(path)
+            argv = [binary, str(path)]
+            if not checksum_only:
+                argv.append("--debug")
+            with tempfile.TemporaryFile() as got:
+                _, run = timed_run(argv, stdout=got)
+                if run.returncode != 0:
+                    report(path, "runtime-failure", _exit_report(run))
+                    continue
+                got.seek(0)
+                mismatch = _first_divergence(got, want)
+            if mismatch is None:
+                report(path, "pass")
+            else:
+                report(path, "trace-mismatch", mismatch)
+    ok = all(row["status"] == "pass" for row in rows)
     if report_path:
         write_json_lines(rows, report_path)
     print("check: PASS" if ok else "check: FAIL")

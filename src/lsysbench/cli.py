@@ -91,8 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("spec", help="L-system spec file")
     _add_generation_args(p_gen)
 
-    # No abbreviations: `--seed 5` would otherwise be read as `--seeds 5`.
-    p_check = sub.add_parser("check", parents=[common], allow_abbrev=False,
+    p_check = sub.add_parser("check", parents=[common],
                              help="compile emitted sources and diff traces against the oracle")
     p_check.add_argument("spec", help="L-system spec file used for gen")
     p_check.add_argument("--cc", required=True, metavar="TEMPLATE",
@@ -100,10 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "e.g. 'gcc -std=c99 -O0 {in} -o {out}'")
     p_check.add_argument("--paths", type=_u64_list("PATH"), default=[0, 1], metavar="P1,P2,...",
                          help="PATH values to run (default 0,1)")
-    p_check.add_argument("--seeds", type=_u64_list("seed"), default=None, metavar="S1,S2,...",
-                         help="planner seeds to regenerate and check, in place of the "
-                              "manifest's seed (default: the manifest's seed, using the "
-                              "on-disk sources)")
     p_check.add_argument("--checksum-only", action="store_true",
                          help="compare only the CHECKSUM line instead of full traces")
     p_check.add_argument("--report", metavar="FILE",
@@ -163,7 +158,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             ok = bench.cmd_check(
                 args.spec, args.out, args.cc,
                 paths=args.paths,
-                seeds=args.seeds,
                 checksum_only=args.checksum_only,
                 report_path=args.report,
             )

@@ -23,7 +23,6 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import List
 
-from .. import astgen
 from .base import BraceSyntax, Source
 
 _HEADER_COMMON = """\

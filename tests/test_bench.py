@@ -258,16 +258,6 @@ def test_check_freshly_generated_passes(spec_file, tmp_path, capsys):
 
 
 @needs_c
-def test_check_extra_seed_regenerates_and_passes(spec_file, tmp_path):
-    out = str(tmp_path / "out")
-    gen_quiet(spec_file, out, 4, default_plan(), codegen.EmitConfig(backend="c"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        ok = cmd_check(spec_file, out, CC_STRICT, paths=[1], seeds=[0, 11])
-    assert ok is True
-
-
-@needs_c
 def test_check_corrupted_source_reports_mismatch(spec_file, tmp_path, capsys):
     out = str(tmp_path / "out")
     gen_quiet(spec_file, out, 4, default_plan(), codegen.EmitConfig(backend="c"))
@@ -585,12 +575,11 @@ def test_check_compiles_while_the_oracle_runs(spec_file, tmp_path, monkeypatch):
     paths = [0, 1, 2**63]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert cmd_check(spec_file, out, CC_STRICT, paths=paths, seeds=[0, 11])
-    # seed 0 is the manifest's: its sources are on disk, so gcc starts first;
-    # seed 11 is built and emitted before its compile starts. The first
-    # PATH's oracle run overlaps the compile, each later one precedes its run.
-    tail = ["oracle", "reap", "run"] + ["oracle", "run"] * (len(paths) - 1)
-    assert events == (["compile", "build"] + tail + ["build", "emit", "compile"] + tail)
+        assert cmd_check(spec_file, out, CC_STRICT, paths=paths)
+    # gen wrote the sources, so gcc starts first. The first PATH's oracle
+    # run overlaps the compile, each later one precedes its run.
+    assert events == (["compile", "build", "oracle", "reap", "run"]
+                      + ["oracle", "run"] * (len(paths) - 1))
 
 
 @needs_c
@@ -616,8 +605,8 @@ def test_check_holds_one_paths_expected_trace_at_a_time(spec_file, tmp_path, mon
     monkeypatch.setattr(oracle, "run_to_pieces", one_at_a_time)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert cmd_check(spec_file, out, CC_STRICT, paths=[0, 1, 2], seeds=[0, 11])
-    assert [path for path, _ in computed] == [0, 1, 2] * 2
+        assert cmd_check(spec_file, out, CC_STRICT, paths=[0, 1, 2])
+    assert [path for path, _ in computed] == [0, 1, 2]
 
 
 def exited(pid, timeout=5.0):
