@@ -31,6 +31,7 @@ import string
 import subprocess
 import tempfile
 import time
+import warnings
 from dataclasses import dataclass, fields
 from typing import BinaryIO, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -208,9 +209,11 @@ def check_spec(spec_text: str, manifest: dict) -> None:
 
 
 def program_from_manifest(manifest: dict) -> astgen.Program:
-    """The program gen built."""
-    return build_program(manifest["specText"], manifest["generations"],
-                         plan_from_manifest(manifest))
+    """The program gen built, rebuilt without the warnings gen printed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return build_program(manifest["specText"], manifest["generations"],
+                             plan_from_manifest(manifest))
 
 
 def oracle_checksums(manifest: dict) -> Callable[[int], int]:
@@ -397,26 +400,27 @@ def parse_checksum(stdout: str) -> Optional[int]:
 # report writers
 
 
-def write_csv(rows: Sequence[Dict[str, object]], columns: Sequence[str], path: Optional[str]) -> str:
-    """Write RFC-4180 CSV; returns the text. path=None writes nowhere."""
+def write_csv(rows: Sequence[Dict[str, object]], columns: Sequence[str]) -> str:
+    """The rows as RFC-4180 CSV text, None as an empty cell."""
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(columns), lineterminator="\r\n")
     writer.writeheader()
     for row in rows:
         writer.writerow({key: ("" if row.get(key) is None else row.get(key)) for key in columns})
-    text = buf.getvalue()
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    return text
+    return buf.getvalue()
 
 
-def write_json_lines(rows: Sequence[Dict[str, object]], path: Optional[str]) -> str:
-    text = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+def _check_writable(path: Optional[str]) -> None:
+    """Refuse an output file that cannot be opened for writing, before any
+    work. Opening it to append truncates nothing; a missing one is created
+    empty."""
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+        open(path, "a", encoding="utf-8").close()
+
+
+def write_json_lines(rows: Sequence[Dict[str, object]], path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +514,7 @@ def cmd_check(
         raise BenchError("check needs at least one PATH")
     manifest = load_manifest(out_dir)
     check_spec(read_spec_file(spec_path), manifest)
+    _check_writable(report_path)
     seed = manifest["seed"]
     rows: List[Dict[str, object]] = []
 
@@ -571,19 +576,22 @@ def cmd_measure(
     warmups: int = 3,
     path: int = 1,
     size_cmd: Optional[str] = None,
-    csv_path: Optional[str] = None,
     json_path: Optional[str] = None,
 ) -> List[Measurement]:
-    """One Measurement row per flag set; failures mark the row, not the batch."""
+    """One Measurement row per flag set, printed as a CSV table and written
+    to json_path as JSON lines; failures mark the row, not the batch."""
     _check_run_counts(repetitions, warmups)
     # a bad template fails the command before any compile, not each row
     render_template(cc_template, dict.fromkeys(("in", "out", "flags"), "x"))
+    if size_cmd:
+        render_template(size_cmd, {"bin": "x"})
     placeholders = {name for _, name, _, _ in string.Formatter().parse(cc_template)}
     if any(flag_sets) and "flags" not in placeholders:
         raise BenchError(f"flag sets {list(flag_sets)} given, but the command template "
                          f"has no {{flags}} placeholder: {cc_template}")
     manifest = load_manifest(out_dir)
     check_spec(read_spec_file(spec_path), manifest)
+    _check_writable(json_path)
     checksum = oracle_checksums(manifest)(path)
 
     src_files = source_file_names(manifest)
@@ -602,7 +610,6 @@ def cmd_measure(
         results.append(m)
         with tempfile.TemporaryDirectory(prefix="lsysbench-measure-") as workdir:
             binary = os.path.join(workdir, "prog")
-            size_argv = render_template(size_cmd, {"bin": shlex.quote(binary)}) if size_cmd else None
             try:
                 compile_times = []
                 for _ in range(repetitions):
@@ -613,8 +620,8 @@ def cmd_measure(
                 m.binary_bytes = os.path.getsize(binary)
                 m.run_time_ms = _median_run_ms(binary, path, repetitions, warmups, checksum)
                 m.checksum = checksum
-                if size_argv:
-                    _, proc = timed_run(size_argv)
+                if size_cmd:
+                    _, proc = timed_run(render_template(size_cmd, {"bin": shlex.quote(binary)}))
                     _exit_report(proc, "size command failed")
                     first = (proc.stdout.splitlines() or [""])[0].strip()
                     if not first.isdecimal():
@@ -624,16 +631,9 @@ def cmd_measure(
                 m.failed, m.error = True, str(exc)
 
     rows = [m.to_row() for m in results]
-    csv_text = write_csv(rows, MEASUREMENT_COLUMNS, csv_path)
     if json_path:
         write_json_lines(rows, json_path)
-    if not csv_path and not json_path:
-        print(csv_text, end="")
-    else:
-        for m in results:
-            status = "FAILED" if m.failed else "ok"
-            print(f"[{status}] flags={m.flags!r} compile={m.compile_time_ms:.1f}ms "
-                  f"run={m.run_time_ms:.1f}ms size={m.binary_bytes}B")
+    print(write_csv(rows, MEASUREMENT_COLUMNS), end="")
     return results
 
 
@@ -673,10 +673,9 @@ def cmd_sweep_pgo(
     train_path: int = 1,
     repetitions: int = 10,
     warmups: int = 3,
-    csv_path: Optional[str] = None,
 ) -> List[Dict[str, object]]:
     """Baseline vs profile-trained binary over PATH = 2^i - 1, for each
-    bit count i in bit_counts.
+    bit count i in bit_counts, printed as a CSV table.
 
     The training binary runs once at train_path; profile data lands in the
     working directory (LLVM_PROFILE_FILE is pointed there for clang-style
@@ -746,11 +745,5 @@ def cmd_sweep_pgo(
                 "ratio": round(ratio, 4),
             })
 
-    csv_text = write_csv(rows, SWEEP_COLUMNS, csv_path)
-    if not csv_path:
-        print(csv_text, end="")
-    else:
-        for row in rows:
-            print(f"i={row['i']} path={row['path']} t={row['t_ms']}ms "
-                  f"ti={row['ti_ms']}ms ratio={row['ratio']}")
+    print(write_csv(rows, SWEEP_COLUMNS), end="")
     return rows

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from typing import List, Optional
 
 from . import astgen, bench, codegen, grammar
@@ -122,8 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_measure.add_argument("--size-cmd", metavar="TEMPLATE",
                            help="command with {bin} whose first output line is a byte "
                                 "count, recorded as textBytes")
-    p_measure.add_argument("--csv", metavar="FILE", help="write rows as CSV")
-    p_measure.add_argument("--json", metavar="FILE", help="write rows as JSON lines")
+    p_measure.add_argument("--json", metavar="FILE", help="also write the rows as JSON lines")
 
     p_sweep = sub.add_parser("sweep-pgo", parents=[common],
                              help="compare baseline vs profile-trained binaries over a PATH sweep")
@@ -143,12 +143,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="timed repetitions per binary and path (default 10)")
     p_sweep.add_argument("--warmups", type=int, default=3,
                          help="discarded warm-up runs (default 3)")
-    p_sweep.add_argument("--csv", metavar="FILE", help="write the ratio table as CSV")
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         if args.command == "gen":
             emit_cfg = codegen.EmitConfig(backend=args.backend, split_files=args.split_files)
@@ -170,7 +171,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 warmups=args.warmups,
                 path=args.path,
                 size_cmd=args.size_cmd,
-                csv_path=args.csv,
                 json_path=args.json,
             )
             return 1 if any(m.failed for m in results) else 0
@@ -180,7 +180,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             train_path=args.train_path,
             repetitions=args.repetitions,
             warmups=args.warmups,
-            csv_path=args.csv,
         )
         return 0
     # OSError: an unreadable spec or an unwritable --out
@@ -189,6 +188,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except KeyboardInterrupt:
         return 130
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -213,7 +213,7 @@ def test_parse_checksum():
 
 def test_write_csv_is_rfc4180():
     rows = [{"a": 'say "hi"', "b": "x,y", "c": None}]
-    text = write_csv(rows, ["a", "b", "c"], None)
+    text = write_csv(rows, ["a", "b", "c"])
     lines = text.split("\r\n")
     assert lines[0] == "a,b,c"
     assert lines[1] == '"say ""hi""","x,y",'
@@ -787,15 +787,15 @@ def test_check_refuses_an_empty_path_list_before_compiling(spec_file, tmp_path, 
 def test_measure_two_flag_sets_two_rows(spec_file, tmp_path, capsys):
     out = str(tmp_path / "out")
     gen_quiet(spec_file, out, 4, default_plan(), codegen.EmitConfig(backend="c"))
-    csv_path = str(tmp_path / "rows.csv")
+    capsys.readouterr()
     json_path = str(tmp_path / "rows.jsonl")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         results = cmd_measure(
             spec_file, out, CC_FLAGS, flag_sets=["-O0", "-O2"],
-            repetitions=3, warmups=1, csv_path=csv_path, json_path=json_path,
+            repetitions=3, warmups=1, json_path=json_path,
         )
-    capsys.readouterr()
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert len(results) == 2
     for m in results:
         assert not m.failed, m.error
@@ -803,8 +803,6 @@ def test_measure_two_flag_sets_two_rows(spec_file, tmp_path, capsys):
         assert m.run_time_ms > 0
         assert m.binary_bytes > 0
         assert m.checksum is not None
-    with open(csv_path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     assert rows[0]["flags"] == "-O0"
     assert rows[1]["flags"] == "-O2"
@@ -995,15 +993,15 @@ def test_sweep_pgo_schema_and_ratios(spec_file, tmp_path, capsys):
     base = "%s -std=c99 -O2 {in} -o {out}" % C_COMPILER
     train = "%s -std=c99 -O2 -fprofile-generate {in} -o {out}" % C_COMPILER
     opt = "%s -std=c99 -O2 -fprofile-use -Werror=missing-profile {in} -o {out}" % C_COMPILER
-    csv_path = str(tmp_path / "sweep.csv")
+    capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rows = cmd_sweep_pgo(
             spec_file, out, base, train, opt,
             bit_counts=[1, 32], train_path=1,
-            repetitions=3, warmups=1, csv_path=csv_path,
+            repetitions=3, warmups=1,
         )
-    capsys.readouterr()
+    parsed = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert [row["i"] for row in rows] == [1, 32]
     assert rows[0]["path"] == 1
     assert rows[1]["path"] == 2**32 - 1
@@ -1012,9 +1010,7 @@ def test_sweep_pgo_schema_and_ratios(spec_file, tmp_path, capsys):
         assert row["t_ms"] > 0
         assert row["ti_ms"] > 0
         assert row["ratio"] > 0
-    with open(csv_path, encoding="utf-8", newline="") as fh:
-        parsed = list(csv.DictReader(fh))
-    assert len(parsed) == 2
+    assert [(int(row["i"]), int(row["path"])) for row in parsed] == [(1, 1), (32, 2**32 - 1)]
 
 
 def cc_o2(flags=""):

@@ -251,6 +251,15 @@ def test_check_has_no_seeds_flag(capsys):
     assert "unrecognized arguments: --seeds 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["measure", "sweep-pgo"])
+def test_measure_and_sweep_pgo_have_no_csv_flag(command, capsys):
+    # their table goes to stdout, and `> FILE` saves it
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(USAGE_PREFIXES[command] + ["--csv", "x"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --csv x" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("check", "--paths", "0,18446744073709551616"),
     ("measure", "--path", "-1"),
@@ -482,17 +491,34 @@ def test_gen_check_measure_round_trip(spec_file, tmp_path, capsys):
     assert run_cli(["gen", spec_file, "--out", out]) == 0
     assert run_cli(["check", spec_file, "--out", out, "--cc", cc, "--paths", "0,1"]) == 0
 
-    csv_path = str(tmp_path / "m.csv")
+    capsys.readouterr()
     code = run_cli(["measure", spec_file, "--out", out,
                     "--cc", "%s -std=c99 {flags} {in} -o {out}" % C_COMPILER,
                     "--flags=-O0", "--flags=-O2",
-                    "--repetitions", "2", "--warmups", "0", "--csv", csv_path])
+                    "--repetitions", "2", "--warmups", "0"])
     assert code == 0
-    with open(csv_path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert len(rows) == 2
     assert float(rows[0]["compileTimeMs"]) > 0
+
+
+@needs_c
+def test_measure_prints_the_rows_it_writes_as_json(spec_file, tmp_path, capsys):
+    # the CSV table on stdout and the --json lines are the same rows, in order
+    out = str(tmp_path / "out")
+    assert run_cli(["gen", spec_file, "--generations", "3", "--out", out]) == 0
+    json_path = str(tmp_path / "m.jsonl")
     capsys.readouterr()
+    code = run_cli(["measure", spec_file, "--out", out,
+                    "--cc", "%s -std=c99 {flags} {in} -o {out}" % C_COMPILER,
+                    "--flags=-O0", "--flags=-O1", "--flags=-O2", "--path", "2",
+                    "--repetitions", "1", "--warmups", "0", "--json", json_path])
+    assert code == 0
+    printed = capsys.readouterr().out
+    with open(json_path, encoding="utf-8") as fh:
+        json_rows = [json.loads(line) for line in fh]
+    assert [row["flags"] for row in json_rows] == ["-O0", "-O1", "-O2"]
+    assert printed == bench.write_csv(json_rows, bench.MEASUREMENT_COLUMNS)
 
 
 @needs_c
@@ -521,15 +547,13 @@ def test_sweep_pgo_subcommand(spec_file, tmp_path, capsys):
         % C_COMPILER,
         "--repetitions", "2", "--warmups", "0",
     ]
-    csv_path = str(tmp_path / "sweep.csv")
-    assert run_cli(argv + ["--bits", "1", "--csv", csv_path]) == 0
-    with open(csv_path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    capsys.readouterr()
+    assert run_cli(argv + ["--bits", "1"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert len(rows) == 1
     assert rows[0]["i"] == "1"
     assert rows[0]["path"] == "1"
-    capsys.readouterr()
-    # without --csv the table goes to stdout, over the default bit counts
+    # the default bit counts
     assert run_cli(argv) == 0
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert [int(row["i"]) for row in rows] == list(bench.SWEEP_BITS)
@@ -568,19 +592,16 @@ def test_measure_refuses_flag_sets_the_template_has_no_place_for(
 def test_measure_a_compile_that_writes_no_binary_fails_its_rows(spec_file, tmp_path, capsys):
     out = str(tmp_path / "out")
     assert run_cli(["gen", spec_file, "--generations", "3", "--out", out]) == 0
-    csv_path = str(tmp_path / "m.csv")
+    capsys.readouterr()
     code = run_cli(["measure", spec_file, "--out", out, "--cc", "true {in} {out} {flags}",
-                    "--flags=-O0", "--flags=-O2", "--repetitions", "1", "--warmups", "0",
-                    "--csv", csv_path])
+                    "--flags=-O0", "--flags=-O2", "--repetitions", "1", "--warmups", "0"])
     assert code == 1
-    with open(csv_path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert [row["flags"] for row in rows] == ["-O0", "-O2"]
     for row in rows:
         assert row["failed"] == "True"
         assert row["error"].startswith("compile failed: exit=0 but wrote no binary ")
         assert row["error"].endswith(os.sep + "prog")
-    capsys.readouterr()
 
 
 def test_a_container_without_a_runtime_is_a_backend_error(spec_file, tmp_path, capsys,
@@ -668,6 +689,81 @@ def test_sweep_pgo_checks_every_template_before_compiling(
                     "--cc-opt", "gcc -fprofile-use {bogus} {in} -o {out}"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: unknown placeholder {bogus}")
+
+
+@pytest.mark.parametrize("command, extra, error", [
+    ("check", ["--report", "missing/r.jsonl"],
+     "[Errno 2] No such file or directory: 'missing/r.jsonl'"),
+    ("check", ["--report", "."], "[Errno 21] Is a directory: '.'"),
+    ("measure", ["--json", "missing/m.jsonl"],
+     "[Errno 2] No such file or directory: 'missing/m.jsonl'"),
+    ("measure", ["--path", "2", "--size-cmd", "{nope}"],
+     "unknown placeholder {nope} in command template: {nope}"),
+])
+def test_check_and_measure_refuse_a_bad_output_before_any_work(
+        command, extra, error, spec_file, tmp_path, capsys, monkeypatch):
+    # check compiled, ran and printed its verdict, and measure timed every
+    # run, before an unwritable file failed them; at a PATH other than 1 the
+    # oracle ran before a bad --size-cmd was seen
+    out = str(tmp_path / "out")
+    assert run_cli(["gen", spec_file, "--generations", "3", "--out", out]) == 0
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("ran the oracle before checking the output")
+
+    monkeypatch.setattr(oracle, "interpret", no_oracle)
+    monkeypatch.setattr(oracle, "run_to_pieces", no_oracle)
+    monkeypatch.chdir(tmp_path)
+    marker = tmp_path / "compiled"
+    cc = "sh -c %s sh {in} {out}" % shlex.quote("touch " + shlex.quote(str(marker)))
+    capsys.readouterr()
+    assert run_cli([command, spec_file, "--out", out, "--cc", cc] + extra) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert not marker.exists()
+
+
+def test_measure_keeps_an_existing_json_file_until_its_rows_are_written(
+        spec_file, tmp_path, capsys, monkeypatch):
+    out = str(tmp_path / "out")
+    assert run_cli(["gen", spec_file, "--generations", "3", "--out", out]) == 0
+
+    def refused(manifest):
+        raise bench.BenchError("refused")
+
+    monkeypatch.setattr(bench, "oracle_checksums", refused)
+    json_path = tmp_path / "m.jsonl"
+    json_path.write_text("old\n", encoding="utf-8")
+    assert run_cli(["measure", spec_file, "--out", out, "--cc", "cc {in} -o {out}",
+                    "--json", str(json_path)]) == 2
+    assert capsys.readouterr().err == "error: refused\n"
+    assert json_path.read_text(encoding="utf-8") == "old\n"
+
+
+@needs_c
+def test_each_warning_is_printed_once_on_one_line(tmp_path):
+    # Python's format took two lines, the second the source line of the
+    # warnings.warn call; check and measure rebuilt gen's program and warned again
+    spec = tmp_path / "leftover.lsys"
+    spec.write_text("A = new insert X\n", encoding="utf-8")
+    out = str(tmp_path / "out")
+    gen = ["gen", str(spec), "--out", out, "--generations", "1"]
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "lsysbench.cli", *argv],
+                              capture_output=True, text=True, env=src_env(), timeout=120)
+
+    proc = cli(*gen)
+    assert (proc.returncode, proc.stderr) == (
+        0, "warning: dropped 1 leftover nonterminal(s) before lowering\n")
+    proc = cli("check", str(spec), "--out", out, "--paths", "0,2",
+               "--cc", C_COMPILER + " -std=c99 {in} -o {out}")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    proc = cli("measure", str(spec), "--out", out, "--path", "2", "--repetitions", "1",
+               "--warmups", "0", "--cc", C_COMPILER + " -std=c99 {in} -o {out}")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    # a caller of main, pytest among them, still sees the UserWarning
+    with pytest.warns(UserWarning, match=r"^dropped 1 leftover nonterminal\(s\) before lowering$"):
+        assert main(gen) == 0
 
 
 def test_gen_refuses_a_run_above_the_op_cap(tmp_path):
