@@ -32,7 +32,6 @@ import subprocess
 import tempfile
 import time
 import warnings
-from dataclasses import dataclass, fields
 from typing import BinaryIO, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import astgen, codegen, grammar, oracle
@@ -49,6 +48,9 @@ _MANIFEST_KEYS = {"specName": str, "specText": str, "generations": int, "seed": 
                   "splitFiles": bool, "files": list,
                   "oracleChecksumPath1": int}
 
+MEASUREMENT_COLUMNS = ["specName", "generation", "backend", "compilerCmd", "flags", "path",
+                       "seed", "containerKind", "compileTimeMs", "runTimeMs", "binaryBytes",
+                       "textBytes", "checksum", "failed", "error"]
 SWEEP_COLUMNS = ["i", "path", "t_ms", "ti_ms", "ratio"]
 # sweep-pgo's default bit counts i; each runs PATH = 2^i - 1
 SWEEP_BITS = (1, 2, 4, 8, 16, 32, 63)
@@ -56,41 +58,6 @@ SWEEP_BITS = (1, 2, 4, 8, 16, 32, 63)
 
 class BenchError(Exception):
     """Harness-level failure (bad manifest, missing files, bad template)."""
-
-
-@dataclass
-class Measurement:
-    spec_name: str
-    generation: int
-    backend: str
-    compiler_cmd: str
-    flags: str
-    path: int
-    seed: int
-    container_kind: str
-    compile_time_ms: float = 0.0
-    run_time_ms: float = 0.0
-    binary_bytes: int = 0
-    text_bytes: Optional[int] = None
-    checksum: Optional[int] = None
-    failed: bool = False
-    error: str = ""
-
-    def to_row(self) -> Dict[str, object]:
-        """The fields under camelCase names, times rounded to 3 places."""
-        row = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            row[_camel_case(f.name)] = round(value, 3) if f.name.endswith("_ms") else value
-        return row
-
-
-def _camel_case(name: str) -> str:
-    head, *rest = name.split("_")
-    return head + "".join(word.capitalize() for word in rest)
-
-
-MEASUREMENT_COLUMNS = [_camel_case(f.name) for f in fields(Measurement)]
 
 
 # ---------------------------------------------------------------------------
@@ -577,9 +544,10 @@ def cmd_measure(
     path: int = 1,
     size_cmd: Optional[str] = None,
     json_path: Optional[str] = None,
-) -> List[Measurement]:
-    """One Measurement row per flag set, printed as a CSV table and written
-    to json_path as JSON lines; failures mark the row, not the batch."""
+) -> List[Dict[str, object]]:
+    """Time each flag set's compile and run; returns one row per flag set,
+    printed as a CSV table and written to json_path as JSON lines.
+    Failures mark the row, not the batch."""
     _check_run_counts(repetitions, warmups)
     # a bad template fails the command before any compile, not each row
     render_template(cc_template, dict.fromkeys(("in", "out", "flags"), "x"))
@@ -595,46 +563,44 @@ def cmd_measure(
     checksum = oracle_checksums(manifest)(path)
 
     src_files = source_file_names(manifest)
-    results: List[Measurement] = []
+    rows: List[Dict[str, object]] = []
     for flags in flag_sets:
-        m = Measurement(
-            spec_name=manifest["specName"],
-            generation=manifest["generations"],
-            backend=manifest["backend"],
-            compiler_cmd=cc_template,
-            flags=flags,
-            path=path,
-            seed=manifest["seed"],
-            container_kind=manifest["containerKind"],
-        )
-        results.append(m)
+        row = {"specName": manifest["specName"], "generation": manifest["generations"],
+               "backend": manifest["backend"], "compilerCmd": cc_template, "flags": flags,
+               "path": path, "seed": manifest["seed"], "containerKind": manifest["containerKind"],
+               "compileTimeMs": 0.0, "runTimeMs": 0.0, "binaryBytes": 0,
+               "textBytes": None, "checksum": None, "failed": False, "error": ""}
+        rows.append(row)
         with tempfile.TemporaryDirectory(prefix="lsysbench-measure-") as workdir:
             binary = os.path.join(workdir, "prog")
             try:
                 compile_times = []
                 for _ in range(repetitions):
+                    # each timed compile must write the binary, not find the last one's
+                    with contextlib.suppress(FileNotFoundError):
+                        os.remove(binary)
                     elapsed, proc = compile_sources(cc_template, out_dir, src_files, binary, flags)
                     _check_built(proc, binary, "compile failed")
                     compile_times.append(elapsed)
-                m.compile_time_ms = statistics.median(compile_times)
-                m.binary_bytes = os.path.getsize(binary)
-                m.run_time_ms = _median_run_ms(binary, path, repetitions, warmups, checksum)
-                m.checksum = checksum
+                row["compileTimeMs"] = round(statistics.median(compile_times), 3)
+                row["binaryBytes"] = os.path.getsize(binary)
+                row["runTimeMs"] = round(
+                    _median_run_ms(binary, path, repetitions, warmups, checksum), 3)
+                row["checksum"] = checksum
                 if size_cmd:
                     _, proc = timed_run(render_template(size_cmd, {"bin": shlex.quote(binary)}))
                     _exit_report(proc, "size command failed")
                     first = (proc.stdout.splitlines() or [""])[0].strip()
                     if not first.isdecimal():
                         raise BenchError(f"size command failed: {first!r} is not a byte count")
-                    m.text_bytes = int(first)
+                    row["textBytes"] = int(first)
             except BenchError as exc:  # the only place a row fails
-                m.failed, m.error = True, str(exc)
+                row["failed"], row["error"] = True, str(exc)
 
-    rows = [m.to_row() for m in results]
     if json_path:
         write_json_lines(rows, json_path)
     print(write_csv(rows, MEASUREMENT_COLUMNS), end="")
-    return results
+    return rows
 
 
 def _check_run_counts(repetitions: int, warmups: int) -> None:

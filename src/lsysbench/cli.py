@@ -164,7 +164,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             return 0 if ok else 1
         if args.command == "measure":
-            results = bench.cmd_measure(
+            rows = bench.cmd_measure(
                 args.spec, args.out, args.cc,
                 flag_sets=args.flags if args.flags else [""],
                 repetitions=args.repetitions,
@@ -173,7 +173,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 size_cmd=args.size_cmd,
                 json_path=args.json,
             )
-            return 1 if any(m.failed for m in results) else 0
+            return 1 if any(row["failed"] for row in rows) else 0
         bench.cmd_sweep_pgo(
             args.spec, args.out, args.cc_base, args.cc_train, args.cc_opt,
             bit_counts=args.bits,

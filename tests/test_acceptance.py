@@ -276,11 +276,11 @@ def test_criterion_09_measurement_schema(tmp_path, capsys):
         assert len(results) == 2
         oracle_checksum = manifest["oracleChecksumPath1"]
         for m in results:
-            assert not m.failed, m.error
-            assert m.compile_time_ms > 0
-            assert m.run_time_ms > 0
-            assert m.binary_bytes > 0
-            assert m.checksum == oracle_checksum
+            assert not m["failed"], m["error"]
+            assert m["compileTimeMs"] > 0
+            assert m["runTimeMs"] > 0
+            assert m["binaryBytes"] > 0
+            assert m["checksum"] == oracle_checksum
         import csv as csv_mod
 
         rows = list(csv_mod.DictReader(printed.splitlines()))

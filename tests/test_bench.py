@@ -20,7 +20,6 @@ from helpers import CONTAINER_STRESS_SPEC, CALL_CHURN_SPEC, STRICT_C_FLAGS, find
 from lsysbench import astgen, bench, codegen, oracle
 from lsysbench.bench import (
     BenchError,
-    Measurement,
     cmd_check,
     cmd_gen,
     cmd_measure,
@@ -234,12 +233,6 @@ def test_sweep_pgo_refuses_bit_counts_out_of_range(tmp_path):
     for i in (0, 64):
         with pytest.raises(ValueError, match=rf"^sweep bit count out of range \[1, 63\]: {i}$"):
             cmd_sweep_pgo("s.lsys", str(tmp_path), "a", "b", "c", bit_counts=[1, i])
-
-
-def test_measurement_row_schema():
-    m = Measurement("s", 4, "c", "cc", "-O2", 1, 0, "array")
-    row = m.to_row()
-    assert list(row) == bench.MEASUREMENT_COLUMNS
 
 
 # ---------------------------------------------------------------------------
@@ -798,19 +791,19 @@ def test_measure_two_flag_sets_two_rows(spec_file, tmp_path, capsys):
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert len(results) == 2
     for m in results:
-        assert not m.failed, m.error
-        assert m.compile_time_ms > 0
-        assert m.run_time_ms > 0
-        assert m.binary_bytes > 0
-        assert m.checksum is not None
+        assert list(m) == bench.MEASUREMENT_COLUMNS
+        assert not m["failed"], m["error"]
+        assert m["compileTimeMs"] > 0
+        assert m["runTimeMs"] > 0
+        assert m["binaryBytes"] > 0
+        assert m["checksum"] is not None
     assert len(rows) == 2
     assert rows[0]["flags"] == "-O0"
     assert rows[1]["flags"] == "-O2"
     assert rows[0]["checksum"] == rows[1]["checksum"]
     with open(json_path, encoding="utf-8") as fh:
         json_rows = [json.loads(line) for line in fh]
-    assert len(json_rows) == 2
-    assert len(json_rows[0]) == len(bench.MEASUREMENT_COLUMNS)
+    assert json_rows == results
 
 
 @needs_c
@@ -822,7 +815,7 @@ def test_measure_checksum_matches_oracle(spec_file, tmp_path, capsys):
         results = cmd_measure(spec_file, out, CC_FLAGS, flag_sets=["-O1"],
                               repetitions=2, warmups=0, path=1)
     capsys.readouterr()
-    assert results[0].checksum == manifest["oracleChecksumPath1"]
+    assert results[0]["checksum"] == manifest["oracleChecksumPath1"]
 
 
 @needs_c
@@ -842,22 +835,22 @@ def test_measure_path1_checks_against_the_manifest_checksum(spec_file, tmp_path,
 
     monkeypatch.setattr(bench.oracle, "interpret", no_oracle)
     (m,) = measure(1)
-    assert not m.failed, m.error
-    assert m.checksum == manifest["oracleChecksumPath1"]
+    assert not m["failed"], m["error"]
+    assert m["checksum"] == manifest["oracleChecksumPath1"]
 
     manifest["oracleChecksumPath1"] += 1
     with open(os.path.join(out, bench.MANIFEST_NAME), "w", encoding="utf-8") as fh:
         fh.write(bench.manifest_to_json(manifest))
     (m,) = measure(1)
-    assert m.failed
-    assert "checksum mismatch" in m.error
+    assert m["failed"]
+    assert "checksum mismatch" in m["error"]
 
     monkeypatch.setattr(bench.oracle, "interpret", interpret)
     program = program_from_manifest(manifest)
     (m,) = measure(2)
     capsys.readouterr()
-    assert not m.failed, m.error
-    assert m.checksum == interpret(program, oracle.ExecConfig(path=2))[1].checksum
+    assert not m["failed"], m["error"]
+    assert m["checksum"] == interpret(program, oracle.ExecConfig(path=2))[1].checksum
 
 
 @pytest.mark.parametrize("repetitions, warmups, message", [
@@ -906,8 +899,10 @@ def test_measure_unknown_compiler_marks_rows_failed(spec_file, tmp_path, capsys)
         )
     capsys.readouterr()
     assert len(results) == 2
-    assert all(m.failed for m in results)
-    assert all(m.error for m in results)
+    for m in results:
+        assert list(m) == bench.MEASUREMENT_COLUMNS
+        assert m["failed"]
+        assert m["error"]
 
 
 def test_measure_a_failing_binary_fails_its_row_with_exit_code_and_stderr(
@@ -921,9 +916,9 @@ def test_measure_a_failing_binary_fails_its_row_with_exit_code_and_stderr(
         results = cmd_measure(spec_file, out, cc, flag_sets=["-O0", "-O2"],
                               repetitions=1, warmups=0)
     capsys.readouterr()
-    assert [(m.failed, m.error) for m in results] == [
+    assert [(m["failed"], m["error"]) for m in results] == [
         (True, "benchmark binary failed: exit=3 boom")] * 2
-    assert all(m.compile_time_ms > 0 and m.run_time_ms == 0 for m in results)
+    assert all(m["compileTimeMs"] > 0 and m["runTimeMs"] == 0 for m in results)
 
 
 _BAD_TEMPLATES = [("cc {foo} {in} -o {out}", None, r"unknown placeholder \{foo\}"),
@@ -962,7 +957,7 @@ def test_measure_size_cmd_hook(spec_file, tmp_path, capsys):
             size_cmd="stat -c %s {bin}",
         )
     capsys.readouterr()
-    assert results[0].text_bytes == results[0].binary_bytes
+    assert results[0]["textBytes"] == results[0]["binaryBytes"]
 
 
 @needs_c
@@ -977,9 +972,9 @@ def test_measure_a_failed_size_cmd_marks_the_row_failed(spec_file, tmp_path, cap
             size_cmd=size_cmd,
         )
     capsys.readouterr()
-    assert results[0].failed
-    assert results[0].error.startswith("size command failed")
-    assert results[0].text_bytes is None
+    assert results[0]["failed"]
+    assert results[0]["error"].startswith("size command failed")
+    assert results[0]["textBytes"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -1115,9 +1110,9 @@ def test_measure_and_sweep_accept_only_the_checksum_line(spec_file, tmp_path, ca
     stray = (f"first divergence at event 0: got {got!r}, want {want!r}" if got != want
              else f"first divergence at event 1: got {lines[1]!r}, want '<missing>'")
     (m,) = cmd_measure(spec_file, out, cc, flag_sets=[""], repetitions=1, warmups=0)
-    assert m.failed
-    assert m.error == f"checksum mismatch: {stray}"
-    assert (m.run_time_ms, m.checksum, m.text_bytes) == (0.0, None, None)
+    assert m["failed"]
+    assert m["error"] == f"checksum mismatch: {stray}"
+    assert (m["runTimeMs"], m["checksum"], m["textBytes"]) == (0.0, None, None)
     with pytest.raises(BenchError, match=re.escape(f"checksum mismatch at path=1 (baseline "
                                                    f"binary): {stray}") + "$"):
         cmd_sweep_pgo(spec_file, out, cc, cc, cc, bit_counts=[1, 2])
@@ -1137,8 +1132,8 @@ def test_measure_and_sweep_check_every_run_warmups_included(spec_file, tmp_path,
     wrong = (f"first divergence at event 0: got 'CHECKSUM {sums[1] + 1}', "
              f"want 'CHECKSUM {sums[1]}'")
     (m,) = cmd_measure(spec_file, out, cc, flag_sets=[""], repetitions=2, warmups=1)
-    assert (m.failed, m.error) == (True, f"checksum mismatch: {wrong}")
-    assert (m.run_time_ms, m.checksum) == (0.0, None)
+    assert (m["failed"], m["error"]) == (True, f"checksum mismatch: {wrong}")
+    assert (m["runTimeMs"], m["checksum"]) == (0.0, None)
     with pytest.raises(BenchError, match=re.escape(f"checksum mismatch at path=1 (baseline "
                                                    f"binary): {wrong}") + "$"):
         cmd_sweep_pgo(spec_file, out, cc, cc, cc, bit_counts=[1, 2], repetitions=2, warmups=1)

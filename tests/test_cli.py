@@ -60,6 +60,15 @@ def test_readme_cli_reference_names_every_option_and_no_other():
     assert named == (options - {"--help"}) | {"--debug"}
 
 
+def test_readme_column_lists_are_the_codes():
+    text = (PYPROJECT.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Measurement output\n", 1)[1].split("\n## ", 1)[0]
+    measure = section.split("The column set is fixed:\n\n", 1)[1].split("\n\n", 1)[0]
+    sweep = section.split("with columns ", 1)[1].split(" (", 1)[0]
+    assert re.findall(r"`(\w+)`", measure) == bench.MEASUREMENT_COLUMNS
+    assert re.findall(r"`(\w+)`", sweep) == bench.SWEEP_COLUMNS
+
+
 @needs_c
 def test_readme_quick_start_prints_what_it_shows(tmp_path):
     # Quick start's commands run in order on its spec; each one followed by
@@ -602,6 +611,23 @@ def test_measure_a_compile_that_writes_no_binary_fails_its_rows(spec_file, tmp_p
         assert row["failed"] == "True"
         assert row["error"].startswith("compile failed: exit=0 but wrote no binary ")
         assert row["error"].endswith(os.sep + "prog")
+
+
+@needs_c
+def test_measure_times_only_compiles_that_write_the_binary(spec_file, tmp_path, capsys):
+    # The template compiles on its first call only: a later compile that
+    # exits 0 and writes nothing must not pass on the binary the first one
+    # left, its near-zero time going into the median.
+    out = str(tmp_path / "out")
+    assert run_cli(["gen", spec_file, "--generations", "3", "--out", out]) == 0
+    capsys.readouterr()
+    once = "sh -c 'if [ ! -e once ]; then touch once; %s -std=c99 \"$0\" -o \"$1\"; fi' {in} {out}"
+    code = run_cli(["measure", spec_file, "--out", out, "--cc", once % C_COMPILER,
+                    "--repetitions", "3", "--warmups", "0"])
+    assert code == 1
+    (row,) = csv.DictReader(capsys.readouterr().out.splitlines())
+    assert (row["failed"], row["compileTimeMs"]) == ("True", "0.0")
+    assert re.fullmatch(r"compile failed: exit=0 but wrote no binary /.*/prog", row["error"])
 
 
 def test_a_container_without_a_runtime_is_a_backend_error(spec_file, tmp_path, capsys,
